@@ -42,6 +42,7 @@ from .weights import (
     QuadratureConfig,
     a2_scan,
     a2_scan_max,
+    default_cube_family,
 )
 
 CSV_SCHEMA_VERSION = "v1"
@@ -300,7 +301,7 @@ def _run_a2_scan(cfg: RunConfig) -> dict:
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse alphas {o['alphas']!r}") from exc
     rows_out = []
-    rows = a2_scan(alphas, o["n-total"])
+    rows = a2_scan(alphas, o["n-total"], default_cube_family(o["n-total"], o["side"]))
     for row in rows:
         rows_out.append([row.alpha, row.label, ";".join(_fmt(c) for c in row.center),
                          row.side, row.product])

@@ -102,6 +102,7 @@ class GridSpec:
         cache = self.__dict__["_cache"]
         if key not in cache:
             cache[key] = build()
+            cache[key].setflags(write=False)
         return cache[key]
 
     # -- axes and lattices -------------------------------------------------

@@ -22,6 +22,14 @@ weight).  Cells adjacent to the singularity use Gauss cell averages of the
 weight instead of point values: the point-sampled sum converges only
 logarithmically near the admissibility boundary, the cell-averaged one at
 second order.
+
+One tensor Gauss evaluator, ``_gauss_box``, integrates a batch of boxes in
+one broadcast: the 2^d - 1 children of a shell level, the 2^d panels of an
+A2 cube, or one row of cells around the singularity.  The weights are even
+in every axis, so the averaged patch around the singularity is integrated
+over the nonnegative orthant only and mirrored.  A2 cubes that contain the
+origin send both exponent signs through the corner shells, which resolve
+the singularity of |z|^-alpha as well as the kink of |z|^alpha there.
 """
 
 from __future__ import annotations
@@ -146,20 +154,24 @@ _GAUSS_N = 6
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 
 
-def _gauss_box(radial_fn, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Tensor Gauss integral of a radial function over an axis-aligned box."""
-    d = len(lo)
+def _gauss_box(radial_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Tensor Gauss integrals of a radial function over k axis-aligned boxes.
+
+    ``lo`` and ``hi`` are (k, d) arrays of box corners; returns the k integrals,
+    evaluated in one broadcast over (k, G, ..., G) nodes.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    k, d = lo.shape
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    axes = [mid[i] + half[i] * _GX for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(sum(g**2 for g in grids))
-    w = np.ones([_GAUSS_N] * d)
+    r2 = 0.0
+    w = 1.0
     for i in range(d):
-        shape = [1] * d
-        shape[i] = -1
-        w = w * (half[i] * _GW).reshape(shape)
-    return float(np.sum(radial_fn(r) * w))
+        shape = (k,) + (1,) * i + (_GAUSS_N,) + (1,) * (d - 1 - i)
+        r2 = r2 + ((mid[:, i, None] + half[:, i, None] * _GX) ** 2).reshape(shape)
+        w = w * (half[:, i, None] * _GW).reshape(shape)
+    return (radial_fn(np.sqrt(r2)) * w).reshape(k, -1).sum(axis=1)
 
 
 def _corner_box_integral(
@@ -167,19 +179,16 @@ def _corner_box_integral(
 ) -> tuple[float, bool]:
     """Integral over the corner box [0,h_1]x...x[0,h_d]; returns (value, truncated)."""
     d = len(halfwidths)
-    children = [m for m in itertools.product((0, 1), repeat=d) if any(m)]
+    children = np.array(list(itertools.product((0, 1), repeat=d))[1:], dtype=bool)
     total = 0.0
     shells: list[float] = []
     scale = 1.0
     for _ in range(levels):
         hi_full = halfwidths * scale
         half_pt = hi_full / 2.0
-        shell = 0.0
-        for mask in children:
-            msk = np.array(mask, dtype=bool)
-            lo = np.where(msk, half_pt, 0.0)
-            hi = np.where(msk, hi_full, half_pt)
-            shell += _gauss_box(radial_fn, lo, hi)
+        shell = float(np.sum(_gauss_box(
+            radial_fn, np.where(children, half_pt, 0.0), np.where(children, hi_full, half_pt)
+        )))
         total += shell
         shells.append(shell)
         if len(shells) >= 2 and shells[-2] > 0:
@@ -195,18 +204,32 @@ def _corner_box_integral(
     return total, True  # boundary case: log-divergent cell, depth-capped
 
 
-def _cell_integral_at_origin(
-    radial_fn, halfwidths: Sequence[float], levels: int, tol: float
-) -> tuple[float, bool]:
-    """Integral of a radial weight over the origin-centered cell; 2^d congruent orthants."""
-    h = np.asarray(halfwidths, dtype=float)
-    value, truncated = _corner_box_integral(radial_fn, h, levels, tol)
-    return 2 ** len(h) * value, truncated
+def _origin_patch(radial_fn, steps: Sequence[float], rings: Sequence[int], quad: QuadratureConfig):
+    """Cell averages of a radial weight on the cells within ``rings`` of the origin.
 
-
-def _cell_average(radial_fn, center: np.ndarray, halfwidths: np.ndarray) -> float:
-    vol = float(np.prod(2.0 * halfwidths))
-    return _gauss_box(radial_fn, center - halfwidths, center + halfwidths) / vol
+    Cell ``j`` on axis i is centered at ``j * steps[i]`` with width
+    ``steps[i]``; the returned array has shape ``(2 r_i + 1, ...)`` with the
+    origin cell, holding its refined integral over its volume, in the middle.
+    The weight is even in every axis, so only the nonnegative orthant is
+    integrated, one leading-axis row per call, and then mirrored.  Returns
+    (patch, cell_info) as described in ``_spatial_weight_array``.
+    """
+    steps = np.asarray(steps, dtype=float)
+    half, vol = steps / 2.0, float(np.prod(steps))
+    rest = np.indices([r + 1 for r in rings[1:]]).reshape(len(rings) - 1, -1).T
+    orthant = np.empty([r + 1 for r in rings])
+    for j in range(rings[0] + 1):
+        centers = np.column_stack([np.full(len(rest), j), rest]) * steps
+        cells = _gauss_box(radial_fn, centers - half, centers + half)
+        orthant[j] = cells.reshape(orthant.shape[1:]) / vol
+    value, truncated = _corner_box_integral(
+        radial_fn, half, quad.singular_cell_refinement, quad.tolerance
+    )
+    value *= 2 ** len(steps)  # 2^d congruent corner boxes
+    orthant[(0,) * len(steps)] = value / vol
+    patch = orthant[np.ix_(*(np.abs(np.arange(-r, r + 1)) for r in rings))]
+    patch.setflags(write=False)
+    return patch, {"origin_cell": value, "truncated": truncated}
 
 
 # -- effective lattice weights ------------------------------------------------
@@ -216,63 +239,36 @@ def _cell_average(radial_fn, center: np.ndarray, halfwidths: np.ndarray) -> floa
 def _spatial_weight_array(grid: GridSpec, weight: WeightSpec, quad: QuadratureConfig):
     """Pointwise weights with cell averages near x = 0 and the refined origin cell.
 
-    Returns (array, cell_info) where cell_info records the origin-cell value,
-    whether it was depth-capped, and the refinement depth used.
+    Returns (array, cell_info) where cell_info records the origin-cell value
+    and whether it was depth-capped.  The array is shared and read-only.
     """
     n = grid.dim
     radial = weight.radial()
     xnorm = grid.x_norm()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = np.where(xnorm > 0, radial(np.where(xnorm > 0, xnorm, 1.0)), 0.0)
-    ctr = np.array(grid.zero_index)
     ring = quad.ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
-    half = np.full(n, grid.dx / 2.0)
-    for offs in itertools.product(range(-ring, ring + 1), repeat=n):
-        idx = tuple(ctr + np.array(offs))
-        if all(o == 0 for o in offs):
-            continue
-        center = np.array(offs, dtype=float) * grid.dx
-        w[idx] = _cell_average(radial, center, half)
-    value, truncated = _cell_integral_at_origin(
-        radial, half, quad.singular_cell_refinement, quad.tolerance
-    )
-    w[tuple(ctr)] = value / grid.dx**n
-    return w, {"origin_cell": value, "truncated": truncated}
+    patch, info = _origin_patch(radial, [grid.dx] * n, [ring] * n, quad)
+    w[tuple(slice(c - ring, c + ring + 1) for c in grid.zero_index)] = patch
+    w.setflags(write=False)
+    return w, info
 
 
 @functools.lru_cache(maxsize=32)
 def _spacetime_ring_patch(grid: GridSpec, weight: WeightSpec, quad: QuadratureConfig):
-    """Cell-averaged (x,t) weights for nodes near the space-time origin.
+    """Cell-averaged (t, x) weights for nodes near the space-time origin.
 
-    Maps (time-node offset) -> dict of spatial-index-offset -> averaged weight;
-    the (0,0) cell itself carries the refined integral divided by its volume.
+    Returns (patch, cell_info): ``patch[ring_t + dti]`` holds the spatial
+    cells within the ring around x = 0 at time-node offset ``dti``; the (0,0)
+    cell carries the refined integral divided by its volume.  Read-only.
     """
-    n = grid.dim
     radial = weight.radial()
     t = grid.time_nodes()
     dt = t[1] - t[0]
     radius = grid.half_width / RING_RADIUS_FRACTION
     ring = quad.ring_cells(grid.dx, radius, grid.points_per_axis // 4)
     ring_t = quad.ring_cells(dt, radius, max((grid.time_samples - 1) // 2, 1))
-    hx = grid.dx / 2.0
-    halves = np.array([hx] * n + [dt / 2.0])
-    patches: dict[int, dict[tuple[int, ...], float]] = {}
-    info = {}
-    for dti in range(-ring_t, ring_t + 1):
-        patch: dict[tuple[int, ...], float] = {}
-        tc = dti * dt
-        for offs in itertools.product(range(-ring, ring + 1), repeat=n):
-            if dti == 0 and all(o == 0 for o in offs):
-                value, truncated = _cell_integral_at_origin(
-                    radial, halves, quad.singular_cell_refinement, quad.tolerance
-                )
-                patch[offs] = value / (grid.dx**n * dt)
-                info = {"origin_cell": value, "truncated": truncated}
-                continue
-            center = np.array([o * grid.dx for o in offs] + [tc])
-            patch[offs] = _cell_average(radial, center, halves)
-        patches[dti] = patch
-    return patches, info
+    return _origin_patch(radial, [dt] + [grid.dx] * grid.dim, [ring_t] + [ring] * grid.dim, quad)
 
 
 def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float) -> np.ndarray:
@@ -300,7 +296,6 @@ def weighted_spacetime_norm(
     tnodes = grid.time_nodes()
     tw = grid.trapezoid_weights()
     measure = grid.dx**n
-    ctr = np.array(grid.zero_index)
 
     if weight.kind in (SPATIAL_POWER, LOG_SPATIAL):
         w, _ = _spatial_weight_array(grid, weight, quad)
@@ -312,7 +307,9 @@ def weighted_spacetime_norm(
         return float(np.sqrt(total))
 
     # spacetime power: pointwise except near the (0,0) cell
-    patches, _ = _spacetime_ring_patch(grid, weight, quad)
+    patch, _ = _spacetime_ring_patch(grid, weight, quad)
+    ring_t, ring = patch.shape[0] // 2, patch.shape[1] // 2
+    cells = tuple(slice(c - ring, c + ring + 1) for c in grid.zero_index)
     dt = tnodes[1] - tnodes[0]
     i0 = int(np.argmin(np.abs(tnodes)))
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
@@ -322,9 +319,8 @@ def weighted_spacetime_norm(
         dens = np.sum(np.abs(values) ** 2, axis=0)
         w = _spacetime_pointwise(grid, weight.alpha, t)
         dti = i - i0
-        if has_zero_node and dti in patches:
-            for offs, wval in patches[dti].items():
-                w[tuple(ctr + np.array(offs))] = wval
+        if has_zero_node and abs(dti) <= ring_t:
+            w[cells] = patch[ring_t + dti]
         total += tw[i] * measure * float(np.sum(w * dens))
     return float(np.sqrt(total))
 
@@ -361,42 +357,35 @@ class Cube:
         return all(abs(c) <= h for c in self.center)
 
 
-def _integral_over_cube(exponent: float, cube: Cube, dim: int, quad: QuadratureConfig) -> float:
+def _integral_over_cube(exponent: float, cube: Cube, quad: QuadratureConfig) -> float:
     """integral of |z|^exponent over the cube (exponent may be negative).
 
-    Negative exponents on cubes that contain the origin go through the corner
-    shells and meet ``quad.tolerance``.  Everything else uses the 2-panel
-    tensor Gauss rule, which does not resolve the kink of |z|^exponent at an
-    origin inside the cube: on the origin-centered unit cube in d = 3 its
-    relative error is -2.5e-6 at exponent 0.3, -5.3e-7 at 0.9, about 1e-8 at
-    1.5 and below that from 2 up, so ``quad.tolerance`` is not met there.
+    On a cube that contains the origin, either sign of the exponent goes
+    through the corner shells of the orthants split at the origin, which
+    resolve the singularity resp. the kink of |z|^exponent there and meet
+    ``quad.tolerance``.  A cube away from the origin, where the integrand is
+    smooth, uses the 2-panel tensor Gauss rule.
     """
     radial = (lambda r, e=exponent: r**e)
     c = np.asarray(cube.center, dtype=float)
     h = cube.side / 2.0
     lo, hi = c - h, c + h
-    if cube.contains_origin() and exponent < 0:
+    if cube.contains_origin():
         # orthant split at the origin: corner boxes with 0 at the corner
         total = 0.0
-        extents = [(abs(lo[i]), abs(hi[i])) for i in range(dim)]
-        for signs in itertools.product((0, 1), repeat=dim):
-            widths = np.array([extents[i][s] for i, s in enumerate(signs)])
-            if np.any(widths == 0.0):
+        for widths in itertools.product(*zip(np.abs(lo), np.abs(hi))):
+            if 0.0 in widths:
                 continue
             value, _ = _corner_box_integral(
-                radial, widths, quad.singular_cell_refinement, quad.tolerance
+                radial, np.array(widths), quad.singular_cell_refinement, quad.tolerance
             )
             total += value
         return total
     # regular region: panelled tensor Gauss (2 panels per axis)
-    panels = 2
-    edges = [np.linspace(lo[i], hi[i], panels + 1) for i in range(dim)]
-    total = 0.0
-    for cells in itertools.product(range(panels), repeat=dim):
-        plo = np.array([edges[i][cells[i]] for i in range(dim)])
-        phi = np.array([edges[i][cells[i] + 1] for i in range(dim)])
-        total += _gauss_box(radial, plo, phi)
-    return total
+    edges = np.linspace(lo, hi, 3)
+    panel_lo = list(itertools.product(*zip(edges[0], edges[1])))
+    panel_hi = list(itertools.product(*zip(edges[1], edges[2])))
+    return float(np.sum(_gauss_box(radial, panel_lo, panel_hi)))
 
 
 def a2_product(
@@ -417,20 +406,20 @@ def a2_product(
     ``d^2/(d^2 - alpha^2) <= A2 <= d^2/(d^2 - alpha^2) * d^(|alpha|/2)``.
     The product blows up at the admissibility edge by the law
     ``(d - alpha) * A2 -> sigma_(d-1) * integral_Q |z|^d`` as alpha -> d, with
-    sigma_(d-1) the area of the unit sphere and Q the unit cube.  The
-    positive-exponent factor limits the accuracy at small alpha (see
+    sigma_(d-1) the area of the unit sphere and Q the unit cube.  Both
+    factors meet ``quad.tolerance`` on cubes that contain the origin (see
     ``_integral_over_cube``).
     """
     quad = quad or QuadratureConfig()
-    if abs(alpha) >= n_total:
-        raise DomainError(f"A2 product needs |alpha| < {n_total}, got {alpha}")
+    if not abs(alpha) < n_total:
+        raise DomainError(f"A2 product needs a finite |alpha| < {n_total}, got {alpha}")
     if len(cube.center) != n_total:
         raise DomainError(f"cube center has dim {len(cube.center)}, expected {n_total}")
     if alpha == 0.0:
         return 1.0  # both factors are averages of the constant 1
     vol = cube.side**n_total
-    neg = _integral_over_cube(-alpha, cube, n_total, quad) / vol
-    pos = _integral_over_cube(alpha, cube, n_total, quad) / vol
+    neg = _integral_over_cube(-alpha, cube, quad) / vol
+    pos = _integral_over_cube(alpha, cube, quad) / vol
     return float(neg * pos)
 
 

@@ -9,7 +9,7 @@ from math import gamma
 
 import numpy as np
 import pytest
-from scipy.integrate import nquad, quad
+from scipy.integrate import quad
 
 from morawetz_lab import (
     Cube,
@@ -46,6 +46,7 @@ from morawetz_lab.spectral import frequency_lattice
 from morawetz_lab.weights import SPACETIME_POWER, SPATIAL_POWER
 
 from conftest import random_vector_field, smooth_random_field
+from pyramid_oracle import cube_moment_oracle
 from test_spectral import brute_force_forward
 
 
@@ -317,20 +318,6 @@ def _a2_origin_side(alpha: float, side: float) -> float:
     return a2_product(alpha, A2_DIM, Cube((0.0,) * A2_DIM, side))
 
 
-def _cube_moment_oracle(p: float, d: int, h: float) -> float:
-    """integral of |z|^p over [-h, h]^d by the pyramid reduction.
-
-    The 2d pyramids with apex at the origin over the faces give, exactly,
-    ``2^d d h / (p + d) * integral_[0,h]^(d-1) (h^2 + |w|^2)^(p/2) dw``; the
-    remaining integrand is smooth, so nquad resolves it to near round-off.
-    """
-    def face(*w):
-        return (h * h + sum(x * x for x in w)) ** (p / 2.0)
-
-    val, _ = nquad(face, [(0.0, h)] * (d - 1), opts={"epsabs": 0.0, "epsrel": 1e-12})
-    return 2**d * d * h / (p + d) * val
-
-
 def test_criterion_9_a2_growth_ratio():
     # Growth of the origin-cube A2 product of |z|^-alpha toward the edge
     # alpha -> d.  The pyramid reduction gives, exactly,
@@ -347,25 +334,25 @@ def test_criterion_9_a2_growth_ratio():
     h = 0.5
     volume = (2 * h) ** d
     oracle_exact = (
-        abs(_cube_moment_oracle(0.0, d, h) - volume) < 1e-12
-        and abs(_cube_moment_oracle(2.0, d, h) - d * volume * h * h / 3.0) < 1e-12
+        abs(cube_moment_oracle(0.0, d, h) - volume) < 1e-12
+        and abs(cube_moment_oracle(2.0, d, h) - d * volume * h * h / 3.0) < 1e-12
     )
 
     fracs = (0.3, 0.9, 0.99, 0.999)
     alphas = [f * d for f in fracs]
     values = [_a2_origin(a) for a in alphas]
     exact = [
-        _cube_moment_oracle(-a, d, h) * _cube_moment_oracle(a, d, h) / volume**2 for a in alphas
+        cube_moment_oracle(-a, d, h) * cube_moment_oracle(a, d, h) / volume**2 for a in alphas
     ]
     worst_rel = max(abs(v - e) / e for v, e in zip(values, exact))
-    matches = worst_rel < 1e-6
+    matches = worst_rel < 1e-8
 
     ratio = values[1] / values[0]
     bound = d ** (0.45 * d) * (1 - 0.3**2) / (1 - 0.9**2)
     below_bound = ratio < bound
 
     sigma = 2 * np.pi ** (d / 2) / gamma(d / 2)
-    c_d = sigma * _cube_moment_oracle(float(d), d, h) / volume
+    c_d = sigma * cube_moment_oracle(float(d), d, h) / volume
     edge = [(d - a) * v for a, v in zip(alphas[1:], values[1:])]
     gaps = [abs(e - c_d) / c_d for e in edge]
     converges = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-3
@@ -378,7 +365,7 @@ def test_criterion_9_a2_growth_ratio():
         "9 A2 growth ratio",
         ok,
         f"oracle exact at p=0,2: {oracle_exact}; pyramid oracle rel err {worst_rel:.1e} "
-        f"(1e-6) at alpha {[round(a, 3) for a in alphas]}; "
+        f"(1e-8) at alpha {[round(a, 3) for a in alphas]}; "
         f"product({alphas[1]:.1f}) / product({alphas[0]:.1f}) = {ratio:.2f} "
         f"(bound {bound:.1f}); (d-alpha)*A2 = {[f'{e:.6f}' for e in edge]} "
         f"-> C_{d} = {c_d:.7f}, rel gaps {[f'{g:.1e}' for g in gaps]} (last < 1e-3); "

@@ -107,6 +107,22 @@ class TestOtherCommands:
         assert per_alpha["1.5"] > 1.0
         assert manifest["summary"]["monotone_in_alpha"] is True
 
+    def test_a2_scan_side(self, tmp_path):
+        out = tmp_path / "a2side"
+        code = run(["a2-scan", "--n-total", "3", "--alphas", "1.5", "--side", "4",
+                    "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[2:]]
+        assert rows and all(float(r[3]) == 4.0 for r in rows)
+        centers = {r[1]: r[2] for r in rows}
+        assert centers["offset-4.0"] == "16.0;0.0;0.0"
+
+    def test_a2_scan_nan_alpha_exits_2(self, tmp_path, capsys):
+        code = run(["a2-scan", "--n-total", "3", "--alphas", "nan", "--out",
+                    str(tmp_path / "a2nan")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_evolve(self, tmp_path):
         out = tmp_path / "ev"
         code = run(["evolve", "--grid", "32", "--box", "16.0", "--horizon", "4.0",

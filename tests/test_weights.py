@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import nquad
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morawetz_lab import (
     Cube,
@@ -14,6 +15,7 @@ from morawetz_lab import (
     a2_scan,
     weighted_spacetime_norm,
 )
+from morawetz_lab import weights as W
 from morawetz_lab.weights import (
     LOG_SPATIAL,
     SPACETIME_POWER,
@@ -22,6 +24,8 @@ from morawetz_lab.weights import (
     default_cube_family,
     singular_cell_report,
 )
+
+from pyramid_oracle import cube_moment_oracle
 
 
 def static_gaussian_sampler(grid, width=1.0, center=None):
@@ -145,22 +149,12 @@ class TestA2Product:
             assert val == pytest.approx(ref, rel=1e-6)
 
     def test_against_dual_method_oracle(self):
-        # deterministic oracle: scipy nquad with a singular-point marker;
+        # deterministic oracle: the exact pyramid reduction of the cube moments;
         # stochastic cross-check: plain Monte Carlo
         alpha, d = 1.5, 3
         val = a2_product(alpha, d, Cube((0.0, 0.0, 0.0), 1.0))
-
-        def w(z0, z1, z2, e):
-            return (z0 * z0 + z1 * z1 + z2 * z2) ** (e / 2.0)
-
-        opts = [{"points": [0.0]}] * 3
-        neg, err_n = nquad(lambda a, b, c: w(a, b, c, -alpha),
-                           [(-0.5, 0.5)] * 3, opts=opts)
-        pos, err_p = nquad(lambda a, b, c: w(a, b, c, alpha),
-                           [(-0.5, 0.5)] * 3, opts=opts)
-        oracle = neg * pos
-        assert err_n < 1e-4 and err_p < 1e-6  # nquad's own (conservative) estimates
-        assert val == pytest.approx(oracle, rel=1e-3)
+        oracle = cube_moment_oracle(-alpha, d, 0.5) * cube_moment_oracle(alpha, d, 0.5)
+        assert val == pytest.approx(oracle, rel=1e-8)
 
         rng = np.random.default_rng(4)
         z = rng.uniform(-0.5, 0.5, size=(400000, 3))
@@ -222,3 +216,73 @@ def test_spacetime_norm_even_time_samples():
     v_odd = weighted_spacetime_norm(lambda t: profile, spec, g_odd)
     assert np.isfinite(v_even) and v_even > 0
     assert v_even == pytest.approx(v_odd, rel=0.2)  # same quantity, coarser rule
+
+
+def _box_moments(lo, hi):
+    """Closed-form integrals of r^2 and r^4 over the box prod [lo_i, hi_i]."""
+    length = hi - lo
+    m2 = length * (lo * lo + lo * hi + hi * hi) / 3.0
+    m4 = length * (lo**4 + lo**3 * hi + (lo * hi) ** 2 + lo * hi**3 + hi**4) / 5.0
+    vol = np.prod(length)
+    r2 = sum(m2[i] * vol / length[i] for i in range(len(lo)))
+    r4 = sum(m4[i] * vol / length[i] for i in range(len(lo)))
+    r4 += 2 * sum(m2[i] * m2[j] * vol / (length[i] * length[j])
+                  for i in range(len(lo)) for j in range(i + 1, len(lo)))
+    return r2, r4
+
+
+@st.composite
+def _boxes(draw):
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 6))
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    width = st.floats(0.05, 2.0, allow_nan=False, allow_infinity=False)
+    lo = np.array(draw(st.lists(coord, min_size=k * d, max_size=k * d))).reshape(k, d)
+    widths = np.array(draw(st.lists(width, min_size=k * d, max_size=k * d))).reshape(k, d)
+    return lo, lo + widths
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxes())
+def test_batched_gauss_box_is_exact_on_even_polynomials(boxes):
+    # 6-point Gauss is exact per axis up to degree 11, so r^2 and r^4 come
+    # out exact; each batch entry equals the same box evaluated alone
+    lo, hi = boxes
+    for radial, which in ((lambda r: r * r, 0), (lambda r: (r * r) * (r * r), 1)):
+        batch = W._gauss_box(radial, lo, hi)
+        assert batch.shape == (len(lo),)
+        for i in range(len(lo)):
+            exact = _box_moments(lo[i], hi[i])[which]
+            assert batch[i] == pytest.approx(exact, rel=1e-13)
+            assert W._gauss_box(radial, lo[i:i + 1], hi[i:i + 1])[0] == batch[i]
+
+
+def test_spacetime_patch_is_even_and_matches_direct_cell_averages():
+    g = GridSpec(2, 32, 4.0, time_samples=17, time_horizon=2.0)
+    spec = WeightSpec(SPACETIME_POWER, 2.2)
+    patch, _ = W._spacetime_ring_patch(g, spec, QuadratureConfig())
+    for axis in range(patch.ndim):
+        assert np.array_equal(patch, np.flip(patch, axis=axis))
+    rings = np.array(patch.shape) // 2
+    steps = np.array([g.time_nodes()[1] - g.time_nodes()[0]] + [g.dx] * g.dim)
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 12:
+        offs = rng.integers(-rings, rings + 1)
+        if not np.any(offs < 0):
+            continue  # the orthant itself is integrated directly
+        center = offs * steps
+        direct = W._gauss_box(spec.radial(), [center - steps / 2], [center + steps / 2])[0]
+        assert patch[tuple(offs + rings)] == pytest.approx(direct / np.prod(steps), rel=1e-13)
+        checked += 1
+
+
+def test_shared_weight_caches_are_read_only():
+    g = GridSpec(2, 16, 2.0, time_samples=5)
+    quad = QuadratureConfig()
+    w, _ = W._spatial_weight_array(g, WeightSpec(SPATIAL_POWER, 1.0), quad)
+    patch, _ = W._spacetime_ring_patch(g, WeightSpec(SPACETIME_POWER, 1.5), quad)
+    memo = [g.x_norm(), g.x_grids()[0], g.xi_norm(), g.time_nodes(), g.trapezoid_weights()]
+    for arr in [w, patch] + memo:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
