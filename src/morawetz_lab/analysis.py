@@ -64,6 +64,14 @@ def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
     raise ShapeError(f"field shape {arr.shape} does not match grid {grid.shape}")
 
 
+def _density(field, grid: GridSpec) -> np.ndarray:
+    """Per-point |u|^2 of one time sample, summed over components as re^2 + im^2."""
+    values, _ = _field_values(field, grid)
+    dens = values.real**2
+    dens += values.imag**2
+    return dens.sum(axis=0) if len(dens) > 1 else dens[0]
+
+
 @functools.lru_cache(maxsize=128)
 def _cusp_correction(grid: GridSpec, s: float) -> float:
     """J(s) >= 0 with lattice-sum(|xi|^{2s} W) + J = int |xi|^{2s} W dxi.
@@ -165,8 +173,7 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     totals = np.zeros(len(radii))
     tw = grid.trapezoid_weights()
     for i, t in enumerate(grid.time_nodes()):
-        values, _ = _field_values(u_sampler(t), grid)
-        dens = np.sum(np.abs(values) ** 2, axis=0)
+        dens = _density(u_sampler(t), grid)
         for j, mask in enumerate(masks):
             totals[j] += tw[i] * grid.dx**grid.dim * float(dens[mask].sum())
     return float(np.max(totals / np.asarray(radii)))

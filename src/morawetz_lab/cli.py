@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -24,7 +25,13 @@ import numpy as np
 from . import __version__
 from .analysis import local_smoothing_functional, lp_level_range, lp_project
 from .cutoff import default_cutoff
-from .elastic import ElasticPropagator, ElasticState, LameParams, elastic_energy
+from .elastic import (
+    ElasticPropagator,
+    ElasticState,
+    LameParams,
+    elastic_energy,
+    halfwave_sampler,
+)
 from .errors import AccuracyError, ConfigurationError, MorawetzLabError
 from .harness import (
     DataFamily,
@@ -35,7 +42,7 @@ from .harness import (
     scale_covariance_test,
 )
 from .kernel import decay_fit
-from .spectral import GridSpec, VectorField, forward_values, inverse_values
+from .spectral import GridSpec, VectorField, forward_values
 from .weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -149,6 +156,8 @@ def _resolve(command: str, flag_options: dict[str, str], config_file: str | None
                 options[key] = typ(raw[key])
             except ValueError as exc:
                 raise ConfigurationError(f"option {key!r}: cannot parse {raw[key]!r}") from exc
+            if typ is float and not math.isfinite(options[key]):
+                raise ConfigurationError(f"option {key!r} must be finite, got {raw[key]!r}")
         elif default is None:
             raise ConfigurationError(f"option {key!r} is required for {command}")
         else:
@@ -279,6 +288,10 @@ def _run_scan_ratio(cfg: RunConfig) -> dict:
 
 def _run_kernel_decay(cfg: RunConfig) -> dict:
     o = cfg.options
+    if not (o["dmin"] > 0 and o["dmax"] > 0):
+        raise ConfigurationError("kernel-decay needs positive dmin and dmax")
+    if o["points"] < 3:
+        raise ConfigurationError("kernel-decay needs at least three points")
     distances = np.logspace(np.log10(o["dmin"]), np.log10(o["dmax"]), o["points"])
     fit = decay_fit(o["regime"], o["k"], o["n"], distances, tau=o["tau"], rtol=o["rtol"])
     rows = []
@@ -386,11 +399,7 @@ def _report_local_smoothing() -> dict:
     for N in (32, 64):
         grid = GridSpec(2, N, 10.0, 17, 3.0)
         profile = np.exp(-(grid.x_norm() ** 2)).astype(np.complex128)
-        F = forward_values(profile, grid)
-        xin = grid.xi_norm()
-        values[N] = local_smoothing_functional(
-            lambda t: inverse_values(np.exp(1j * t * xin) * F, grid), grid
-        )
+        values[N] = local_smoothing_functional(halfwave_sampler(profile, grid, 1.0), grid)
     return {
         "value": values[64],
         "refinement_change_rel": abs(values[64] - values[32]) / values[64],

@@ -9,8 +9,11 @@ into two scalar oscillators with speeds ``sqrt(mu)`` (shear) and
     uhat(xi,t) = cos(t c|xi|) fhat_* + sin(t c|xi|)/(c|xi|) ghat_*     (* = Q, P)
 
 The propagator below evaluates these multipliers exactly in t; there is no
-time stepping.  Convention at the zero mode: P(0) = 0, Q(0) = I, and
-``uhat(0,t) = fhat(0) + t ghat(0)`` (the free-particle limit of the ODE).
+time stepping.  ``WaveSampler`` is the one sampler of this flow and of the
+scalar half-wave flow; on the uniform time nodes it advances the phases by
+an exact-in-t recurrence rather than re-evaluating them.  Convention at
+the zero mode: P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)``
+(the free-particle limit of the ODE).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
     "ElasticPropagator",
     "evolve",
     "half_wave",
+    "halfwave_sampler",
+    "WaveSampler",
     "elastic_energy",
     "pde_residual",
 ]
@@ -139,56 +144,138 @@ def helmholtz_split(f: VectorField) -> tuple[VectorField, VectorField]:
     )
 
 
-def _sinc(z: np.ndarray) -> np.ndarray:
-    """sin(z)/z with a series branch below 1e-4 to avoid cancellation."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.where(small, 1.0, np.sin(zs) / np.where(small, 1.0, zs))
-    series = 1.0 - z**2 / 6.0 + z**4 / 120.0
-    return np.where(small, series, direct)
+def _owned(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if writeable, else a writeable copy of a lent view."""
+    return a if a.flags.writeable else a.copy()
+
+
+class WaveSampler:
+    """The one time sampler of the half-wave and elastic flows.
+
+    Every flow here is ``uhat(t) = sum_k E_k(t) A_k + conj(E_k(t)) B_k`` with
+    ``E_k = e^{i t c_k |xi|}`` and ``terms = [(c_k, A_k, B_k), ...]`` (``B_k``
+    may be None), plus ``t * drift`` at the zero mode.  Along one ascending
+    pass over ``grid.time_nodes()`` each ``E_k`` advances from the previous
+    node by one in-place multiply with ``e^{i dt c_k |xi|}``; the first node,
+    any other t and out-of-order calls evaluate ``exp`` directly, so the
+    rounding drift is bounded by one pass (about 1e-14).  A one-way term
+    (``B_k`` None) advances ``E_k A_k`` instead, which saves its product per
+    node; a two-way term keeps ``E_k``, which is smaller than its vector parts.
+    The state belongs to one pass: give each thread its own sampler.
+    """
+
+    def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None):
+        self.grid = grid
+        self._terms = [(float(c), A, B) for c, A, B in terms]
+        self._drift = drift
+        self._zero = (Ellipsis,) + (0,) * grid.dim
+        self._xin = grid.xi_norm()
+        self._nodes = grid.time_nodes()
+        self._steps = None  # e^{i dt c_k |xi|}, built at the first recurrence step
+        self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
+        self._t = None
+        self._index = None  # node index of self._t, None off the nodes
+
+    def _parts(self, t: float):
+        """Yield (c_k, E_k A_k, conj(E_k) B_k or None) at t."""
+        if t != self._t:
+            nodes, i = self._nodes, self._index
+            if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
+                if self._steps is None:
+                    dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
+                    self._steps = [np.exp(1j * dt * c * self._xin) for c, _, _ in self._terms]
+                for state, step in zip(self._state, self._steps):
+                    state *= step
+                self._index = i + 1
+            else:
+                self._state = []
+                for c, A, B in self._terms:
+                    E = np.exp(1j * t * c * self._xin)
+                    self._state.append(E * A if B is None else E)
+                j = int(np.searchsorted(nodes, t))
+                self._index = j if j < len(nodes) and nodes[j] == t else None
+            self._t = t
+        for (c, A, B), state in zip(self._terms, self._state):
+            if B is None:
+                view = state.view()
+                view.setflags(write=False)
+                yield c, view, None
+            else:
+                yield c, state * A, state.conj() * B
+
+    def spectrum(self, t: float) -> np.ndarray:
+        """uhat(t), in FFT storage order.
+
+        A lone one-way term comes back as a read-only view of the state, valid
+        until the next call, so the half-wave flow allocates nothing per node
+        here; otherwise the parts are summed in place as they are formed.
+        """
+        out = None
+        for _, a, b in self._parts(t):
+            for part in (a, b):
+                if part is None:
+                    continue
+                if out is None:
+                    out = part
+                else:
+                    out = _owned(out)
+                    out += part
+        if self._drift is not None:
+            out = _owned(out)
+            out[self._zero] += t * self._drift
+        return out
+
+    def rate(self, t: float) -> np.ndarray:
+        """d/dt uhat(t), the exact differentiated multiplier."""
+        out = 0.0
+        for c, a, b in self._parts(t):
+            out = out + 1j * c * self._xin * (a if b is None else a - b)
+        if self._drift is not None:
+            out[self._zero] += self._drift
+        return out
+
+    def __call__(self, t: float) -> np.ndarray:
+        """u(t) on the physical grid."""
+        return inverse_values(self.spectrum(t), self.grid)
+
+
+def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
+    """Sampler of ``e^{i t c sqrt(-Lap)} f`` for scalar samples of shape ``grid.shape``."""
+    if not c > 0:
+        raise DomainError(f"wave speed must be positive, got {c}")
+    f = np.asarray(f)
+    if f.shape != grid.shape:
+        raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
+    return WaveSampler(grid, [(c, forward_values(f, grid), None)])
 
 
 class ElasticPropagator:
-    """Exact-in-time evolution of an elastic state; precomputes the split spectra."""
+    """Exact-in-time evolution of an elastic state through one ``WaveSampler``.
+
+    Per Helmholtz part with speed c, ``cos(tc|xi|) f + sin(tc|xi|)/(c|xi|) g``
+    is ``E A + conj(E) B`` with ``A, B = (f +- g/(i c|xi|))/2``.
+    """
 
     def __init__(self, state: ElasticState, params: LameParams):
         self.grid = state.grid
         self.params = params
         grid = self.grid
-        F = forward_values(state.f.values, grid)
-        G = forward_values(state.g.values, grid)
-        self._fP, self._fQ = _split_spectrum(F, grid)
-        self._gP, self._gQ = _split_spectrum(G, grid)
-        self._xin = grid.xi_norm()
-
-    def _spectrum(self, t: float) -> np.ndarray:
-        cs, cp = self.params.shear_speed, self.params.pressure_speed
-        ws, wp = cs * self._xin, cp * self._xin
-        return (
-            np.cos(ws * t) * self._fQ
-            + (t * _sinc(ws * t)) * self._gQ
-            + np.cos(wp * t) * self._fP
-            + (t * _sinc(wp * t)) * self._gP
-        )
-
-    def _velocity_spectrum(self, t: float) -> np.ndarray:
-        # exact differentiated multiplier, never finite differences
-        cs, cp = self.params.shear_speed, self.params.pressure_speed
-        ws, wp = cs * self._xin, cp * self._xin
-        return (
-            -ws * np.sin(ws * t) * self._fQ
-            + np.cos(ws * t) * self._gQ
-            - wp * np.sin(wp * t) * self._fP
-            + np.cos(wp * t) * self._gP
-        )
+        fP, fQ = _split_spectrum(forward_values(state.f.values, grid), grid)
+        gP, gQ = _split_spectrum(forward_values(state.g.values, grid), grid)
+        drift = gQ[(Ellipsis,) + (0,) * grid.dim].copy()  # the zero mode is all in Q
+        xin = grid.xi_norm()
+        inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
+        terms = []
+        for c, f_k, g_k in ((params.shear_speed, fQ, gQ), (params.pressure_speed, fP, gP)):
+            g_k *= (-1j / c) * inv  # g/(i c|xi|), 0 at xi = 0
+            terms.append((c, 0.5 * (f_k + g_k), 0.5 * (f_k - g_k)))
+        self._sampler = WaveSampler(grid, terms, drift)
 
     def displacement(self, t: float) -> VectorField:
-        return VectorField(self.grid, inverse_values(self._spectrum(t), self.grid))
+        return VectorField(self.grid, inverse_values(self._sampler.spectrum(t), self.grid))
 
     def velocity(self, t: float) -> VectorField:
-        return VectorField(self.grid, inverse_values(self._velocity_spectrum(t), self.grid))
+        return VectorField(self.grid, inverse_values(self._sampler.rate(t), self.grid))
 
     def pair(self, t: float) -> tuple[VectorField, VectorField]:
         return self.displacement(t), self.velocity(t)
@@ -205,13 +292,7 @@ def half_wave(f: np.ndarray, grid: GridSpec, c: float, t: float) -> np.ndarray:
     Takes and returns scalar samples of shape ``grid.shape``.  Unitary on L2;
     obeys the group law in t.
     """
-    if not c > 0:
-        raise DomainError(f"wave speed must be positive, got {c}")
-    f = np.asarray(f)
-    if f.shape != grid.shape:
-        raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
-    F = forward_values(f.astype(np.complex128), grid)
-    return inverse_values(np.exp(1j * t * c * grid.xi_norm()) * F, grid)
+    return halfwave_sampler(f, grid, c)(t)
 
 
 def elastic_energy(u: VectorField, u_t: VectorField, params: LameParams) -> float:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import hs_norm, lp_project
-from .elastic import ElasticPropagator, ElasticState, LameParams
+from .elastic import ElasticPropagator, ElasticState, LameParams, halfwave_sampler
 from .errors import ConfigurationError, DomainError
 from .spectral import GridSpec, VectorField, forward_values, inverse_values
 from .weights import (
@@ -36,6 +36,7 @@ from .weights import (
     SPATIAL_POWER,
     QuadratureConfig,
     WeightSpec,
+    prebuild_weight,
     weighted_spacetime_norm,
 )
 
@@ -225,13 +226,7 @@ def _max_speed(propagation) -> float:
 
 
 def _scalar_halfwave_sampler(profile: np.ndarray, grid: GridSpec, speed: float):
-    F = forward_values(profile, grid)
-    xin = grid.xi_norm()
-
-    def sample(t: float) -> np.ndarray:
-        return inverse_values(np.exp(1j * t * speed * xin) * F, grid)
-
-    return sample
+    return halfwave_sampler(profile, grid, speed)
 
 
 def compute_ratio(
@@ -372,6 +367,8 @@ def scale_covariance_test(
         member = family.member(grid, lam=lam, propagation=propagation)
         return compute_ratio(member, query, propagation, grid, quad, lam=lam)
 
+    # build the shared weight once, before the pool's workers each miss its cache
+    prebuild_weight(WeightSpec(kind=query.weight_kind, alpha=query.alpha), grid, quad)
     records = _map_ordered(run, kept)
     x = np.log2(np.array([r.lam for r in records]))
     y = np.log2(np.array([r.ratio for r in records]))
@@ -447,11 +444,13 @@ def frequency_constant_scan(
             l2 = float(np.sqrt(measure * np.sum(np.abs(p) ** 2)))
             if l2 == 0.0:
                 raise ConfigurationError("probe collapsed to zero after band projection")
-            sampler = _scalar_halfwave_sampler(p, grid, speed)
-            num = weighted_spacetime_norm(sampler, weight, grid, quad)
+            num = weighted_spacetime_norm(
+                _scalar_halfwave_sampler(p, grid, speed), weight, grid, quad
+            )  # unnamed, so the sampler's state is freed before the next probe
             vals.append(num / l2)
         return tuple(vals)
 
+    prebuild_weight(weight, grid, quad)
     per_probe = tuple(_map_ordered(constant_for, levels))
     constants = tuple(max(v) for v in per_probe)
     x = np.asarray(levels, dtype=float)

@@ -103,7 +103,12 @@ def kernel_value(
     ------
     AccuracyError
         If the doubling loop does not converge; carries the achieved change.
+    DomainError
+        If ``rtol`` is negative: no doubling could meet it, and the last
+        ones would allocate 2^18 times the starting panels.
     """
+    if not rtol >= 0:
+        raise DomainError(f"rtol must be nonnegative, got {rtol}")
     cutoff = cutoff or default_cutoff()
     a, b = 2.0 ** (q.k - 1), 2.0 ** (q.k + 1)
     f = _radial_integrand(q, cutoff)

@@ -167,18 +167,6 @@ class GridSpec:
         """Distance to spare before the fastest front reaches the box edge."""
         return self.half_width - (self.time_horizon * max_speed + support_radius)
 
-    def _transform_phase(self) -> np.ndarray:
-        # e^{-i x_j . xi_m} = (-1)^{sum m_i} e^{-2 pi i j.m/N}; N even makes
-        # (-1)^m equal to (-1)^index in FFT storage order.
-        def build():
-            ph = (-1.0) ** np.arange(self.points_per_axis)
-            P = ph
-            for _ in range(self.dim - 1):
-                P = np.multiply.outer(P, ph)
-            return P
-
-        return self._memo("phase", build)
-
 
 @dataclass(frozen=True)
 class FrequencyLattice:
@@ -239,14 +227,24 @@ class SpectralVectorField:
 # -- raw-array transforms (shared by scalar and vector callers) -------------
 
 def forward_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Forward transform of an array whose trailing axes are the spatial grid."""
+    """Forward transform of an array whose trailing axes are the spatial grid.
+
+    ``e^{-i x_j . xi_m} = (-1)^m e^{-2 pi i j.m/N}``, and with N even the sign
+    ``(-1)^m`` is an exact shift of the input by N/2 on every axis.
+    """
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    return grid.dx**grid.dim * (grid._transform_phase() * np.fft.fftn(values, axes=axes))
+    out = np.fft.ifftshift(values, axes=axes).astype(np.complex128, copy=False)
+    np.fft.fftn(out, axes=axes, out=out)
+    out *= grid.dx**grid.dim
+    return out
 
 
 def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of ``forward_values``; the sign ``(-1)^m`` shifts the output."""
     axes = tuple(range(coeffs.ndim - grid.dim, coeffs.ndim))
-    return np.fft.ifftn(grid._transform_phase() * coeffs, axes=axes) / grid.dx**grid.dim
+    out = np.fft.fftshift(np.fft.ifftn(coeffs, axes=axes), axes=axes)
+    out /= grid.dx**grid.dim
+    return out
 
 
 def forward_transform(f: VectorField) -> SpectralVectorField:

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _field_values
+from .analysis import _density
 from .errors import DomainError
 from .spectral import GridSpec
 
@@ -53,6 +53,7 @@ __all__ = [
     "QuadratureConfig",
     "Cube",
     "weighted_spacetime_norm",
+    "prebuild_weight",
     "a2_product",
     "a2_scan",
     "A2Row",
@@ -271,10 +272,28 @@ def _spacetime_ring_patch(grid: GridSpec, weight: WeightSpec, quad: QuadratureCo
     return _origin_patch(radial, [dt] + [grid.dx] * grid.dim, [ring_t] + [ring] * grid.dim, quad)
 
 
+def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) -> None:
+    """Build the cached lattice weight of ``weighted_spacetime_norm`` ahead of time.
+
+    Callers that hand norms of one weight to a thread pool call this first,
+    so the workers share one build instead of each missing the cache.
+    """
+    weight.validate_for(grid)
+    if weight.kind == SPACETIME_POWER:
+        _spacetime_ring_patch(grid, weight, quad)
+    else:
+        _spatial_weight_array(grid, weight, quad)
+
+
 def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float) -> np.ndarray:
-    rho = np.sqrt(grid.x_norm() ** 2 + t * t)
+    """|(x,t)|^-alpha from the squared radius, with 0 at the space-time origin."""
+    w = grid.x_norm() ** 2
+    w += t * t
     with np.errstate(divide="ignore"):
-        return np.where(rho > 0, rho ** (-alpha), 0.0)
+        np.power(w, -0.5 * alpha, out=w)
+    if t == 0:
+        w[grid.zero_index] = 0.0
+    return w
 
 
 def weighted_spacetime_norm(
@@ -288,7 +307,8 @@ def weighted_spacetime_norm(
     Computes ``( int_{-T}^{T} dx^n sum_x w(x,t) |u(x,t)|^2 dt )^{1/2}`` with
     the trapezoid rule in t and the singular-cell treatment described in the
     module docstring.  |u|^2 is the squared Euclidean length of the component
-    vector.  ``u_sampler`` maps t to a VectorField or raw samples.
+    vector.  ``u_sampler`` maps t to a VectorField or raw samples; it is
+    called once per time node, in ascending order.
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
@@ -298,12 +318,11 @@ def weighted_spacetime_norm(
     measure = grid.dx**n
 
     if weight.kind in (SPATIAL_POWER, LOG_SPATIAL):
-        w, _ = _spatial_weight_array(grid, weight, quad)
+        w = _spatial_weight_array(grid, weight, quad)[0].ravel()
         total = 0.0
         for i, t in enumerate(tnodes):
-            values, _g = _field_values(u_sampler(t), grid)
-            dens = np.sum(np.abs(values) ** 2, axis=0)
-            total += tw[i] * measure * float(np.sum(w * dens))
+            dens = _density(u_sampler(t), grid)
+            total += tw[i] * measure * float(w @ dens.ravel())
         return float(np.sqrt(total))
 
     # spacetime power: pointwise except near the (0,0) cell
@@ -315,13 +334,12 @@ def weighted_spacetime_norm(
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
     total = 0.0
     for i, t in enumerate(tnodes):
-        values, _g = _field_values(u_sampler(t), grid)
-        dens = np.sum(np.abs(values) ** 2, axis=0)
+        dens = _density(u_sampler(t), grid)
         w = _spacetime_pointwise(grid, weight.alpha, t)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
             w[cells] = patch[ring_t + dti]
-        total += tw[i] * measure * float(np.sum(w * dens))
+        total += tw[i] * measure * float(w.ravel() @ dens.ravel())
     return float(np.sqrt(total))
 
 

@@ -163,6 +163,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "accuracy" in err and "3.00e-04" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan-ratio", "--alpha", "nan", "--s", "0.5"],
+        ["lp-check", "--box", "inf"],
+        ["kernel-decay", "--dmin", "0"],
+        ["kernel-decay", "--dmin=-5"],
+        ["kernel-decay", "--points=-1"],
+        ["kernel-decay", "--rtol=-1"],
+    ])
+    def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+        assert not (tmp_path / "x" / "results.csv").exists()
+
     def test_elastic_propagator_path(self, tmp_path):
         out = tmp_path / "el"
         code = run(["scan-ratio", "--propagator", "elastic", "--alpha", "1.5",

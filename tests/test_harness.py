@@ -269,6 +269,20 @@ class TestInfrastructure:
         parallel = scale_covariance_test(fam, q, g)
         assert serial == parallel  # byte-identical records, scheduler-independent
 
+    def test_pool_workers_share_one_weight_build(self, monkeypatch):
+        from morawetz_lab import weights
+
+        monkeypatch.setenv("MORAWETZ_LAB_THREADS", "2")
+        g = GridSpec(2, 32, 12.0, 17, 3.0)
+        q = RegionQuery(2.2, 0.6, 2, SPACETIME_POWER)
+        weights._spacetime_ring_patch.cache_clear()
+        frequency_constant_scan((0, 1), q, g)
+        assert weights._spacetime_ring_patch.cache_info().misses == 1
+        weights._spatial_weight_array.cache_clear()
+        fam = DataFamily(kind="gaussian", width=0.6)
+        scale_covariance_test(fam, RegionQuery(1.5, 0.25, 2, SPATIAL_POWER), g)
+        assert weights._spatial_weight_array.cache_info().misses == 1
+
     def test_time_sampling_drift_small(self):
         g = GridSpec(2, 32, 12.0, 33, 3.0)
 

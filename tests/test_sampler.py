@@ -1,0 +1,143 @@
+"""The one time sampler: recurrence against direct evaluation, energy, transforms."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morawetz_lab import ElasticPropagator, ElasticState, GridSpec, LameParams, VectorField
+from morawetz_lab.elastic import _split_spectrum, elastic_energy, halfwave_sampler
+from morawetz_lab.spectral import forward_values, inverse_values
+
+REL = 1e-12
+
+
+@st.composite
+def _grids(draw):
+    """Grids of both dimensions with odd and even numbers of time nodes."""
+    return GridSpec(
+        dim=draw(st.sampled_from([2, 3])),
+        points_per_axis=draw(st.sampled_from([8, 16, 32])),
+        half_width=draw(st.floats(4.0, 12.0)),
+        time_samples=draw(st.integers(2, 12)),
+        time_horizon=draw(st.floats(0.25, 4.0)),
+    )
+
+
+def _schedule(draw, grid: GridSpec) -> list[float]:
+    """An ascending pass, the nodes out of order, off-grid times, another pass."""
+    nodes = [float(t) for t in grid.time_nodes()]
+    T = grid.time_horizon
+    shuffled = draw(st.permutations(nodes))
+    off_grid = draw(st.lists(st.floats(-T, T), min_size=1, max_size=3))
+    return nodes + shuffled + off_grid + nodes
+
+
+def _white(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    return np.linalg.norm(got - want) <= REL * np.linalg.norm(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), _grids(), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
+def test_halfwave_recurrence_matches_direct(data, grid, c, seed):
+    f = _white(np.random.default_rng(seed), grid.shape)
+    F = forward_values(f, grid)
+    sampler = halfwave_sampler(f, grid, c)
+    for t in _schedule(data.draw, grid):
+        direct = inverse_values(np.exp(1j * t * c * grid.xi_norm()) * F, grid)
+        assert _close(sampler(t), direct), t
+
+
+def _lame(ratio: float, mu: float) -> LameParams:
+    return LameParams(lam=ratio * mu, mu=mu)  # lambda + 2 mu = mu (ratio + 2) > 0
+
+
+def _elastic_state(grid: GridSpec, rng) -> ElasticState:
+    shape = (grid.dim,) + grid.shape
+    g = _white(rng, shape)
+    g -= g.reshape(grid.dim, -1).mean(axis=1).reshape((grid.dim,) + (1,) * grid.dim)
+    return ElasticState(VectorField(grid, _white(rng, shape)), VectorField(grid, g))
+
+
+def _elastic_direct(state: ElasticState, params: LameParams, t: float):
+    """cos(w t) f + sin(w t)/w g per Helmholtz part, and its t-derivative."""
+    grid = state.grid
+    fP, fQ = _split_spectrum(forward_values(state.f.values, grid), grid)
+    gP, gQ = _split_spectrum(forward_values(state.g.values, grid), grid)
+    xin = grid.xi_norm()
+    u, v = 0.0, 0.0
+    for c, f, g in ((params.shear_speed, fQ, gQ), (params.pressure_speed, fP, gP)):
+        w = c * xin
+        safe = np.where(w > 0, w, 1.0)
+        u = u + np.cos(w * t) * f + np.where(w > 0, np.sin(w * t) / safe, t) * g
+        v = v - w * np.sin(w * t) * f + np.cos(w * t) * g
+    return inverse_values(u, grid), inverse_values(v, grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), _grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_elastic_recurrence_matches_direct(data, grid, ratio, mu, seed):
+    params = _lame(ratio, mu)
+    state = _elastic_state(grid, np.random.default_rng(seed))
+    prop = ElasticPropagator(state, params)
+    for t in _schedule(data.draw, grid):
+        u, v = prop.pair(t)
+        u_direct, v_direct = _elastic_direct(state, params, t)
+        assert _close(u.values, u_direct), t
+        assert _close(v.values, v_direct), t
+
+
+@settings(max_examples=20, deadline=None)
+@given(_grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
+def test_elastic_energy_conserved_over_a_pass(grid, ratio, mu, seed):
+    params = _lame(ratio, mu)
+    state = _elastic_state(grid, np.random.default_rng(seed))
+    prop = ElasticPropagator(state, params)
+    e0 = elastic_energy(state.f, state.g, params)
+    for t in grid.time_nodes():
+        assert abs(elastic_energy(*prop.pair(t), params) - e0) <= REL * e0
+
+
+def _dft_matrix(grid: GridSpec) -> np.ndarray:
+    """e^{-i x_j . xi_m} over all (mode m, point j), modes in FFT storage order."""
+    axes = np.meshgrid(*([grid.mode_axis] * grid.dim), indexing="ij")
+    xi = np.stack([m.ravel() for m in axes], axis=-1) * grid.dxi
+    x = np.stack([x.ravel() for x in grid.x_grids()], axis=-1)
+    return np.exp(-1j * (xi @ x.T))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.floats(0.5, 20.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_shifted_transforms_match_docstring_dft(dim, half_width, vector, seed):
+    grid = GridSpec(dim, 8, half_width)
+    rng = np.random.default_rng(seed)
+    shape = ((dim,) if vector else ()) + grid.shape
+    f, fhat = _white(rng, shape), _white(rng, shape)
+    lead = shape[: len(shape) - dim]
+    K = _dft_matrix(grid)
+    forward = grid.dx**dim * (f.reshape(lead + (-1,)) @ K.T)
+    inverse = (grid.dxi / (2 * np.pi)) ** dim * (fhat.reshape(lead + (-1,)) @ K.conj())
+    assert _close(forward_values(f, grid), forward.reshape(shape))
+    assert _close(inverse_values(fhat, grid), inverse.reshape(shape))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_grids(), st.integers(0, 2**32 - 1))
+def test_sampler_leaves_grid_memos_untouched(grid, seed):
+    rng = np.random.default_rng(seed)
+    grid.xi_norm(), grid.x_norm(), grid.xi_grids(), grid.trapezoid_weights()  # fill the memos
+    before = {key: arr.copy() for key, arr in grid._cache.items()}
+    sampler = halfwave_sampler(_white(rng, grid.shape), grid, 1.0)
+    prop = ElasticPropagator(_elastic_state(grid, rng), LameParams(1.0, 1.0))
+    for t in grid.time_nodes():
+        sampler(t)
+        prop.pair(t)
+        assert not sampler.spectrum(t).flags.writeable  # the state is lent read-only
+    for key, arr in before.items():
+        assert not grid._cache[key].flags.writeable, key
+        np.testing.assert_array_equal(grid._cache[key], arr)
