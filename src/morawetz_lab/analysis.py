@@ -72,6 +72,24 @@ def _density(field, grid: GridSpec) -> np.ndarray:
     return dens.sum(axis=0) if len(dens) > 1 else dens[0]
 
 
+def _time_pass(u_sampler, grid: GridSpec):
+    """Yield (node index, t, trapezoid weight, |u(t)|^2) along one ascending pass.
+
+    The sampler is called once per node, in ascending order, at every node,
+    or only at the nodes with t >= 0 when it declares ``time_even``: the
+    nodes are symmetric about 0, so each of those then carries the weight of
+    its mirror node too (a node at t = 0 is its own mirror).
+    """
+    nodes, weights = grid.time_nodes(), grid.trapezoid_weights()
+    first = 0
+    if getattr(u_sampler, "time_even", False):
+        first = len(nodes) // 2
+        weights = weights.copy()
+        weights[len(nodes) - first:] += weights[:first][::-1]
+    for i in range(first, len(nodes)):
+        yield i, nodes[i], weights[i], _density(u_sampler(nodes[i]), grid)
+
+
 @functools.lru_cache(maxsize=128)
 def _cusp_correction(grid: GridSpec, s: float) -> float:
     """J(s) >= 0 with lattice-sum(|xi|^{2s} W) + J = int |xi|^{2s} W dxi.
@@ -158,8 +176,10 @@ def lp_level_range(grid: GridSpec, cutoff: DyadicCutoff | None = None) -> range:
 def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     """max over dyadic R of (1/R) int_{|x|<R} int_{-T}^{T} |u|^2 dt dx.
 
-    ``u_sampler`` maps t to a VectorField or raw samples; R runs over powers
-    of two that fit in the box, down to a few grid cells.
+    ``u_sampler`` maps t to a VectorField or raw samples; it is called once
+    per time node in ascending order, over all nodes, or over the nodes with
+    t >= 0 if it is ``time_even`` (see ``elastic.WaveSampler``).  R runs over
+    powers of two that fit in the box, down to a few grid cells.
     """
     if radii is None:
         m_lo = int(np.ceil(np.log2(2 * grid.dx)))
@@ -171,9 +191,7 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     xnorm = grid.x_norm()
     masks = [xnorm < R for R in radii]
     totals = np.zeros(len(radii))
-    tw = grid.trapezoid_weights()
-    for i, t in enumerate(grid.time_nodes()):
-        dens = _density(u_sampler(t), grid)
+    for _, _, tw, dens in _time_pass(u_sampler, grid):
         for j, mask in enumerate(masks):
-            totals[j] += tw[i] * grid.dx**grid.dim * float(dens[mask].sum())
+            totals[j] += tw * grid.dx**grid.dim * float(dens[mask].sum())
     return float(np.max(totals / np.asarray(radii)))

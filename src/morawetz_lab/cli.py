@@ -118,9 +118,7 @@ _SPECS: dict[str, dict] = {
         "box": (float, 3.141592653589793),
         "n": (int, 2),
     },
-    "report": {
-        "n": (int, 2),
-    },
+    "report": {},
 }
 
 
@@ -209,16 +207,11 @@ def _run_evolve(cfg: RunConfig) -> dict:
     o = cfg.options
     grid = GridSpec(o["n"], o["grid"], o["box"], o["samples"], o["horizon"])
     params = LameParams(o["lame-lambda"], o["lame-mu"])
-    width = o["width"]
-    profile = np.exp(-(grid.x_norm() ** 2) / (2 * width**2)).astype(np.complex128)
-    values = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    values[0] = profile
-    f = VectorField(grid, values)
-    g = VectorField(grid, np.zeros_like(values))
-    margin = grid.wraparound_margin(5 * width, params.max_speed)
+    member = DataFamily(kind="gaussian", width=o["width"], scalar=False).member(grid)
+    margin = grid.wraparound_margin(member.support_radius, params.max_speed)
     if margin <= 0:
         raise ConfigurationError(f"wrap-around margin {margin:.3f} <= 0; enlarge box")
-    prop = ElasticPropagator(ElasticState(f, g), params)
+    prop = ElasticPropagator(ElasticState(member.f, member.g), params)
     e0 = None
     rows = []
     for t in grid.time_nodes():
@@ -409,7 +402,6 @@ def _report_local_smoothing() -> dict:
 def _run_report(cfg: RunConfig) -> dict:
     # small battery at desk scale; one summary per sub-experiment
     sub = {}
-    o = cfg.options
     base = cfg.out_dir
     for name, command, opts in (
         ("lp", "lp-check", {}),
@@ -424,10 +416,9 @@ def _run_report(cfg: RunConfig) -> dict:
     sub["frequency"] = _report_frequency_scan()
     sub["decomposition"] = _report_decomposition(cfg.seed)
     sub["local-smoothing"] = _report_local_smoothing()
-    echo = {"n": o["n"]}
     rows = [[name, json.dumps(val, sort_keys=True)] for name, val in sorted(sub.items())]
     _write_csv(cfg.out_dir / "results.csv", "report", ["experiment", "summary"], rows)
-    return {"experiments": sorted(sub), **echo}
+    return {"experiments": sorted(sub)}
 
 
 _RUNNERS = {

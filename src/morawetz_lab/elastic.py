@@ -162,10 +162,16 @@ class WaveSampler:
     (``B_k`` None) advances ``E_k A_k`` instead, which saves its product per
     node; a two-way term keeps ``E_k``, which is smaller than its vector parts.
     The state belongs to one pass: give each thread its own sampler.
+
+    ``time_even`` is true when ``|u(-t)|^2 = |u(t)|^2`` holds exactly; the flow
+    constructors below work it out from their data, and the time accumulators
+    then visit only the nodes with t >= 0.
     """
 
-    def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
+                 time_even: bool = False):
         self.grid = grid
+        self.time_even = time_even
         self._terms = [(float(c), A, B) for c, A, B in terms]
         self._drift = drift
         self._zero = (Ellipsis,) + (0,) * grid.dim
@@ -240,20 +246,27 @@ class WaveSampler:
 
 
 def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
-    """Sampler of ``e^{i t c sqrt(-Lap)} f`` for scalar samples of shape ``grid.shape``."""
+    """Sampler of ``e^{i t c sqrt(-Lap)} f`` for scalar samples of shape ``grid.shape``.
+
+    For real f, ``u(-t) = conj(u(t))`` because ``|xi|`` is even, so the
+    sampler is ``time_even``.
+    """
     if not c > 0:
         raise DomainError(f"wave speed must be positive, got {c}")
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
-    return WaveSampler(grid, [(c, forward_values(f, grid), None)])
+    real = not np.any(np.imag(f))
+    return WaveSampler(grid, [(c, forward_values(f, grid), None)], time_even=real)
 
 
 class ElasticPropagator:
     """Exact-in-time evolution of an elastic state through one ``WaveSampler``.
 
     Per Helmholtz part with speed c, ``cos(tc|xi|) f + sin(tc|xi|)/(c|xi|) g``
-    is ``E A + conj(E) B`` with ``A, B = (f +- g/(i c|xi|))/2``.
+    is ``E A + conj(E) B`` with ``A, B = (f +- g/(i c|xi|))/2``.  Called as a
+    sampler, the propagator gives the displacement; with zero velocity g it
+    is even in t (``A == B``, no drift), which it states as ``time_even``.
     """
 
     def __init__(self, state: ElasticState, params: LameParams):
@@ -269,7 +282,11 @@ class ElasticPropagator:
         for c, f_k, g_k in ((params.shear_speed, fQ, gQ), (params.pressure_speed, fP, gP)):
             g_k *= (-1j / c) * inv  # g/(i c|xi|), 0 at xi = 0
             terms.append((c, 0.5 * (f_k + g_k), 0.5 * (f_k - g_k)))
-        self._sampler = WaveSampler(grid, terms, drift)
+        self.time_even = not np.any(state.g.values)
+        self._sampler = WaveSampler(grid, terms, drift, time_even=self.time_even)
+
+    def __call__(self, t: float) -> VectorField:
+        return self.displacement(t)
 
     def displacement(self, t: float) -> VectorField:
         return VectorField(self.grid, inverse_values(self._sampler.spectrum(t), self.grid))

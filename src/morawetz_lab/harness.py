@@ -267,8 +267,7 @@ def compute_ratio(
         if not isinstance(propagation, LameParams):
             raise ConfigurationError("vector members need LameParams")
         state = ElasticState(member.f, member.g)
-        prop = ElasticPropagator(state, propagation)
-        sampler = prop.displacement
+        sampler = ElasticPropagator(state, propagation)
         denominator = hs_norm(member.f, query.s) + hs_norm(member.g, query.s - 1.0)
 
     if not denominator > 0:
@@ -545,9 +544,9 @@ def decomposition_check(
     total_sq = hs_norm(state.f, s) ** 2
     gap = abs(hs_norm(f_P, s) ** 2 + hs_norm(f_S, s) ** 2 - total_sq) / total_sq
 
-    full = ElasticPropagator(state, params).displacement
-    sol = ElasticPropagator(ElasticState(f_S, g_S), params).displacement
-    pot = ElasticPropagator(ElasticState(f_P, g_P), params).displacement
+    full = ElasticPropagator(state, params)
+    sol = ElasticPropagator(ElasticState(f_S, g_S), params)
+    pot = ElasticPropagator(ElasticState(f_P, g_P), params)
     n_full = weighted_spacetime_norm(full, weight, grid, quad)
     n_sol = weighted_spacetime_norm(sol, weight, grid, quad)
     n_pot = weighted_spacetime_norm(pot, weight, grid, quad)

@@ -67,6 +67,11 @@ class KernelQuery:
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
+# integrand nodes allowed in one panelled pass: about 0.9 GB of working
+# arrays (~110 bytes per node), nine times the largest pass a two-decade
+# decay fit at k = 3 and distance 1250 needs (~0.9M nodes)
+MAX_PASS_NODES = 2**23
+
 
 def _panelled_gauss(f, a: float, b: float, panels: int) -> complex:
     edges = np.linspace(a, b, panels + 1)
@@ -102,10 +107,14 @@ def kernel_value(
     Raises
     ------
     AccuracyError
-        If the doubling loop does not converge; carries the achieved change.
+        If the doubling loop does not converge within ``max_doublings``, or
+        before a pass would exceed ``MAX_PASS_NODES``; carries the achieved
+        change (None if no doubling ran).
     DomainError
         If ``rtol`` is negative: no doubling could meet it, and the last
-        ones would allocate 2^18 times the starting panels.
+        ones would allocate 2^18 times the starting panels.  Also if the
+        first pass alone would exceed ``MAX_PASS_NODES`` (large k or
+        distance).
     """
     if not rtol >= 0:
         raise DomainError(f"rtol must be nonnegative, got {rtol}")
@@ -118,18 +127,28 @@ def kernel_value(
     # panels no wider than a quarter wavelength of the fastest oscillation
     oscillation = abs(q.tau) + q.z_abs
     panels = max(8, int(np.ceil((b - a) * oscillation / (np.pi / 4.0))))
+    if panels * _GL_X.size > MAX_PASS_NODES:
+        raise DomainError(
+            f"kernel quadrature at k={q.k}, |z| + |tau| = {oscillation:.3g} needs "
+            f"{panels * _GL_X.size:.3g} nodes per pass, over the budget of {MAX_PASS_NODES}"
+        )
     value = _panelled_gauss(f, a, b, panels)
+    achieved = None
     for _ in range(max_doublings):
         panels *= 2
+        if panels * _GL_X.size > MAX_PASS_NODES:
+            break
         new = _panelled_gauss(f, a, b, panels)
         change = abs(new - value)
         if change <= rtol * abs(new) + 1e-13 * scale0:
             return prefactor * new
         value = new
+        achieved = change / max(abs(new), 1e-300)
+    last = "no doubling" if achieved is None else f"last relative change {achieved:.2e}"
     raise AccuracyError(
-        f"kernel quadrature did not reach rtol={rtol} "
-        f"(last relative change {change / max(abs(new), 1e-300):.2e})",
-        achieved=change / max(abs(new), 1e-300),
+        f"kernel quadrature did not reach rtol={rtol} within {max_doublings} doublings "
+        f"of at most {MAX_PASS_NODES} nodes per pass ({last})",
+        achieved=achieved,
     )
 
 

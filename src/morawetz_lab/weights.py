@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _density
+from .analysis import _time_pass
 from .errors import DomainError
 from .spectral import GridSpec
 
@@ -308,21 +308,22 @@ def weighted_spacetime_norm(
     the trapezoid rule in t and the singular-cell treatment described in the
     module docstring.  |u|^2 is the squared Euclidean length of the component
     vector.  ``u_sampler`` maps t to a VectorField or raw samples; it is
-    called once per time node, in ascending order.
+    called once per time node in ascending order, over all nodes, or over the
+    nodes with t >= 0 if it is ``time_even`` (see ``elastic.WaveSampler``):
+    every weight here is even in t, so each such node then also stands for
+    its mirror node.
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
     n = grid.dim
     tnodes = grid.time_nodes()
-    tw = grid.trapezoid_weights()
     measure = grid.dx**n
 
     if weight.kind in (SPATIAL_POWER, LOG_SPATIAL):
         w = _spatial_weight_array(grid, weight, quad)[0].ravel()
         total = 0.0
-        for i, t in enumerate(tnodes):
-            dens = _density(u_sampler(t), grid)
-            total += tw[i] * measure * float(w @ dens.ravel())
+        for _, _, tw, dens in _time_pass(u_sampler, grid):
+            total += tw * measure * float(w @ dens.ravel())
         return float(np.sqrt(total))
 
     # spacetime power: pointwise except near the (0,0) cell
@@ -333,13 +334,12 @@ def weighted_spacetime_norm(
     i0 = int(np.argmin(np.abs(tnodes)))
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
     total = 0.0
-    for i, t in enumerate(tnodes):
-        dens = _density(u_sampler(t), grid)
+    for i, t, tw, dens in _time_pass(u_sampler, grid):
         w = _spacetime_pointwise(grid, weight.alpha, t)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
             w[cells] = patch[ring_t + dti]
-        total += tw[i] * measure * float(w.ravel() @ dens.ravel())
+        total += tw * measure * float(w.ravel() @ dens.ravel())
     return float(np.sqrt(total))
 
 

@@ -170,12 +170,24 @@ class TestExitCodes:
         ["kernel-decay", "--dmin=-5"],
         ["kernel-decay", "--points=-1"],
         ["kernel-decay", "--rtol=-1"],
+        ["evolve", "--width=-1"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
         assert not (tmp_path / "x" / "results.csv").exists()
+
+    def test_report_has_no_n_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["report", "--n", "3", "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\n")
+        assert run(["report", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown option(s) for report: n" in err and "Traceback" not in err
 
     def test_elastic_propagator_path(self, tmp_path):
         out = tmp_path / "el"

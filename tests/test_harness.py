@@ -126,6 +126,31 @@ class TestComputeRatio:
         den = hs_norm(f_vec_S, 0.5) + hs_norm(member_e.g, -0.5)
         assert rec_e.ratio == pytest.approx(num / den, rel=1e-10)
 
+    def test_scan_ratio_3d_folds_its_time_pass(self, monkeypatch):
+        # the key 3-d scan: real Gaussian data is time-even, so the norm loop
+        # samples (and inverse-transforms) 27 of the 53 time nodes per lambda
+        from morawetz_lab import elastic
+
+        grid = GridSpec(3, 64, 16.0, 53, 6.5)
+        calls = {"sampler": 0, "inverse": 0}
+        sample, inverse = elastic.WaveSampler.__call__, elastic.inverse_values
+
+        def counted_sample(self, t):
+            calls["sampler"] += 1
+            return sample(self, t)
+
+        def counted_inverse(coeffs, g):
+            calls["inverse"] += 1
+            return inverse(coeffs, g)
+
+        monkeypatch.setattr(elastic.WaveSampler, "__call__", counted_sample)
+        monkeypatch.setattr(elastic, "inverse_values", counted_inverse)
+        member = DataFamily(kind="gaussian", width=0.9).member(grid, lam=2.0)
+        q = RegionQuery(2.0, 0.5, 3, SPACETIME_POWER)
+        rec = compute_ratio(member, q, 1.0, grid, lam=2.0)
+        assert calls == {"sampler": 27, "inverse": 27}
+        assert rec.numerator > 0
+
     def test_translation_invariance_unweighted(self):
         g = GridSpec(2, 32, 12.0, 17, 3.0)
         q = RegionQuery(0.0, 0.5, 2, SPATIAL_POWER)

@@ -1,4 +1,7 @@
-"""Oscillatory-kernel quadrature: symmetries, scaling, brute-force oracle, decay fits."""
+"""Oscillatory-kernel quadrature: symmetries, scaling, brute-force oracle, decay fits,
+and the per-pass node budget."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,10 +10,12 @@ from scipy.integrate import quad
 from morawetz_lab import (
     OFF_CONE,
     ON_CONE,
+    AccuracyError,
     DecayFit,
     DomainError,
     KernelQuery,
     decay_fit,
+    kernel,
     kernel_value,
     kernel_value_bruteforce,
 )
@@ -127,3 +132,58 @@ class TestDecayFit:
         assert isinstance(fit, DecayFit)
         assert len(fit.distances) == len(fit.values) == 9
         assert np.isfinite(fit.intercept)
+
+
+@pytest.fixture
+def pass_nodes(monkeypatch):
+    """Node counts of the panelled passes run; a pass over the budget fails the
+    test before it allocates anything."""
+    sizes = []
+    run = kernel._panelled_gauss
+
+    def guarded(f, a, b, panels):
+        sizes.append(panels * kernel._GL_X.size)
+        if sizes[-1] > kernel.MAX_PASS_NODES:
+            pytest.fail(f"a pass of {sizes[-1]} nodes ran")
+        return run(f, a, b, panels)
+
+    monkeypatch.setattr(kernel, "_panelled_gauss", guarded)
+    return sizes
+
+
+class TestPassBudget:
+    def test_first_pass_over_budget_is_a_domain_error(self, pass_nodes):
+        with pytest.raises(DomainError, match="budget"):
+            kernel_value(KernelQuery(z=(10.0,), tau=10.0, k=40, n=2))
+        assert pass_nodes == []
+
+    def test_doubling_over_budget_is_an_accuracy_error(self, pass_nodes, monkeypatch):
+        q = KernelQuery(z=(10.0,), tau=10.0, k=0, n=2)
+        kernel_value(q)
+        first = pass_nodes[0]
+        assert len(pass_nodes) > 1 and max(pass_nodes) <= kernel.MAX_PASS_NODES
+        pass_nodes.clear()
+        monkeypatch.setattr(kernel, "MAX_PASS_NODES", 2 * first - 1)
+        with pytest.raises(AccuracyError, match="nodes per pass") as exc:
+            kernel_value(q)
+        assert exc.value.achieved is None  # no doubling fit in the budget
+        assert pass_nodes == [first]
+
+    def test_cli_exits_2_and_3_without_traceback(self, pass_nodes, monkeypatch, tmp_path,
+                                                capsys):
+        from morawetz_lab.cli import main
+
+        assert main(["kernel-decay", "--k", "40", "--out", str(tmp_path / "k40")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+        out = tmp_path / "fits"  # a two-decade fit at k = 3 stays within the budget
+        assert main(["kernel-decay", "--k", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["summary"]["slope"] < 0
+        near = 10.0 / np.sqrt(2.0)  # the first on-cone query of the fit below
+        pass_nodes.clear()
+        kernel_value(KernelQuery(z=(near,), tau=near, k=0, n=2))
+        monkeypatch.setattr(kernel, "MAX_PASS_NODES", 2 * pass_nodes[0] - 1)
+        assert main(["kernel-decay", "--points", "3", "--out", str(tmp_path / "tight")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical accuracy failure") and "Traceback" not in err
+        assert not (tmp_path / "tight" / "results.csv").exists()

@@ -1,21 +1,33 @@
-"""The one time sampler: recurrence against direct evaluation, energy, transforms."""
+"""The one time sampler: recurrence against direct evaluation, energy, transforms,
+and the folded time pass of time-even flows."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morawetz_lab import ElasticPropagator, ElasticState, GridSpec, LameParams, VectorField
+from morawetz_lab.analysis import local_smoothing_functional
 from morawetz_lab.elastic import _split_spectrum, elastic_energy, halfwave_sampler
 from morawetz_lab.spectral import forward_values, inverse_values
+from morawetz_lab.weights import (
+    LOG_SPATIAL,
+    SPACETIME_POWER,
+    SPATIAL_POWER,
+    WeightSpec,
+    weighted_spacetime_norm,
+)
 
 REL = 1e-12
 
 
 @st.composite
-def _grids(draw):
+def _grids(draw, dims=(2, 3)):
     """Grids of both dimensions with odd and even numbers of time nodes."""
     return GridSpec(
-        dim=draw(st.sampled_from([2, 3])),
+        dim=draw(st.sampled_from(dims)),
         points_per_axis=draw(st.sampled_from([8, 16, 32])),
         half_width=draw(st.floats(4.0, 12.0)),
         time_samples=draw(st.integers(2, 12)),
@@ -141,3 +153,79 @@ def test_sampler_leaves_grid_memos_untouched(grid, seed):
     for key, arr in before.items():
         assert not grid._cache[key].flags.writeable, key
         np.testing.assert_array_equal(grid._cache[key], arr)
+
+
+
+class _Counted:
+    """A sampler's calls, counted; its ``time_even`` fact is passed on."""
+
+    def __init__(self, sampler):
+        self.sampler, self.calls = sampler, 0
+        self.time_even = sampler.time_even
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.sampler(t)
+
+
+ACCUMULATORS = (SPATIAL_POWER, SPACETIME_POWER, LOG_SPATIAL, "local_smoothing")
+
+
+def _accumulator(kind: str, u: float, grid: GridSpec):
+    """One of the three weighted norms, exponent drawn from ``u`` in (0, 1), or
+    the local-smoothing functional."""
+    if kind == "local_smoothing":
+        return lambda v: local_smoothing_functional(v, grid)
+    weight = {
+        SPATIAL_POWER: WeightSpec(SPATIAL_POWER, u * grid.dim),
+        SPACETIME_POWER: WeightSpec(SPACETIME_POWER, u * (grid.dim + 1)),
+        LOG_SPATIAL: WeightSpec(LOG_SPATIAL, epsilon=0.1 + 0.4 * u),
+    }[kind]
+    return lambda v: weighted_spacetime_norm(v, weight, grid)
+
+
+def _fold_cases(kind: str, u: float, grid: GridSpec, make_sampler, even: bool) -> None:
+    """At M and M + 1 time nodes (one odd, one even): the folded pass against
+    the full pass of the same sampler behind a plain lambda, and the calls."""
+    for M in (grid.time_samples, grid.time_samples + 1):
+        g = replace(grid, time_samples=M)
+        accumulate, sampler = _accumulator(kind, u, g), make_sampler(g)
+        counted = _Counted(sampler)
+        assert counted.time_even is even
+        value = accumulate(counted)
+        assert counted.calls == ((M + 1) // 2 if even else M)
+        full = accumulate(lambda t: sampler(t))  # a plain callable hides the fact
+        assert abs(value - full) <= 1e-13 * full, (M, value, full)
+
+
+@pytest.mark.parametrize("kind", ACCUMULATORS)
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data(), u=st.floats(0.1, 0.9), c=st.floats(0.1, 3.0), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_halfwave_fold_matches_full_pass(kind, dim, data, u, c, real, seed):
+    grid = data.draw(_grids([dim]))
+    f = _white(np.random.default_rng(seed), grid.shape)
+    if real:
+        f = f.real.astype(np.complex128)  # real values in a complex array still fold
+    _fold_cases(kind, u, grid, lambda g: halfwave_sampler(f, g, c), real)
+
+
+@pytest.mark.parametrize("kind", ACCUMULATORS)
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data(), u=st.floats(0.1, 0.9), ratio=st.floats(-1.9, 4.0),
+       mu=st.floats(0.1, 3.0), at_rest=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_elastic_fold_matches_full_pass(kind, dim, data, u, ratio, mu, at_rest, seed):
+    grid = data.draw(_grids([dim]))
+    state = _elastic_state(grid, np.random.default_rng(seed))
+    if at_rest:
+        state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
+
+    def make(g):
+        return ElasticPropagator(
+            ElasticState(VectorField(g, state.f.values), VectorField(g, state.g.values)),
+            _lame(ratio, mu),
+        )
+
+    _fold_cases(kind, u, grid, make, at_rest)
