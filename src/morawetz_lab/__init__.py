@@ -66,7 +66,6 @@ from .spectral import (
     inverse_transform,
 )
 from .weights import (
-    LOG_SPATIAL,
     SPACETIME_POWER,
     SPATIAL_POWER,
     Cube,

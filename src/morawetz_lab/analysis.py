@@ -30,25 +30,11 @@ from .errors import DomainError, ShapeError
 from .spectral import GridSpec, VectorField, forward_values, inverse_values
 
 __all__ = [
-    "SobolevIndex",
     "hs_norm",
     "lp_project",
     "lp_level_range",
     "local_smoothing_functional",
 ]
-
-SOBOLEV_RANGE_NOTE = (
-    "|s| < n/2 is the documented range; outside it the zero-mode exclusion "
-    "dominates the discretization error"
-)
-
-
-class SobolevIndex(float):
-    """A Sobolev regularity index; carries the documented-range note."""
-
-    def in_documented_range(self, dim: int) -> bool:
-        return abs(float(self)) < dim / 2.0
-
 
 def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
     """Accept a VectorField or a raw (scalar or component-stacked) array."""

@@ -52,7 +52,7 @@ from .weights import (
     default_cube_family,
 )
 
-CSV_SCHEMA_VERSION = "v1"
+CSV_SCHEMA_VERSION = "v2"
 COMMANDS = ("evolve", "scan-ratio", "kernel-decay", "a2-scan", "lp-check", "report")
 
 
@@ -95,7 +95,6 @@ _SPECS: dict[str, dict] = {
         "speed": (float, 1.0),
         "lame-lambda": (float, 1.0),
         "lame-mu": (float, 1.0),
-        "tolerance": (float, 1e-9),
         "refinement": (int, 24),
     },
     "kernel-decay": {
@@ -200,7 +199,7 @@ def _weight_kind(name: str) -> str:
 
 
 def _provenance_header() -> list[str]:
-    return ["n", "N", "box", "horizon", "samples", "tolerance", "refinement", "margin"]
+    return ["n", "N", "box", "horizon", "samples", "refinement", "margin"]
 
 
 def _run_evolve(cfg: RunConfig) -> dict:
@@ -222,7 +221,7 @@ def _run_evolve(cfg: RunConfig) -> dict:
         l2 = float(np.sqrt(grid.dx**grid.dim * np.sum(np.abs(u.values) ** 2)))
         rows.append([float(t), e, drift, l2,
                      grid.dim, grid.points_per_axis, grid.half_width, grid.time_horizon,
-                     grid.time_samples, 0.0, 0, margin])
+                     grid.time_samples, 0, margin])
     _write_csv(cfg.out_dir / "results.csv", "evolve",
                ["t", "energy", "energy_drift_rel", "l2_displacement"] + _provenance_header(),
                rows)
@@ -233,7 +232,7 @@ def _run_evolve(cfg: RunConfig) -> dict:
 def _run_scan_ratio(cfg: RunConfig) -> dict:
     o = cfg.options
     grid = GridSpec(o["n"], o["grid"], o["box"], o["samples"], o["horizon"])
-    quad = QuadratureConfig(singular_cell_refinement=o["refinement"], tolerance=o["tolerance"])
+    quad = QuadratureConfig(singular_cell_refinement=o["refinement"])
     kind = _weight_kind(o["weight"])
     query = RegionQuery(alpha=o["alpha"], s=o["s"], n=o["n"], weight_kind=kind)
     try:
@@ -259,7 +258,7 @@ def _run_scan_ratio(cfg: RunConfig) -> dict:
     for r in result.records:
         rows.append([query.alpha, query.s, r.lam, r.numerator, r.denominator, r.ratio,
                      grid.dim, grid.points_per_axis, grid.half_width, grid.time_horizon,
-                     grid.time_samples, r.tolerance, r.refinement, r.margin])
+                     grid.time_samples, r.refinement, r.margin])
     _write_csv(cfg.out_dir / "results.csv", "scan-ratio",
                ["alpha", "s", "lambda", "numerator", "denominator", "ratio"]
                + _provenance_header(), rows)
@@ -448,7 +447,7 @@ def execute(cfg: RunConfig) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
-    tolerances = {k: v for k, v in cfg.options.items() if k in ("tolerance", "refinement", "rtol")}
+    tolerances = {k: v for k, v in cfg.options.items() if k in ("refinement", "rtol")}
     _write_manifest(cfg, summary, tolerances, wall)
     for key in sorted(summary):
         print(f"{key}: {summary[key]}")

@@ -212,7 +212,6 @@ class RatioRecord:
     ratio: float
     margin: float
     grid: GridSpec
-    tolerance: float
     refinement: int
 
 
@@ -283,7 +282,6 @@ def compute_ratio(
         ratio=numerator / denominator,
         margin=margin,
         grid=grid,
-        tolerance=quad.tolerance,
         refinement=quad.singular_cell_refinement,
     )
 
@@ -509,7 +507,6 @@ def scale_covariance_report(
             "margin_min": min(margins) if margins else float("nan"),
             "dropped": list(result.dropped),
             "refinement": result.records[0].refinement if result.records else None,
-            "tolerance": result.records[0].tolerance if result.records else None,
         },
     )
 

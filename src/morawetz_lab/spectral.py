@@ -20,7 +20,7 @@ records this margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -182,9 +182,6 @@ class FrequencyLattice:
         modes = np.stack([m.ravel() for m in mg], axis=-1)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "xi", modes.astype(float) * g.dxi)
-
-    def xi_of(self, mode: Iterable[int]) -> np.ndarray:
-        return np.asarray(mode, dtype=float) * self.grid.dxi
 
     def __len__(self) -> int:
         return self.modes.shape[0]

@@ -4,7 +4,6 @@ Weight kinds
 ------------
 * ``spatial_power``   : w(x, t) = |x|^{-alpha}
 * ``spacetime_power`` : w(x, t) = |(x, t)|^{-alpha}
-* ``log_spatial``     : w(x, t) = |log|x||^{-1-2 eps} |x|^{-1}
 
 Local integrability requires alpha < n (spatial) resp. alpha < n+1
 (space-time).  The boundary values alpha = n and alpha = n+1 are accepted
@@ -13,29 +12,34 @@ integral is logarithmically divergent, the refinement level acts as the
 (scale-invariant) truncation, and the value is a regularized quantity, which
 the quadrature report flags.
 
-Quadrature of the singular cell: the cell is split into its 2^d corner
-orthants; each corner box is peeled into dyadic shells (self-similar boxes
-shrinking toward the corner), every shell integrated by tensor Gauss rules,
-and the remaining tail summed by geometric extrapolation from the measured
-shell ratio (exact for pure power weights, asymptotically exact for the log
-weight).  Cells adjacent to the singularity use Gauss cell averages of the
-weight instead of point values: the point-sampled sum converges only
-logarithmically near the admissibility boundary, the cell-averaged one at
-second order.
+Quadrature: every box that needs more than a plain tensor Gauss rule (the
+origin cell of either weight and every A2 cube) goes through one exact
+formula, ``_box_integral``.  For a power, div(z |z|^p) = (p + d) |z|^p, so
+the integral over a box is the flux of z |z|^p / (p + d) through its faces;
+each face lies at a distance c > 0 from the origin and carries the smooth
+integrand c |y|^p.  The box is split at the origin into boxes of the
+nonnegative orthant, so that every face has its foot point at its corner,
+and each face is tiled by a core and dyadic shells graded toward that
+point.  At p = -d (the boundary exponent) the flux formula is replaced by
+the depth-truncated value ``depth * ln 2 * flux``: each dyadic shell of the
+cell carries ``ln 2 * flux``.  Cells adjacent to the singularity use Gauss
+cell averages of the weight instead of point values: the point-sampled sum
+converges only logarithmically near the admissibility boundary, the
+cell-averaged one at second order.
 
 One tensor Gauss evaluator, ``_gauss_box``, integrates a batch of boxes in
-one broadcast: the 2^d - 1 children of a shell level, the 2^d panels of an
-A2 cube, or one row of cells around the singularity.  The weights are even
-in every axis, so the averaged patch around the singularity is integrated
-over the nonnegative orthant only and mirrored.  A2 cubes that contain the
-origin send both exponent signs through the corner shells, which resolve
-the singularity of |z|^-alpha as well as the kink of |z|^alpha there.
+one broadcast: the face panels of ``_box_integral`` or one row of cells
+around the singularity.  The weights are even in every axis, so the averaged
+patch around the singularity is integrated over the nonnegative orthant only
+and mirrored.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,7 +52,6 @@ from .spectral import GridSpec
 __all__ = [
     "SPATIAL_POWER",
     "SPACETIME_POWER",
-    "LOG_SPATIAL",
     "WeightSpec",
     "QuadratureConfig",
     "Cube",
@@ -61,28 +64,26 @@ __all__ = [
 
 SPATIAL_POWER = "spatial_power"
 SPACETIME_POWER = "spacetime_power"
-LOG_SPATIAL = "log_spatial"
-_KINDS = (SPATIAL_POWER, SPACETIME_POWER, LOG_SPATIAL)
+_KINDS = (SPATIAL_POWER, SPACETIME_POWER)
 
 # cell averaging extends to |x| ~ half_width / RING_RADIUS_FRACTION
 RING_RADIUS_FRACTION = 8.0
+# ... but over at least this many cells on each side of the singularity
+_MIN_RING_CELLS = 4
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """One of the singular weights above; alpha for the power kinds, epsilon for log."""
+    """One of the power weights above."""
 
     kind: str
     alpha: float = 0.0
-    epsilon: float = 0.25
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown weight kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind in (SPATIAL_POWER, SPACETIME_POWER) and self.alpha < 0:
+        if self.alpha < 0:
             raise DomainError("power weights need alpha >= 0")
-        if self.kind == LOG_SPATIAL and not self.epsilon > 0:
-            raise DomainError("log weight needs epsilon > 0")
 
     def validate_for(self, grid: GridSpec) -> None:
         n = grid.dim
@@ -97,62 +98,45 @@ class WeightSpec:
         """True at the integrability edge, where the singular cell is regularized."""
         if self.kind == SPATIAL_POWER:
             return self.alpha == grid.dim
-        if self.kind == SPACETIME_POWER:
-            return self.alpha == grid.dim + 1
-        return False
+        return self.alpha == grid.dim + 1
 
     def radial(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.kind in (SPATIAL_POWER, SPACETIME_POWER):
-            a = self.alpha
-            return lambda r: r ** (-a)
-        eps = self.epsilon
-
-        def log_weight(r: np.ndarray) -> np.ndarray:
-            r = np.asarray(r, dtype=float)
-            logr = np.abs(np.log(np.where(r > 0, r, 1.0)))
-            with np.errstate(divide="ignore"):
-                vals = np.where(logr > 0, logr ** (-1.0 - 2 * eps), 0.0)
-            return np.where(r > 0, vals / np.where(r > 0, r, 1.0), 0.0)
-
-        return log_weight
+        a = self.alpha
+        return lambda r: r ** (-a)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls the singular-cell refinement and the cell-averaging ring.
+    """The truncation depth of the singular cell at the integrability boundary.
 
-    ``singular_cell_refinement`` caps the dyadic shell depth (>= 4); interior
-    weights stop early at ``tolerance``, so the cap only bites at the
-    integrability boundary, where it is the declared truncation depth of the
-    log-divergent cell.  ``cell_average_ring`` is the minimum half-width, in
-    cells, of the neighborhood of the singularity that uses Gauss cell
-    averages of the weight (see ``ring_cells``).  The time rule is always the
-    trapezoid over the grid's sample nodes.
+    Interior exponents integrate the singular cell exactly and ignore it.  At
+    alpha = n (spatial) resp. n + 1 (space-time) the cell integral diverges
+    logarithmically; it is then truncated after ``singular_cell_refinement``
+    (>= 4) dyadic shells toward the origin, the regularization that
+    ``singular_cell_report`` flags.  The time rule is always the trapezoid
+    over the grid's sample nodes.
     """
 
     singular_cell_refinement: int = 24
-    tolerance: float = 1e-9
-    cell_average_ring: int = 4
 
     def __post_init__(self) -> None:
         if self.singular_cell_refinement < 4:
             raise DomainError("singular_cell_refinement must be at least 4")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
-        if self.cell_average_ring < 1:
-            raise DomainError("cell_average_ring must be at least 1")
-
-    def ring_cells(self, step: float, radius: float, limit: int) -> int:
-        """Averaging half-width in cells for one axis: the fixed physical
-        radius keeps the averaged/pointwise interface error second order
-        under grid refinement, and an identical cell count under dilation."""
-        return int(np.clip(round(radius / step), self.cell_average_ring, limit))
 
 
-# -- corner-shell quadrature -------------------------------------------------
+def _ring_cells(step: float, radius: float, limit: int) -> int:
+    """Averaging half-width in cells for one axis: the fixed physical radius
+    keeps the averaged/pointwise interface error second order under grid
+    refinement, and an identical cell count under dilation."""
+    return int(np.clip(round(radius / step), _MIN_RING_CELLS, limit))
+
+
+# -- box quadrature -------------------------------------------------------------
 
 _GAUSS_N = 6
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
+_PANELS = 4  # Gauss panels per axis of every face tile
+_CHUNK = 4096  # face panels per _gauss_box call, which bounds its memory
 
 
 def _gauss_box(radial_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -175,46 +159,93 @@ def _gauss_box(radial_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (radial_fn(np.sqrt(r2)) * w).reshape(k, -1).sum(axis=1)
 
 
-def _corner_box_integral(
-    radial_fn, halfwidths: np.ndarray, levels: int, tol: float
-) -> tuple[float, bool]:
-    """Integral over the corner box [0,h_1]x...x[0,h_d]; returns (value, truncated)."""
-    d = len(halfwidths)
-    children = np.array(list(itertools.product((0, 1), repeat=d))[1:], dtype=bool)
+def _face_tiles(c: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tiles of the face box prod [lo_j, hi_j] (lo_j >= 0) at distance c.
+
+    The face is cut by the core [0, c]^m and the dyadic max-norm shells
+    c 2^k <= |y|_inf <= c 2^(k+1) around its foot point 0, each shell as the
+    2^m - 1 boxes outside its inner cube; every piece is clipped to the face
+    and empty pieces are dropped.  On each tile |y|^2 = c^2 + |y_face|^2
+    varies by a bounded factor, whatever c is.  Returns (k, m) corners.
+    """
+    m = len(lo)
+    outer_half = (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1 == 1
+    tile_lo, tile_hi = [np.zeros((1, m))], [np.full((1, m), c)]
+    s = c
+    while s < hi.max(initial=0.0):
+        tile_lo.append(np.where(outer_half, s, 0.0))
+        tile_hi.append(np.where(outer_half, 2 * s, s))
+        s *= 2
+    tile_lo = np.maximum(np.vstack(tile_lo), lo)
+    tile_hi = np.minimum(np.vstack(tile_hi), hi)
+    keep = np.all(tile_hi > tile_lo, axis=1)
+    return tile_lo[keep], tile_hi[keep]
+
+
+def _box_integral(p: float, lo, hi, depth: int) -> tuple[float, bool]:
+    """Integral of |z|^p over the box prod [lo_i, hi_i]; returns (value, truncated).
+
+    Exact up to the Gauss rule for p > -d, by the divergence theorem:
+    ``(p + d) int_B |z|^p = sum_faces (z . n) int_F |y|^p dS``.  An axis that
+    straddles 0 is split there and every part is reflected to [0, a]; an axis
+    that does not straddle 0 keeps its interval [l, h].  Congruent orthant
+    boxes and equal faces are merged.  A face at x_i = c has z . n = +-c
+    (c = 0 carries no flux); it is tiled by ``_face_tiles`` with ``_PANELS``
+    Gauss panels per axis.  At p = -d, which only the cell around the
+    origin meets, the cell diverges logarithmically and is truncated after
+    ``depth`` dyadic shells, each of which carries ``ln 2 * flux``.
+    """
+    d = len(lo)
+    axes = [[(0.0, -l), (0.0, h)] if l < 0 < h else [tuple(sorted((abs(l), abs(h))))]
+            for l, h in zip(lo, hi)]
+    boxes = collections.Counter(tuple(sorted(b)) for b in itertools.product(*axes))
+    flux: dict = collections.defaultdict(float)  # (c, face intervals) -> z . n weight
+    for box, count in boxes.items():
+        for i, (l, h) in enumerate(box):
+            rest = box[:i] + box[i + 1:]
+            flux[h, rest] += count * h
+            if l > 0:
+                flux[l, rest] -= count * l
+    tiles_lo, tiles_hi, dist, weight = [], [], [], []
+    for (c, rest), wt in flux.items():
+        face_lo, face_hi = _face_tiles(c, *np.array(rest, dtype=float).reshape(-1, 2).T)
+        tiles_lo.append(face_lo)
+        tiles_hi.append(face_hi)
+        dist.append(np.full(len(face_lo), c))
+        weight.append(np.full(len(face_lo), wt))
+    # split each tile into _PANELS^(d-1) Gauss panels
+    grid = np.array(list(itertools.product(range(_PANELS), repeat=d - 1)), dtype=float)
+    t_lo, t_hi = np.vstack(tiles_lo), np.vstack(tiles_hi)
+    step = (t_hi - t_lo)[:, None, :] / _PANELS
+    shape = (len(t_lo) * len(grid), d - 1)
+    panel_lo = (t_lo[:, None, :] + step * grid).reshape(shape)
+    panel_hi = (t_lo[:, None, :] + step * (grid + 1)).reshape(shape)
+    c2 = np.repeat(np.concatenate(dist) ** 2, len(grid))
+    wt = np.repeat(np.concatenate(weight), len(grid))
     total = 0.0
-    shells: list[float] = []
-    scale = 1.0
-    for _ in range(levels):
-        hi_full = halfwidths * scale
-        half_pt = hi_full / 2.0
-        shell = float(np.sum(_gauss_box(
-            radial_fn, np.where(children, half_pt, 0.0), np.where(children, hi_full, half_pt)
-        )))
-        total += shell
-        shells.append(shell)
-        if len(shells) >= 2 and shells[-2] > 0:
-            q = shells[-1] / shells[-2]
-            if q < 0.95:
-                tail = shells[-1] * q / (1.0 - q)
-                if tail < tol * max(total, 1e-300):
-                    return total + tail, False
-        scale /= 2.0
-    q = shells[-1] / shells[-2] if shells[-2] > 0 else 1.0
-    if q < 0.999:
-        return total + shells[-1] * q / (1.0 - q), False
-    return total, True  # boundary case: log-divergent cell, depth-capped
+    for s in range(0, len(wt), _CHUNK):
+        c2s = c2[s:s + _CHUNK].reshape((-1,) + (1,) * (d - 1))
+        face = _gauss_box(lambda r: (c2s + r * r) ** (0.5 * p),
+                          panel_lo[s:s + _CHUNK], panel_hi[s:s + _CHUNK])
+        total += float(wt[s:s + _CHUNK] @ face)
+    if p + d == 0:
+        return depth * math.log(2.0) * total, True
+    return total / (p + d), False
 
 
-def _origin_patch(radial_fn, steps: Sequence[float], rings: Sequence[int], quad: QuadratureConfig):
-    """Cell averages of a radial weight on the cells within ``rings`` of the origin.
+def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[int],
+                  quad: QuadratureConfig):
+    """Cell averages of a power weight on the cells within ``rings`` of the origin.
 
     Cell ``j`` on axis i is centered at ``j * steps[i]`` with width
     ``steps[i]``; the returned array has shape ``(2 r_i + 1, ...)`` with the
-    origin cell, holding its refined integral over its volume, in the middle.
-    The weight is even in every axis, so only the nonnegative orthant is
-    integrated, one leading-axis row per call, and then mirrored.  Returns
-    (patch, cell_info) as described in ``_spatial_weight_array``.
+    origin cell, holding its exact (or, at the boundary exponent, truncated)
+    integral over its volume, in the middle.  The weight is even in every
+    axis, so only the nonnegative orthant is integrated, one leading-axis
+    row per call, and then mirrored.  Returns (patch, cell_info) as
+    described in ``_spatial_weight_array``.
     """
+    radial_fn = weight.radial()
     steps = np.asarray(steps, dtype=float)
     half, vol = steps / 2.0, float(np.prod(steps))
     rest = np.indices([r + 1 for r in rings[1:]]).reshape(len(rings) - 1, -1).T
@@ -223,10 +254,7 @@ def _origin_patch(radial_fn, steps: Sequence[float], rings: Sequence[int], quad:
         centers = np.column_stack([np.full(len(rest), j), rest]) * steps
         cells = _gauss_box(radial_fn, centers - half, centers + half)
         orthant[j] = cells.reshape(orthant.shape[1:]) / vol
-    value, truncated = _corner_box_integral(
-        radial_fn, half, quad.singular_cell_refinement, quad.tolerance
-    )
-    value *= 2 ** len(steps)  # 2^d congruent corner boxes
+    value, truncated = _box_integral(-weight.alpha, -half, half, quad.singular_cell_refinement)
     orthant[(0,) * len(steps)] = value / vol
     patch = orthant[np.ix_(*(np.abs(np.arange(-r, r + 1)) for r in rings))]
     patch.setflags(write=False)
@@ -244,12 +272,11 @@ def _spatial_weight_array(grid: GridSpec, weight: WeightSpec, quad: QuadratureCo
     and whether it was depth-capped.  The array is shared and read-only.
     """
     n = grid.dim
-    radial = weight.radial()
     xnorm = grid.x_norm()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.where(xnorm > 0, radial(np.where(xnorm > 0, xnorm, 1.0)), 0.0)
-    ring = quad.ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
-    patch, info = _origin_patch(radial, [grid.dx] * n, [ring] * n, quad)
+        w = np.where(xnorm > 0, weight.radial()(np.where(xnorm > 0, xnorm, 1.0)), 0.0)
+    ring = _ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
+    patch, info = _origin_patch(weight, [grid.dx] * n, [ring] * n, quad)
     w[tuple(slice(c - ring, c + ring + 1) for c in grid.zero_index)] = patch
     w.setflags(write=False)
     return w, info
@@ -263,13 +290,12 @@ def _spacetime_ring_patch(grid: GridSpec, weight: WeightSpec, quad: QuadratureCo
     cells within the ring around x = 0 at time-node offset ``dti``; the (0,0)
     cell carries the refined integral divided by its volume.  Read-only.
     """
-    radial = weight.radial()
     t = grid.time_nodes()
     dt = t[1] - t[0]
     radius = grid.half_width / RING_RADIUS_FRACTION
-    ring = quad.ring_cells(grid.dx, radius, grid.points_per_axis // 4)
-    ring_t = quad.ring_cells(dt, radius, max((grid.time_samples - 1) // 2, 1))
-    return _origin_patch(radial, [dt] + [grid.dx] * grid.dim, [ring_t] + [ring] * grid.dim, quad)
+    ring = _ring_cells(grid.dx, radius, grid.points_per_axis // 4)
+    ring_t = _ring_cells(dt, radius, max((grid.time_samples - 1) // 2, 1))
+    return _origin_patch(weight, [dt] + [grid.dx] * grid.dim, [ring_t] + [ring] * grid.dim, quad)
 
 
 def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) -> None:
@@ -319,7 +345,7 @@ def weighted_spacetime_norm(
     tnodes = grid.time_nodes()
     measure = grid.dx**n
 
-    if weight.kind in (SPATIAL_POWER, LOG_SPATIAL):
+    if weight.kind == SPATIAL_POWER:
         w = _spatial_weight_array(grid, weight, quad)[0].ravel()
         total = 0.0
         for _, _, tw, dens in _time_pass(u_sampler, grid):
@@ -349,11 +375,11 @@ def singular_cell_report(
     """Origin-cell integral and whether it was depth-capped (boundary alpha)."""
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
-    if weight.kind in (SPATIAL_POWER, LOG_SPATIAL):
+    if weight.kind == SPATIAL_POWER:
         _, info = _spatial_weight_array(grid, weight, quad)
     else:
         _, info = _spacetime_ring_patch(grid, weight, quad)
-    return dict(info, refinement=quad.singular_cell_refinement, tolerance=quad.tolerance)
+    return dict(info, refinement=quad.singular_cell_refinement)
 
 
 # -- A2 product ----------------------------------------------------------------
@@ -370,48 +396,8 @@ class Cube:
         if not self.side > 0:
             raise DomainError("cube side must be positive")
 
-    def contains_origin(self) -> bool:
-        h = self.side / 2.0
-        return all(abs(c) <= h for c in self.center)
 
-
-def _integral_over_cube(exponent: float, cube: Cube, quad: QuadratureConfig) -> float:
-    """integral of |z|^exponent over the cube (exponent may be negative).
-
-    On a cube that contains the origin, either sign of the exponent goes
-    through the corner shells of the orthants split at the origin, which
-    resolve the singularity resp. the kink of |z|^exponent there and meet
-    ``quad.tolerance``.  A cube away from the origin, where the integrand is
-    smooth, uses the 2-panel tensor Gauss rule.
-    """
-    radial = (lambda r, e=exponent: r**e)
-    c = np.asarray(cube.center, dtype=float)
-    h = cube.side / 2.0
-    lo, hi = c - h, c + h
-    if cube.contains_origin():
-        # orthant split at the origin: corner boxes with 0 at the corner
-        total = 0.0
-        for widths in itertools.product(*zip(np.abs(lo), np.abs(hi))):
-            if 0.0 in widths:
-                continue
-            value, _ = _corner_box_integral(
-                radial, np.array(widths), quad.singular_cell_refinement, quad.tolerance
-            )
-            total += value
-        return total
-    # regular region: panelled tensor Gauss (2 panels per axis)
-    edges = np.linspace(lo, hi, 3)
-    panel_lo = list(itertools.product(*zip(edges[0], edges[1])))
-    panel_hi = list(itertools.product(*zip(edges[1], edges[2])))
-    return float(np.sum(_gauss_box(radial, panel_lo, panel_hi)))
-
-
-def a2_product(
-    alpha: float,
-    n_total: int,
-    cube: Cube,
-    quad: QuadratureConfig | None = None,
-) -> float:
+def a2_product(alpha: float, n_total: int, cube: Cube) -> float:
     """Muckenhoupt A2 product ``(avg_cube |z|^-alpha)(avg_cube |z|^alpha)``.
 
     Always >= 1 by Cauchy-Schwarz, with equality exactly at alpha = 0.
@@ -425,19 +411,21 @@ def a2_product(
     The product blows up at the admissibility edge by the law
     ``(d - alpha) * A2 -> sigma_(d-1) * integral_Q |z|^d`` as alpha -> d, with
     sigma_(d-1) the area of the unit sphere and Q the unit cube.  Both
-    factors meet ``quad.tolerance`` on cubes that contain the origin (see
-    ``_integral_over_cube``).
+    factors are exact integrals (``_box_integral``) on every cube, so they
+    stay exact however close alpha comes to the edge.
     """
-    quad = quad or QuadratureConfig()
     if not abs(alpha) < n_total:
         raise DomainError(f"A2 product needs a finite |alpha| < {n_total}, got {alpha}")
     if len(cube.center) != n_total:
         raise DomainError(f"cube center has dim {len(cube.center)}, expected {n_total}")
     if alpha == 0.0:
         return 1.0  # both factors are averages of the constant 1
+    c = np.asarray(cube.center, dtype=float)
+    lo, hi = c - cube.side / 2.0, c + cube.side / 2.0
     vol = cube.side**n_total
-    neg = _integral_over_cube(-alpha, cube, quad) / vol
-    pos = _integral_over_cube(alpha, cube, quad) / vol
+    # |alpha| < n_total keeps both exponents off p = -d, where depth would matter
+    neg = _box_integral(-alpha, lo, hi, depth=0)[0] / vol
+    pos = _box_integral(alpha, lo, hi, depth=0)[0] / vol
     return float(neg * pos)
 
 
@@ -465,7 +453,6 @@ def a2_scan(
     alphas: Sequence[float],
     n_total: int,
     cube_family: Sequence[tuple[str, Cube]] | None = None,
-    quad: QuadratureConfig | None = None,
 ) -> list[A2Row]:
     """A2 products for each alpha over a family of cubes (see default_cube_family)."""
     family = list(cube_family) if cube_family is not None else default_cube_family(n_total)
@@ -478,7 +465,7 @@ def a2_scan(
                     label=label,
                     center=tuple(cube.center),
                     side=cube.side,
-                    product=a2_product(alpha, n_total, cube, quad),
+                    product=a2_product(alpha, n_total, cube),
                 )
             )
     return rows

@@ -219,7 +219,7 @@ def test_criterion_6_norm_oracles():
     tol = 1e-9
     norms = {}
     for refinement in (8, 16):
-        quad_cfg = QuadratureConfig(singular_cell_refinement=refinement, tolerance=tol)
+        quad_cfg = QuadratureConfig(singular_cell_refinement=refinement)
         norms[refinement] = weighted_spacetime_norm(
             lambda t: profile, WeightSpec(SPATIAL_POWER, 1.5), g2, quad_cfg
         )

@@ -22,12 +22,12 @@ class TestScanRatio:
         ])
         assert code == 0
         csv = (out / "results.csv").read_text().splitlines()
-        assert csv[0].startswith("# morawetz-lab scan-ratio/v")
+        assert csv[0] == "# morawetz-lab scan-ratio/v2"
         header = csv[1].split(",")
         for column in ("alpha", "s", "lambda", "numerator", "denominator", "ratio",
-                       "n", "N", "box", "horizon", "samples", "tolerance",
-                       "refinement", "margin"):
+                       "n", "N", "box", "horizon", "samples", "refinement", "margin"):
             assert column in header
+        assert "tolerance" not in header
         assert len(csv) == 2 + 3  # three lambda rows
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "scan-ratio"
@@ -171,8 +171,11 @@ class TestExitCodes:
         ["kernel-decay", "--points=-1"],
         ["kernel-decay", "--rtol=-1"],
         ["evolve", "--width=-1"],
+        ["scan-ratio", "--alpha", "1.5", "--s", "0.25", "--config", "{tmp}/tolerance.cfg"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
+        (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert run(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
@@ -188,6 +191,15 @@ class TestExitCodes:
         assert run(["report", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
         err = capsys.readouterr().err
         assert "unknown option(s) for report: n" in err and "Traceback" not in err
+
+    def test_scan_ratio_has_no_tolerance_option(self, tmp_path, capsys):
+        # argparse refuses the removed flag itself, before the configuration layer
+        with pytest.raises(SystemExit) as exc:
+            run(["scan-ratio", "--alpha", "1.5", "--s", "0.25", "--tolerance", "1e-9",
+                 "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
 
     def test_elastic_propagator_path(self, tmp_path):
         out = tmp_path / "el"

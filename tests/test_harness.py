@@ -349,10 +349,3 @@ class TestExperimentReport:
         assert rep.config["alpha"] == 1.6
         assert rep.diagnostics["margin_min"] > 0
         assert len(rep.records) == 3
-
-    def test_sobolev_index_documented_range(self):
-        from morawetz_lab.analysis import SobolevIndex
-
-        assert SobolevIndex(0.5).in_documented_range(2)
-        assert not SobolevIndex(1.25).in_documented_range(2)
-        assert SobolevIndex(1.25).in_documented_range(3)

@@ -13,7 +13,6 @@ from morawetz_lab.analysis import local_smoothing_functional
 from morawetz_lab.elastic import _split_spectrum, elastic_energy, halfwave_sampler
 from morawetz_lab.spectral import forward_values, inverse_values
 from morawetz_lab.weights import (
-    LOG_SPATIAL,
     SPACETIME_POWER,
     SPATIAL_POWER,
     WeightSpec,
@@ -168,18 +167,17 @@ class _Counted:
         return self.sampler(t)
 
 
-ACCUMULATORS = (SPATIAL_POWER, SPACETIME_POWER, LOG_SPATIAL, "local_smoothing")
+ACCUMULATORS = (SPATIAL_POWER, SPACETIME_POWER, "local_smoothing")
 
 
 def _accumulator(kind: str, u: float, grid: GridSpec):
-    """One of the three weighted norms, exponent drawn from ``u`` in (0, 1), or
+    """One of the two weighted norms, exponent drawn from ``u`` in (0, 1), or
     the local-smoothing functional."""
     if kind == "local_smoothing":
         return lambda v: local_smoothing_functional(v, grid)
     weight = {
         SPATIAL_POWER: WeightSpec(SPATIAL_POWER, u * grid.dim),
         SPACETIME_POWER: WeightSpec(SPACETIME_POWER, u * (grid.dim + 1)),
-        LOG_SPATIAL: WeightSpec(LOG_SPATIAL, epsilon=0.1 + 0.4 * u),
     }[kind]
     return lambda v: weighted_spacetime_norm(v, weight, grid)
 

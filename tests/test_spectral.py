@@ -78,11 +78,6 @@ class TestLattice:
         radii = np.linalg.norm(lattice.xi, axis=1)
         assert np.max(radii) <= g.dxi * (g.points_per_axis / 2) * np.sqrt(2) + 1e-12
 
-    def test_xi_of(self):
-        g = GridSpec(2, 8, np.pi / 2)
-        lattice = frequency_lattice(g)
-        np.testing.assert_allclose(lattice.xi_of((1, -2)), [2.0, -4.0])
-
 
 class TestForwardTransform:
     def test_zero_field(self):

@@ -1,5 +1,7 @@
 """Weighted space-time norms with singular-cell quadrature, and the A2 estimator."""
 
+from math import gamma
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from morawetz_lab import (
 )
 from morawetz_lab import weights as W
 from morawetz_lab.weights import (
-    LOG_SPATIAL,
     SPACETIME_POWER,
     SPATIAL_POWER,
     a2_scan_max,
@@ -25,7 +26,7 @@ from morawetz_lab.weights import (
     singular_cell_report,
 )
 
-from pyramid_oracle import cube_moment_oracle
+from pyramid_oracle import box_moment_oracle, cube_moment_oracle
 
 
 def static_gaussian_sampler(grid, width=1.0, center=None):
@@ -44,7 +45,7 @@ class TestWeightSpec:
         with pytest.raises(DomainError):
             WeightSpec(SPATIAL_POWER, -0.5)
         with pytest.raises(DomainError):
-            WeightSpec(LOG_SPATIAL, epsilon=0.0)
+            WeightSpec("log_spatial", 1.0)  # only power weights remain
 
     def test_admissible_range_per_grid(self):
         g = GridSpec(2, 16, 1.0)
@@ -110,7 +111,7 @@ class TestWeightedNorm:
         tol = 1e-9
         vals = {}
         for refinement in (8, 16):
-            quad = QuadratureConfig(singular_cell_refinement=refinement, tolerance=tol)
+            quad = QuadratureConfig(singular_cell_refinement=refinement)
             vals[refinement] = weighted_spacetime_norm(
                 sampler, WeightSpec(SPATIAL_POWER, 1.5), g, quad
             )
@@ -122,12 +123,21 @@ class TestWeightedNorm:
         assert report["truncated"] is True
         interior = singular_cell_report(WeightSpec(SPATIAL_POWER, 1.5), g)
         assert interior["truncated"] is False
-
-    def test_log_weight_finite_and_positive(self):
-        g = GridSpec(2, 32, 4.0, time_samples=9, time_horizon=1.0)
-        sampler = static_gaussian_sampler(g)
-        val = weighted_spacetime_norm(sampler, WeightSpec(LOG_SPATIAL, epsilon=0.25), g)
-        assert np.isfinite(val) and val > 0
+        # at alpha = n and n + 1 every dyadic shell of the cell carries the
+        # same ln 2 * flux, so the regularized value is linear in the depth
+        for spec in (WeightSpec(SPATIAL_POWER, 2.0), WeightSpec(SPACETIME_POWER, 3.0)):
+            cells = {}
+            for depth in (8, 16):
+                cells[depth] = singular_cell_report(spec, g, QuadratureConfig(depth))
+                assert cells[depth]["truncated"] is True
+            assert cells[16]["origin_cell"] == pytest.approx(
+                2 * cells[8]["origin_cell"], rel=1e-14)
+        # just inside the edge the cell is finite and exact, however large
+        near = singular_cell_report(WeightSpec(SPATIAL_POWER, 2.0 - 1e-4), g)
+        assert near["truncated"] is False
+        h = g.dx / 2
+        exact = 4 * box_moment_oracle(-(2.0 - 1e-4), [0.0, 0.0], [h, h])
+        assert near["origin_cell"] == pytest.approx(exact, rel=1e-12)
 
     def test_inadmissible_alpha_rejected(self):
         g = GridSpec(2, 16, 2.0, time_samples=3)
@@ -149,13 +159,16 @@ class TestA2Product:
             assert val == pytest.approx(ref, rel=1e-6)
 
     def test_against_dual_method_oracle(self):
-        # deterministic oracle: the exact pyramid reduction of the cube moments;
-        # stochastic cross-check: plain Monte Carlo
-        alpha, d = 1.5, 3
-        val = a2_product(alpha, d, Cube((0.0, 0.0, 0.0), 1.0))
-        oracle = cube_moment_oracle(-alpha, d, 0.5) * cube_moment_oracle(alpha, d, 0.5)
-        assert val == pytest.approx(oracle, rel=1e-8)
+        # deterministic oracle: the exact pyramid reduction of the cube moments,
+        # also right at the edge alpha -> d; stochastic cross-check: plain Monte Carlo
+        d = 3
+        for alpha in (1.5, 2.999, 2.9999):
+            val = a2_product(alpha, d, Cube((0.0, 0.0, 0.0), 1.0))
+            oracle = cube_moment_oracle(-alpha, d, 0.5) * cube_moment_oracle(alpha, d, 0.5)
+            assert val == pytest.approx(oracle, rel=1e-12), alpha
 
+        alpha = 1.5
+        val = a2_product(alpha, d, Cube((0.0, 0.0, 0.0), 1.0))
         rng = np.random.default_rng(4)
         z = rng.uniform(-0.5, 0.5, size=(400000, 3))
         r = np.linalg.norm(z, axis=1)
@@ -286,3 +299,69 @@ def test_shared_weight_caches_are_read_only():
     for arr in [w, patch] + memo:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+
+
+@st.composite
+def _oracle_boxes(draw):
+    """Boxes in [-2, 2]^d that straddle, touch or avoid the origin per axis,
+    aspect ratio <= 10, every face through the origin or >= 0.05 widths from it."""
+    d = draw(st.integers(2, 3))
+    width = draw(st.floats(0.1, 1.9))
+    lo, hi = np.empty(d), np.empty(d)
+    for i in range(d):
+        w = width if i == 0 else draw(st.floats(width / 10, width))
+        kind = draw(st.sampled_from(["straddle", "touch", "avoid"]))
+        if kind == "straddle":
+            a = 0.05 * width + draw(st.floats(0.0, 1.0)) * (w - 0.1 * width)
+            lo[i], hi[i] = -a, w - a
+        elif kind == "touch":
+            lo[i], hi[i] = 0.0, w
+        else:
+            gap = draw(st.floats(0.05 * width, 2.0 - w))
+            lo[i], hi[i] = gap, gap + w
+        if draw(st.booleans()):
+            lo[i], hi[i] = -hi[i], -lo[i]
+    p = draw(st.floats(-(d - 0.05), float(d)))
+    return p, lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_boxes())
+def test_box_integral_matches_face_oracle(case):
+    p, lo, hi = case
+    value, truncated = W._box_integral(p, lo, hi, 24)
+    assert not truncated
+    assert value == pytest.approx(box_moment_oracle(p, lo, hi), rel=1e-11)
+
+
+def test_thin_box_is_cheap_and_additive(monkeypatch):
+    # a 4-d cube whose face x_0 = 1e-6 passes 1e-6 from the origin: the face
+    # tiles grow with log(1/c), not with a power of it
+    nodes = []
+    gauss_box = W._gauss_box
+
+    def counted(radial_fn, lo, hi):
+        nodes.append(len(lo) * W._GAUSS_N ** np.shape(lo)[1])
+        return gauss_box(radial_fn, lo, hi)
+
+    monkeypatch.setattr(W, "_gauss_box", counted)
+    p = -3.6
+    lo, hi = np.array([1e-6, -0.5, -0.5, -0.5]), np.array([1.0 + 1e-6, 0.5, 0.5, 0.5])
+    whole, truncated = W._box_integral(p, lo, hi, 24)
+    assert not truncated
+    assert 0 < sum(nodes) < 2e6
+    monkeypatch.undo()
+
+    def split(axis, at):
+        upper, lower = lo.copy(), hi.copy()
+        upper[axis], lower[axis] = at, at
+        return W._box_integral(p, lo, lower, 24)[0] + W._box_integral(p, upper, hi, 24)[0]
+
+    assert split(1, 0.0) == pytest.approx(whole, rel=1e-12)  # halves at the origin
+    assert split(0, 0.5) == pytest.approx(whole, rel=1e-12)  # halves of the thin axis
+    # independent of the tiling: the slab [0, eps] x [-1/2, 1/2]^3 between the
+    # touching cube and this one holds K eps^(p+4) / (p+4) + O(eps), with
+    # K = integral over R^3 of (1 + |w|^2)^(p/2) = 2 pi B(3/2, -(p+3)/2)
+    touching = W._box_integral(p, np.array([0.0, -0.5, -0.5, -0.5]), hi - [1e-6, 0, 0, 0], 24)[0]
+    K = 2 * np.pi * gamma(1.5) * gamma(-(p + 3) / 2) / gamma(-p / 2)
+    assert (touching - whole) / (K * 1e-6 ** (p + 4) / (p + 4)) == pytest.approx(1.0, abs=1e-3)
