@@ -53,7 +53,6 @@ from .kernel import (
     KernelQuery,
     decay_fit,
     kernel_value,
-    kernel_value_bruteforce,
 )
 from .spectral import (
     FrequencyLattice,

@@ -5,14 +5,19 @@ The kernel is
     I_k(z, tau) = int_{R^n} e^{i z.xi + i tau |xi|} phi(2^{-k}|xi|)^2 dxi,
 
 supported on the dyadic annulus |xi| in (2^{k-1}, 2^{k+1}).  Radial reduction
-collapses it to a one-dimensional oscillatory integral:
+collapses it to a one-dimensional oscillatory integral over [a, b] =
+[2^{k-1}, 2^{k+1}]:
 
     n = 2:  2 pi  int e^{i tau r} J0(|z| r)        phi(2^{-k} r)^2 r   dr
     n = 3:  4 pi  int e^{i tau r} sin(|z|r)/(|z|r) phi(2^{-k} r)^2 r^2 dr
 
-evaluated by panelled Gauss quadrature with panel size capped at a quarter of
-the local oscillation wavelength, then panel-doubled until the step-halving
-change is below the requested relative accuracy.
+The factor phi(2^{-k} r)^2 vanishes to all orders at a and b, so by
+Euler-Maclaurin the trapezoid rule T_m with m panels converges faster than
+any power of 1/m, and it nests.  ``kernel_value`` starts at a step of a
+quarter of the fastest wavelength and halves it, T_2m = (T_m + M_m) / 2 with
+M_m the midpoint sum of the m panels, until a halving changes the value by
+less than the requested relative accuracy.  Every pass is a midpoint sum,
+summed in blocks of ``BLOCK_NODES`` nodes, so memory stays bounded.
 
 On the light cone |z| = |tau| one oscillation is stationary and |I_k| decays
 like distance^{-(n-1)/2}; off the cone (|z| >= 2|tau|) the decay is
@@ -21,6 +26,7 @@ superpolynomial.  ``decay_fit`` measures both slopes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +42,6 @@ __all__ = [
     "ON_CONE",
     "OFF_CONE",
     "kernel_value",
-    "kernel_value_bruteforce",
     "decay_fit",
 ]
 
@@ -59,27 +64,38 @@ class KernelQuery:
         if len(self.z) not in (1, self.n):
             # a 1-tuple is accepted as shorthand for |z| along the first axis
             raise DomainError(f"z must have length {self.n} (or 1), got {len(self.z)}")
+        # the band edges 2^(k-1), 2^(k+1), the cutoff scale 2^-k and the natural
+        # scale 2^(nk) must all be finite nonzero floats
+        lo, hi = np.finfo(float).minexp, np.finfo(float).maxexp
+        if not all(lo <= e < hi for e in (self.k - 1, self.k + 1, -self.k, self.n * self.k)):
+            raise DomainError(f"level k={self.k} puts 2^(k+-1), 2^-k or 2^(nk) out of float range")
 
     @property
     def z_abs(self) -> float:
-        return float(np.sqrt(sum(c * c for c in self.z)))
+        return math.hypot(*self.z)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# one node per panel, at its centre: every pass is the one-point Gauss
+# (midpoint) rule, and counters read len(_GL_X) as the nodes per panel
+_GL_X = np.zeros(1)
 
-# integrand nodes allowed in one panelled pass: about 0.9 GB of working
-# arrays (~110 bytes per node), nine times the largest pass a two-decade
-# decay fit at k = 3 and distance 1250 needs (~0.9M nodes)
+# nodes handed to the integrand at once (a few MB of working arrays), so the
+# memory of a pass does not grow with its node count
+BLOCK_NODES = 2**15
+
+# nodes of the finest trapezoid rule allowed: a cap on the time of one
+# evaluation, not on its memory; a decay fit at k = 8 out to distance 1000
+# needs 0.69M
 MAX_PASS_NODES = 2**23
 
 
 def _panelled_gauss(f, a: float, b: float, panels: int) -> complex:
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL_X[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_W, (panels, _GL_X.size)).ravel()
-    return complex(np.sum(f(nodes) * weights))
+    """Midpoint sum of f over ``panels`` equal panels of [a, b], in blocks of nodes."""
+    h = (b - a) / panels
+    total = 0j
+    for first in range(0, panels, BLOCK_NODES):
+        total += np.sum(f(a + h * (np.arange(first, min(first + BLOCK_NODES, panels)) + 0.5)))
+    return complex(h * total)
 
 
 def _radial_integrand(q: KernelQuery, cutoff: DyadicCutoff):
@@ -98,23 +114,28 @@ def kernel_value(
     cutoff: DyadicCutoff | None = None,
     max_doublings: int = 18,
 ) -> complex:
-    """Evaluate I_k by adaptive panelled quadrature on the annulus support.
+    """Evaluate I_k by the nested trapezoid rule on the band [a, b].
 
-    Converged when panel-doubling changes the value by less than ``rtol``
-    relatively (with an absolute floor at 1e-13 of the kernel's natural scale
-    I_k(0,0), below which the value is oscillatory cancellation noise).
+    The rule starts at a step of a quarter of the fastest wavelength,
+    m = max(8, ceil((b - a)(|z| + |tau|) / (pi/2))) panels of width h.  The
+    integrand vanishes at a and b, so T_m is the midpoint sum over
+    [a - h/2, b - h/2]: one pass, each node evaluated once.  Each doubling is
+    T_2m = (T_m + M_m) / 2, where M_m is the midpoint sum of the m panels of
+    [a, b], so it evaluates only the new nodes.  Converged when a doubling
+    changes the value by at most ``rtol`` relatively, with an absolute floor
+    at 1e-13 of the kernel's natural scale 2^{nk} ~ I_k(0,0), below which the
+    value is oscillatory cancellation noise.
 
     Raises
     ------
     AccuracyError
         If the doubling loop does not converge within ``max_doublings``, or
-        before a pass would exceed ``MAX_PASS_NODES``; carries the achieved
-        change (None if no doubling ran).
+        before the rule would exceed ``MAX_PASS_NODES`` nodes; carries the
+        achieved change (None if no doubling ran).
     DomainError
-        If ``rtol`` is negative: no doubling could meet it, and the last
-        ones would allocate 2^18 times the starting panels.  Also if the
-        first pass alone would exceed ``MAX_PASS_NODES`` (large k or
-        distance).
+        If ``rtol`` is negative (no doubling could meet it), or if the node
+        count of the first pass is not finite or exceeds ``MAX_PASS_NODES``
+        (large k or distance).
     """
     if not rtol >= 0:
         raise DomainError(f"rtol must be nonnegative, got {rtol}")
@@ -122,23 +143,23 @@ def kernel_value(
     a, b = 2.0 ** (q.k - 1), 2.0 ** (q.k + 1)
     f = _radial_integrand(q, cutoff)
     prefactor = 2 * np.pi if q.n == 2 else 4 * np.pi
-    # natural scale for the absolute floor: |I_k| <= I_k(0,0) ~ c_n 2^{nk}
     scale0 = 2.0 ** (q.n * q.k)
-    # panels no wider than a quarter wavelength of the fastest oscillation
     oscillation = abs(q.tau) + q.z_abs
-    panels = max(8, int(np.ceil((b - a) * oscillation / (np.pi / 4.0))))
-    if panels * _GL_X.size > MAX_PASS_NODES:
+    start = np.maximum(8.0, np.ceil((b - a) * oscillation / (np.pi / 2.0)))
+    if not start <= MAX_PASS_NODES:  # also refuses inf and nan
         raise DomainError(
             f"kernel quadrature at k={q.k}, |z| + |tau| = {oscillation:.3g} needs "
-            f"{panels * _GL_X.size:.3g} nodes per pass, over the budget of {MAX_PASS_NODES}"
+            f"{start:.3g} nodes per pass, over the budget of {MAX_PASS_NODES}"
         )
-    value = _panelled_gauss(f, a, b, panels)
+    panels = int(start)
+    h = (b - a) / panels
+    value = _panelled_gauss(f, a - h / 2, b - h / 2, panels)
     achieved = None
     for _ in range(max_doublings):
-        panels *= 2
-        if panels * _GL_X.size > MAX_PASS_NODES:
+        if 2 * panels > MAX_PASS_NODES:
             break
-        new = _panelled_gauss(f, a, b, panels)
+        new = 0.5 * (value + _panelled_gauss(f, a, b, panels))
+        panels *= 2
         change = abs(new - value)
         if change <= rtol * abs(new) + 1e-13 * scale0:
             return prefactor * new
@@ -150,37 +171,6 @@ def kernel_value(
         f"of at most {MAX_PASS_NODES} nodes per pass ({last})",
         achieved=achieved,
     )
-
-
-def kernel_value_bruteforce(
-    q: KernelQuery,
-    points_per_axis: int | None = None,
-    cutoff: DyadicCutoff | None = None,
-) -> complex:
-    """Dense tensor-midpoint quadrature over the annulus bounding box.
-
-    Test oracle for ``kernel_value``; guarded to k <= 2 because the cost grows
-    like (oscillation * 2^k)^n.  The integrand is smooth and compactly
-    supported, so the midpoint rule converges superalgebraically; the default
-    resolution targets ~1e-6 accuracy at moderate arguments.
-    """
-    cutoff = cutoff or default_cutoff()
-    if q.k > 2:
-        raise DomainError("brute-force kernel evaluation is cost-guarded to k <= 2")
-    half = 2.0 ** (q.k + 1)
-    oscillation = abs(q.tau) + q.z_abs
-    if points_per_axis is None:
-        points_per_axis = int(max(128, min(1024, 16 * half * max(oscillation, 1.0))))
-    m = points_per_axis
-    h = 2 * half / m
-    ax = -half + h * (np.arange(m) + 0.5)
-    z = np.zeros(q.n)
-    z[: len(q.z)] = q.z
-    grids = np.meshgrid(*([ax] * q.n), indexing="ij")
-    rad = np.sqrt(sum(g**2 for g in grids))
-    phase = sum(z[i] * grids[i] for i in range(q.n)) + q.tau * rad
-    amp = cutoff(2.0**-q.k * rad) ** 2
-    return complex(np.sum(np.exp(1j * phase) * amp) * h**q.n)
 
 
 @dataclass(frozen=True)

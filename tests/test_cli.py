@@ -172,6 +172,11 @@ class TestExitCodes:
         ["kernel-decay", "--rtol=-1"],
         ["evolve", "--width=-1"],
         ["scan-ratio", "--alpha", "1.5", "--s", "0.25", "--config", "{tmp}/tolerance.cfg"],
+        ["kernel-decay", "--k", "2000"],
+        ["kernel-decay", "--k=-1100"],
+        ["kernel-decay", "--dmin", "1e306", "--dmax", "1e308"],
+        ["kernel-decay", "--regime", "offcone", "--tau", "1e300", "--dmin", "1e301",
+         "--dmax", "1e303"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option

@@ -1,10 +1,12 @@
-"""Oscillatory-kernel quadrature: symmetries, scaling, brute-force oracle, decay fits,
-and the per-pass node budget."""
+"""Oscillatory-kernel quadrature: symmetries, scaling, brute-force and scipy oracles,
+decay fits, and the node budget and block size of the trapezoid rule."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from morawetz_lab import (
@@ -17,9 +19,10 @@ from morawetz_lab import (
     decay_fit,
     kernel,
     kernel_value,
-    kernel_value_bruteforce,
 )
 from morawetz_lab.cutoff import default_cutoff
+
+from kernel_oracle import kernel_value_bruteforce
 
 
 class TestKernelValue:
@@ -91,6 +94,20 @@ class TestKernelValue:
         with pytest.raises(DomainError, match="cost"):
             kernel_value_bruteforce(KernelQuery(z=(1.0,), tau=0.0, k=3, n=2))
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(-1, 2), st.floats(0.0, 8.0),
+           st.floats(-8.0, 8.0))
+    def test_against_scipy_quad(self, n, k, za, tau):
+        q = KernelQuery(z=(za,), tau=tau, k=k, n=n)
+        f = kernel._radial_integrand(q, default_cutoff())
+        a, b = 2.0 ** (k - 1), 2.0 ** (k + 1)
+        re, im = (quad(lambda r: part(f(r)), a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+                  for part in (np.real, np.imag))
+        prefactor = 2 * np.pi if n == 2 else 4 * np.pi
+        ref = prefactor * complex(re, im)
+        floor = prefactor * 1e-13 * 2.0 ** (n * k)  # kernel_value's absolute floor
+        assert abs(kernel_value(q) - ref) <= 1e-8 * abs(ref) + floor
+
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
             KernelQuery(z=(1.0,), tau=0.0, k=0, n=4)
@@ -157,6 +174,12 @@ class TestPassBudget:
             kernel_value(KernelQuery(z=(10.0,), tau=10.0, k=40, n=2))
         assert pass_nodes == []
 
+    @pytest.mark.parametrize("z,tau", [((np.inf,), 0.0), ((1.0,), np.nan)])
+    def test_non_finite_first_pass_is_a_domain_error(self, pass_nodes, z, tau):
+        with pytest.raises(DomainError, match="budget"):
+            kernel_value(KernelQuery(z=z, tau=tau, k=0, n=2))
+        assert pass_nodes == []
+
     def test_doubling_over_budget_is_an_accuracy_error(self, pass_nodes, monkeypatch):
         q = KernelQuery(z=(10.0,), tau=10.0, k=0, n=2)
         kernel_value(q)
@@ -168,6 +191,37 @@ class TestPassBudget:
             kernel_value(q)
         assert exc.value.achieved is None  # no doubling fit in the budget
         assert pass_nodes == [first]
+
+    def test_far_on_cone_query_is_cheap(self, pass_nodes):
+        c = 1250.0 / np.sqrt(2.0)
+        kernel_value(KernelQuery(z=(c,), tau=c, k=3, n=2))
+        assert sum(pass_nodes) < 40_000
+
+    def test_no_integrand_call_exceeds_a_block(self, monkeypatch):
+        sizes = []
+        make = kernel._radial_integrand
+
+        def recording(q, cutoff):
+            f = make(q, cutoff)
+
+            def g(r):
+                sizes.append(r.size)
+                return f(r)
+
+            return g
+
+        monkeypatch.setattr(kernel, "_radial_integrand", recording)
+        c = 1000.0 / np.sqrt(2.0)  # the far end of a default kernel-decay at k = 8
+        kernel_value(KernelQuery(z=(c,), tau=c, k=8, n=2))
+        assert max(sizes) <= kernel.BLOCK_NODES < sum(sizes)
+
+    def test_kernel_decay_at_k8_exits_0(self, tmp_path):
+        from morawetz_lab.cli import main
+
+        out = tmp_path / "k8"
+        assert main(["kernel-decay", "--k", "8", "--out", str(out)]) == 0
+        slope = json.loads((out / "manifest.json").read_text())["summary"]["slope"]
+        assert slope == pytest.approx(-0.5, abs=0.15)
 
     def test_cli_exits_2_and_3_without_traceback(self, pass_nodes, monkeypatch, tmp_path,
                                                 capsys):
