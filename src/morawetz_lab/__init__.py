@@ -59,7 +59,6 @@ from .spectral import (
     GridSpec,
     SpectralVectorField,
     VectorField,
-    apply_multiplier,
     forward_transform,
     frequency_lattice,
     inverse_transform,

@@ -50,16 +50,19 @@ def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
     raise ShapeError(f"field shape {arr.shape} does not match grid {grid.shape}")
 
 
-def _density(field, grid: GridSpec) -> np.ndarray:
-    """Per-point |u|^2 of one time sample, summed over components as re^2 + im^2."""
-    values, _ = _field_values(field, grid)
-    dens = values.real**2
-    dens += values.imag**2
-    return dens.sum(axis=0) if len(dens) > 1 else dens[0]
-
-
 def _time_pass(u_sampler, grid: GridSpec):
-    """Yield (node index, t, trapezoid weight, |u(t)|^2) along one ascending pass.
+    """Yield (node index, t, weight, squares) along one ascending pass.
+
+    ``squares`` is a (components, N^n, 2) float array holding re^2 and im^2
+    of u(t) in FFT storage order: grid index m sits at x = dx * m (m taken
+    mod N into [-N/2, N/2)), so the origin is index 0.  A sampler with a
+    ``spectrum`` (``elastic.WaveSampler``, ``ElasticPropagator``) is
+    transformed by one unshifted, unscaled ``ifftn`` into a buffer that the
+    pass reuses at every node and squares in place; that transform is
+    u * dx^n, so the constant dx^{-2n} is folded into the node's weight.  A
+    plain callable's physical-order samples are reordered by one
+    ``ifftshift`` instead.  ``squares`` is overwritten at the next node;
+    reduce it with ``_weighted_sum``.
 
     The sampler is called once per node, in ascending order, at every node,
     or only at the nodes with t >= 0 when it declares ``time_even``: the
@@ -72,8 +75,26 @@ def _time_pass(u_sampler, grid: GridSpec):
         first = len(nodes) // 2
         weights = weights.copy()
         weights[len(nodes) - first:] += weights[:first][::-1]
+    spectrum = getattr(u_sampler, "spectrum", None)
+    axes = tuple(range(-grid.dim, 0))
+    buf = None
     for i in range(first, len(nodes)):
-        yield i, nodes[i], weights[i], _density(u_sampler(nodes[i]), grid)
+        # no sample outlives this statement, so the pass holds one field: buf
+        if spectrum is None:
+            buf = np.fft.ifftshift(_field_values(u_sampler(nodes[i]), grid)[0], axes=axes)
+            scale = 1.0
+        else:
+            buf = np.fft.ifftn(spectrum(nodes[i]), axes=axes, out=buf)
+            scale = grid.dx ** (-2 * grid.dim)
+        squares = buf.view(np.float64).reshape(-1, grid.mode_count, 2)
+        np.square(squares, out=squares)
+        yield i, nodes[i], weights[i] * scale, squares
+
+
+def _weighted_sum(w: np.ndarray, squares: np.ndarray) -> float:
+    """sum_x w(x) |u(x)|^2 over the components, ``w`` flat in FFT storage order:
+    two strided dots per component."""
+    return float(sum(w @ sq[:, 0] + w @ sq[:, 1] for sq in squares))
 
 
 @functools.lru_cache(maxsize=128)
@@ -162,10 +183,12 @@ def lp_level_range(grid: GridSpec, cutoff: DyadicCutoff | None = None) -> range:
 def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     """max over dyadic R of (1/R) int_{|x|<R} int_{-T}^{T} |u|^2 dt dx.
 
-    ``u_sampler`` maps t to a VectorField or raw samples; it is called once
-    per time node in ascending order, over all nodes, or over the nodes with
-    t >= 0 if it is ``time_even`` (see ``elastic.WaveSampler``).  R runs over
-    powers of two that fit in the box, down to a few grid cells.
+    ``u_sampler`` maps t to a VectorField or raw samples, or has a
+    ``spectrum`` (see ``_time_pass``); it is called once per time node in
+    ascending order, over all nodes, or over the nodes with t >= 0 if it is
+    ``time_even`` (see ``elastic.WaveSampler``).  R runs over powers of two
+    that fit in the box, down to a few grid cells; the ball masks are built
+    in FFT storage order, like the samples.
     """
     if radii is None:
         m_lo = int(np.ceil(np.log2(2 * grid.dx)))
@@ -174,10 +197,10 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
             raise DomainError("box too small to hold any dyadic ball")
         radii = [2.0**m for m in range(m_lo, m_hi + 1)]
 
-    xnorm = grid.x_norm()
-    masks = [xnorm < R for R in radii]
+    xnorm = np.sqrt(grid.x_sq_fft()).ravel()
+    masks = [(xnorm < R).astype(np.float64) for R in radii]
     totals = np.zeros(len(radii))
-    for _, _, tw, dens in _time_pass(u_sampler, grid):
+    for _, _, tw, squares in _time_pass(u_sampler, grid):
         for j, mask in enumerate(masks):
-            totals[j] += tw * grid.dx**grid.dim * float(dens[mask].sum())
+            totals[j] += tw * grid.dx**grid.dim * _weighted_sum(mask, squares)
     return float(np.max(totals / np.asarray(radii)))

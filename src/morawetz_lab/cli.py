@@ -296,7 +296,7 @@ def _run_kernel_decay(cfg: RunConfig) -> dict:
         dat.append(f"{_fmt(float(np.log10(d)))} {_fmt(float(np.log10(max(v, 1e-300))))}")
     (cfg.out_dir / "kernel-decay.dat").write_text("\n".join(dat) + "\n")
     return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-            "sample_decades": fit.sample_range}
+            "sample_decades": fit.sample_range, "below_floor": fit.below_floor}
 
 
 def _run_a2_scan(cfg: RunConfig) -> dict:

@@ -265,8 +265,10 @@ class ElasticPropagator:
 
     Per Helmholtz part with speed c, ``cos(tc|xi|) f + sin(tc|xi|)/(c|xi|) g``
     is ``E A + conj(E) B`` with ``A, B = (f +- g/(i c|xi|))/2``.  Called as a
-    sampler, the propagator gives the displacement; with zero velocity g it
-    is even in t (``A == B``, no drift), which it states as ``time_even``.
+    sampler, the propagator gives the displacement, and its ``spectrum``
+    gives the displacement's coefficients to the time accumulators; with zero
+    velocity g it is even in t (``A == B``, no drift), which it states as
+    ``time_even``.
     """
 
     def __init__(self, state: ElasticState, params: LameParams):
@@ -287,6 +289,10 @@ class ElasticPropagator:
 
     def __call__(self, t: float) -> VectorField:
         return self.displacement(t)
+
+    def spectrum(self, t: float) -> np.ndarray:
+        """The displacement's coefficients uhat(t), in FFT storage order."""
+        return self._sampler.spectrum(t)
 
     def displacement(self, t: float) -> VectorField:
         return VectorField(self.grid, inverse_values(self._sampler.spectrum(t), self.grid))

@@ -83,6 +83,10 @@ _GL_X = np.zeros(1)
 # memory of a pass does not grow with its node count
 BLOCK_NODES = 2**15
 
+# absolute floor of the stop rule, relative to the natural scale 2^{nk}: a
+# value below it is oscillatory cancellation noise
+ABS_FLOOR = 1e-13
+
 # nodes of the finest trapezoid rule allowed: a cap on the time of one
 # evaluation, not on its memory; a decay fit at k = 8 out to distance 1000
 # needs 0.69M
@@ -123,8 +127,8 @@ def kernel_value(
     T_2m = (T_m + M_m) / 2, where M_m is the midpoint sum of the m panels of
     [a, b], so it evaluates only the new nodes.  Converged when a doubling
     changes the value by at most ``rtol`` relatively, with an absolute floor
-    at 1e-13 of the kernel's natural scale 2^{nk} ~ I_k(0,0), below which the
-    value is oscillatory cancellation noise.
+    at ``ABS_FLOOR`` (1e-13) of the kernel's natural scale 2^{nk} ~ I_k(0,0),
+    below which the value is oscillatory cancellation noise.
 
     Raises
     ------
@@ -161,7 +165,7 @@ def kernel_value(
         new = 0.5 * (value + _panelled_gauss(f, a, b, panels))
         panels *= 2
         change = abs(new - value)
-        if change <= rtol * abs(new) + 1e-13 * scale0:
+        if change <= rtol * abs(new) + ABS_FLOOR * scale0:
             return prefactor * new
         value = new
         achieved = change / max(abs(new), 1e-300)
@@ -175,7 +179,11 @@ def kernel_value(
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Least-squares fit of log10 |I_k| against log10 distance."""
+    """Least-squares fit of log10 |I_k| against log10 distance.
+
+    ``below_floor`` counts the samples under the quadrature's absolute floor
+    ``ABS_FLOOR * 2^{nk}``: they are cancellation noise, yet still fitted.
+    """
 
     regime: str
     slope: float
@@ -184,6 +192,7 @@ class DecayFit:
     sample_range: float  # decades spanned by the distances
     distances: tuple[float, ...]
     values: tuple[float, ...]
+    below_floor: int
 
 
 def decay_fit(
@@ -235,4 +244,5 @@ def decay_fit(
         sample_range=decades,
         distances=tuple(float(x) for x in d),
         values=tuple(float(v) for v in values),
+        below_floor=int(np.sum(np.asarray(values) < ABS_FLOOR * 2.0 ** (n * k))),
     )

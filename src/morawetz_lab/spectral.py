@@ -33,7 +33,6 @@ __all__ = [
     "SpectralVectorField",
     "forward_transform",
     "inverse_transform",
-    "apply_multiplier",
     "frequency_lattice",
 ]
 
@@ -129,6 +128,15 @@ class GridSpec:
 
     def x_norm(self) -> np.ndarray:
         return self._memo("x_norm", lambda: np.sqrt(sum(x**2 for x in self.x_grids())))
+
+    def x_sq_fft(self) -> np.ndarray:
+        """|x|^2 in FFT storage order: index m sits at x = dx * m (m taken mod N
+        into [-N/2, N/2)), so the origin is index 0."""
+        def build():
+            x2 = (self.dx * self.mode_axis) ** 2
+            return sum(np.meshgrid(*([x2] * self.dim), indexing="ij", sparse=True))
+
+        return self._memo("x_sq_fft", build)
 
     def xi_grids(self) -> tuple[np.ndarray, ...]:
         def build():
@@ -252,25 +260,3 @@ def forward_transform(f: VectorField) -> SpectralVectorField:
 def inverse_transform(F: SpectralVectorField) -> VectorField:
     return VectorField(F.grid, inverse_values(F.coeffs, F.grid))
 
-
-def apply_multiplier(
-    F: SpectralVectorField,
-    m: Callable[[np.ndarray], np.ndarray],
-) -> SpectralVectorField:
-    """Apply a matrix-valued Fourier multiplier mode by mode.
-
-    ``m`` maps a frequency vector xi (length n) to an n-by-n complex matrix;
-    it must be defined at xi = 0 as well (the caller owns the zero-mode
-    convention).  Linear in ``F`` by construction.
-    """
-    grid = F.grid
-    n = grid.dim
-    lattice = frequency_lattice(grid)
-    flat = F.coeffs.reshape(n, -1)
-    out = np.empty_like(flat)
-    for i, xi in enumerate(lattice.xi):
-        mat = np.asarray(m(xi), dtype=np.complex128)
-        if mat.shape != (n, n):
-            raise ShapeError(f"multiplier returned shape {mat.shape}, expected {(n, n)}")
-        out[:, i] = mat @ flat[:, i]
-    return SpectralVectorField(grid, out.reshape(F.coeffs.shape))

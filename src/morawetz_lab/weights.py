@@ -32,6 +32,14 @@ one broadcast: the face panels of ``_box_integral`` or one row of cells
 around the singularity.  The weights are even in every axis, so the averaged
 patch around the singularity is integrated over the nonnegative orthant only
 and mirrored.
+
+Storage order: the lattice weights are built in FFT storage order, the order
+of ``analysis._time_pass``'s samples, in which grid index m sits at
+x = dx * m (m taken mod N into [-N/2, N/2)) and the origin is index 0; the
+averaged cells around it are the wrapped indices ``arange(-r, r + 1) % N``.
+The time pass hands over squared moduli of the raw inverse FFT, u * dx^n,
+and folds the constant dx^{-2n} into its node weights, so the norms here
+need no per-node rescaling or shift.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _time_pass
+from .analysis import _time_pass, _weighted_sum
 from .errors import DomainError
 from .spectral import GridSpec
 
@@ -264,20 +272,28 @@ def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[in
 # -- effective lattice weights ------------------------------------------------
 
 
+def _ring_index(ring: int, grid: GridSpec):
+    """Index of the cells within ``ring`` of x = 0 on every axis, in FFT storage
+    order; it matches the axes of an ``_origin_patch``."""
+    wrapped = np.arange(-ring, ring + 1) % grid.points_per_axis
+    return np.ix_(*([wrapped] * grid.dim))
+
+
 @functools.lru_cache(maxsize=32)
 def _spatial_weight_array(grid: GridSpec, weight: WeightSpec, quad: QuadratureConfig):
     """Pointwise weights with cell averages near x = 0 and the refined origin cell.
 
-    Returns (array, cell_info) where cell_info records the origin-cell value
-    and whether it was depth-capped.  The array is shared and read-only.
+    Returns (array, cell_info) where the array is in FFT storage order (see
+    the module docstring) and cell_info records the origin-cell value and
+    whether it was depth-capped.  The array is shared and read-only.
     """
     n = grid.dim
-    xnorm = grid.x_norm()
+    xnorm = np.sqrt(grid.x_sq_fft())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = np.where(xnorm > 0, weight.radial()(np.where(xnorm > 0, xnorm, 1.0)), 0.0)
     ring = _ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
     patch, info = _origin_patch(weight, [grid.dx] * n, [ring] * n, quad)
-    w[tuple(slice(c - ring, c + ring + 1) for c in grid.zero_index)] = patch
+    w[_ring_index(ring, grid)] = patch
     w.setflags(write=False)
     return w, info
 
@@ -311,15 +327,14 @@ def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) 
         _spatial_weight_array(grid, weight, quad)
 
 
-def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float) -> np.ndarray:
-    """|(x,t)|^-alpha from the squared radius, with 0 at the space-time origin."""
-    w = grid.x_norm() ** 2
-    w += t * t
+def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with |(x,t)|^-alpha in FFT storage order, 0 at the space-time origin."""
+    np.add(grid.x_sq_fft(), t * t, out=out)
     with np.errstate(divide="ignore"):
-        np.power(w, -0.5 * alpha, out=w)
+        np.power(out, -0.5 * alpha, out=out)
     if t == 0:
-        w[grid.zero_index] = 0.0
-    return w
+        out[(0,) * grid.dim] = 0.0
+    return out
 
 
 def weighted_spacetime_norm(
@@ -333,39 +348,41 @@ def weighted_spacetime_norm(
     Computes ``( int_{-T}^{T} dx^n sum_x w(x,t) |u(x,t)|^2 dt )^{1/2}`` with
     the trapezoid rule in t and the singular-cell treatment described in the
     module docstring.  |u|^2 is the squared Euclidean length of the component
-    vector.  ``u_sampler`` maps t to a VectorField or raw samples; it is
-    called once per time node in ascending order, over all nodes, or over the
-    nodes with t >= 0 if it is ``time_even`` (see ``elastic.WaveSampler``):
-    every weight here is even in t, so each such node then also stands for
-    its mirror node.
+    vector.  ``u_sampler`` maps t to a VectorField or raw samples, or has a
+    ``spectrum`` (see ``analysis._time_pass``); it is called once per time
+    node in ascending order, over all nodes, or over the nodes with t >= 0 if
+    it is ``time_even`` (see ``elastic.WaveSampler``): every weight here is
+    even in t, so each such node then also stands for its mirror node.  The
+    sums run in FFT storage order against one weight array, which the
+    space-time weight refills in place at every node.
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
-    n = grid.dim
-    tnodes = grid.time_nodes()
-    measure = grid.dx**n
+    measure = grid.dx**grid.dim
 
     if weight.kind == SPATIAL_POWER:
         w = _spatial_weight_array(grid, weight, quad)[0].ravel()
         total = 0.0
-        for _, _, tw, dens in _time_pass(u_sampler, grid):
-            total += tw * measure * float(w @ dens.ravel())
+        for _, _, tw, squares in _time_pass(u_sampler, grid):
+            total += tw * measure * _weighted_sum(w, squares)
         return float(np.sqrt(total))
 
     # spacetime power: pointwise except near the (0,0) cell
     patch, _ = _spacetime_ring_patch(grid, weight, quad)
     ring_t, ring = patch.shape[0] // 2, patch.shape[1] // 2
-    cells = tuple(slice(c - ring, c + ring + 1) for c in grid.zero_index)
+    cells = _ring_index(ring, grid)
+    tnodes = grid.time_nodes()
     dt = tnodes[1] - tnodes[0]
     i0 = int(np.argmin(np.abs(tnodes)))
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
+    w = np.empty(grid.shape)
     total = 0.0
-    for i, t, tw, dens in _time_pass(u_sampler, grid):
-        w = _spacetime_pointwise(grid, weight.alpha, t)
+    for i, t, tw, squares in _time_pass(u_sampler, grid):
+        _spacetime_pointwise(grid, weight.alpha, t, w)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
             w[cells] = patch[ring_t + dti]
-        total += tw * measure * float(w.ravel() @ dens.ravel())
+        total += tw * measure * _weighted_sum(w.ravel(), squares)
     return float(np.sqrt(total))
 
 

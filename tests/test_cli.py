@@ -95,6 +95,7 @@ class TestOtherCommands:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["slope"] == pytest.approx(-1.0, abs=0.15)
+        assert manifest["summary"]["below_floor"] == 0
         assert (out / "kernel-decay.dat").read_text().startswith("# log10")
 
     def test_a2_scan(self, tmp_path):

@@ -128,27 +128,28 @@ class TestComputeRatio:
 
     def test_scan_ratio_3d_folds_its_time_pass(self, monkeypatch):
         # the key 3-d scan: real Gaussian data is time-even, so the norm loop
-        # samples (and inverse-transforms) 27 of the 53 time nodes per lambda
+        # takes the spectrum of (and inverse-transforms) 27 of the 53 time
+        # nodes per lambda; every inverse FFT of the run is the time pass's
         from morawetz_lab import elastic
 
         grid = GridSpec(3, 64, 16.0, 53, 6.5)
-        calls = {"sampler": 0, "inverse": 0}
-        sample, inverse = elastic.WaveSampler.__call__, elastic.inverse_values
+        calls = {"spectrum": 0, "ifftn": 0}
+        spectrum, ifftn = elastic.WaveSampler.spectrum, np.fft.ifftn
 
-        def counted_sample(self, t):
-            calls["sampler"] += 1
-            return sample(self, t)
+        def counted_spectrum(self, t):
+            calls["spectrum"] += 1
+            return spectrum(self, t)
 
-        def counted_inverse(coeffs, g):
-            calls["inverse"] += 1
-            return inverse(coeffs, g)
+        def counted_ifftn(*args, **kwargs):
+            calls["ifftn"] += 1
+            return ifftn(*args, **kwargs)
 
-        monkeypatch.setattr(elastic.WaveSampler, "__call__", counted_sample)
-        monkeypatch.setattr(elastic, "inverse_values", counted_inverse)
+        monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
+        monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
         member = DataFamily(kind="gaussian", width=0.9).member(grid, lam=2.0)
         q = RegionQuery(2.0, 0.5, 3, SPACETIME_POWER)
         rec = compute_ratio(member, q, 1.0, grid, lam=2.0)
-        assert calls == {"sampler": 27, "inverse": 27}
+        assert calls == {"spectrum": 27, "ifftn": 27}
         assert rec.numerator > 0
 
     def test_translation_invariance_unweighted(self):

@@ -121,11 +121,17 @@ class TestDecayFit:
         assert fit.slope == pytest.approx(-(n - 1) / 2.0, abs=0.15)
         assert fit.r2 > 0.99
         assert fit.sample_range >= 2.0
+        assert fit.below_floor == 0
 
     def test_off_cone_superpolynomial(self):
         distances = np.logspace(1, 3, 13)
         fit = decay_fit(OFF_CONE, 0, 2, distances, tau=0.0)
         assert fit.slope <= -4.0
+        # at distance 1000 |I_0| ~ 9e-15 lies under the floor 1e-13 * 2^(nk):
+        # cancellation noise, flagged but still fitted
+        assert fit.values[-1] < kernel.ABS_FLOOR <= min(fit.values[:-1])
+        assert fit.below_floor == 1
+        assert len(fit.values) == len(distances)
 
     def test_off_cone_with_fixed_tau(self):
         distances = np.logspace(1, 3, 9)

@@ -19,6 +19,8 @@ from morawetz_lab.weights import (
     weighted_spacetime_norm,
 )
 
+from spectral_oracle import local_smoothing_oracle, weighted_norm_oracle
+
 REL = 1e-12
 
 
@@ -227,3 +229,46 @@ def test_elastic_fold_matches_full_pass(kind, dim, data, u, ratio, mu, at_rest, 
         )
 
     _fold_cases(kind, u, grid, make, at_rest)
+
+
+@pytest.mark.parametrize("kind", ACCUMULATORS)
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=8, deadline=None)
+@given(edge=st.booleans(), odd=st.booleans(), u=st.floats(0.05, 1.0), c=st.floats(0.5, 2.0),
+       even=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, even, seed):
+    # edge: the ring patch is clipped to its limits, N/4 cells per axis (its
+    # wrapped FFT-order indices then cover half the grid) and, at odd M, every
+    # time node; otherwise it stays inside both limits
+    M = (5 if edge else 17) + (0 if odd else 1)
+    grid = GridSpec(dim, 8 if edge else 32, 8.0, M, 2.0)
+    rng = np.random.default_rng(seed)
+    f = _white(rng, grid.shape)
+    state = _elastic_state(grid, rng)
+    if even:
+        f = f.real.astype(np.complex128)
+        state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
+    samplers = (lambda: halfwave_sampler(f, grid, c),
+                lambda: ElasticPropagator(state, _lame(1.0, c)))
+    radii = [4.0, 8.0] if edge else [1.0, 2.0, 4.0, 8.0]
+    if kind == "local_smoothing":
+        def accumulate(v):
+            return local_smoothing_functional(v, grid, radii)
+
+        def oracle(v):
+            return local_smoothing_oracle(v, grid, radii)
+    else:
+        weight = WeightSpec(kind, u * (grid.dim if kind == SPATIAL_POWER else grid.dim + 1))
+
+        def accumulate(v):
+            return weighted_spacetime_norm(v, weight, grid)
+
+        def oracle(v):
+            return weighted_norm_oracle(v, weight, grid)
+
+    for make in samplers:
+        want = oracle(make())
+        sampler = make()
+        assert sampler.time_even is even
+        for got in (accumulate(sampler), accumulate(lambda t, s=make(): s(t))):
+            assert abs(got - want) <= 1e-13 * want, (got, want)

@@ -9,7 +9,6 @@ from morawetz_lab import (
     ShapeError,
     SpectralVectorField,
     VectorField,
-    apply_multiplier,
     forward_transform,
     frequency_lattice,
     inverse_transform,
@@ -17,6 +16,7 @@ from morawetz_lab import (
 from morawetz_lab.elastic import projection_matrices
 
 from conftest import random_vector_field
+from spectral_oracle import apply_multiplier
 
 
 def brute_force_forward(f: VectorField) -> np.ndarray:
