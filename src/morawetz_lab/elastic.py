@@ -144,11 +144,6 @@ def helmholtz_split(f: VectorField) -> tuple[VectorField, VectorField]:
     )
 
 
-def _owned(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if writeable, else a writeable copy of a lent view."""
-    return a if a.flags.writeable else a.copy()
-
-
 class WaveSampler:
     """The one time sampler of the half-wave and elastic flows.
 
@@ -181,61 +176,72 @@ class WaveSampler:
         self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
+        self.shape = np.broadcast_shapes(*(A.shape for _, A, _ in self._terms))
 
-    def _parts(self, t: float):
-        """Yield (c_k, E_k A_k, conj(E_k) B_k or None) at t."""
-        if t != self._t:
-            nodes, i = self._nodes, self._index
-            if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
-                if self._steps is None:
-                    dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
-                    self._steps = [np.exp(1j * dt * c * self._xin) for c, _, _ in self._terms]
-                for state, step in zip(self._state, self._steps):
-                    state *= step
-                self._index = i + 1
-            else:
-                self._state = []
-                for c, A, B in self._terms:
-                    E = np.exp(1j * t * c * self._xin)
-                    self._state.append(E * A if B is None else E)
-                j = int(np.searchsorted(nodes, t))
-                self._index = j if j < len(nodes) and nodes[j] == t else None
-            self._t = t
-        for (c, A, B), state in zip(self._terms, self._state):
-            if B is None:
-                view = state.view()
-                view.setflags(write=False)
-                yield c, view, None
-            else:
-                yield c, state * A, state.conj() * B
+    def _advance(self, t: float) -> None:
+        """Bring the state to t: one step of the recurrence, or ``exp`` directly."""
+        if t == self._t:
+            return
+        nodes, i = self._nodes, self._index
+        if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
+            if self._steps is None:
+                dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
+                self._steps = [np.exp(1j * dt * c * self._xin) for c, _, _ in self._terms]
+            for state, step in zip(self._state, self._steps):
+                state *= step
+            self._index = i + 1
+        else:
+            self._state = []
+            for c, A, B in self._terms:
+                E = np.exp(1j * t * c * self._xin)
+                self._state.append(E * A if B is None else E)
+            j = int(np.searchsorted(nodes, t))
+            self._index = j if j < len(nodes) and nodes[j] == t else None
+        self._t = t
 
-    def spectrum(self, t: float) -> np.ndarray:
-        """uhat(t), in FFT storage order.
+    def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """uhat(t), in FFT storage order, of shape ``self.shape``.
 
-        A lone one-way term comes back as a read-only view of the state, valid
-        until the next call, so the half-wave flow allocates nothing per node
-        here; otherwise the parts are summed in place as they are formed.
+        With ``out`` the parts are written straight into it under
+        ``same_kind`` casting: a one-way term is copied, a two-way term
+        multiplied in, and the rest added in place.  This is how the time
+        pass (``analysis._time_pass``) fills its ``complex64`` transform
+        buffer: the phases stay ``complex128``, each part is rounded once to
+        single precision, and the pass reduces in ``float64``, so its norms
+        carry about 1e-7 relative rounding.  Without ``out``, a lone one-way
+        term comes back as a read-only view of the state, valid until the
+        next call, and anything else in a new ``complex128`` array.
         """
-        out = None
-        for _, a, b in self._parts(t):
-            for part in (a, b):
-                if part is None:
-                    continue
-                if out is None:
-                    out = part
+        self._advance(t)
+        if out is None:
+            if self._drift is None and len(self._terms) == 1 and self._terms[0][2] is None:
+                view = self._state[0].view()
+                view.setflags(write=False)
+                return view
+            out = np.empty(self.shape, np.complex128)
+        for k, ((_, A, B), state) in enumerate(zip(self._terms, self._state)):
+            if B is None:
+                if k == 0:
+                    np.copyto(out, state, casting="same_kind")
                 else:
-                    out = _owned(out)
-                    out += part
+                    out += state
+                continue
+            if k == 0:
+                np.multiply(state, A, out=out, casting="same_kind")
+            else:
+                out += state * A
+            out += state.conj() * B
         if self._drift is not None:
-            out = _owned(out)
             out[self._zero] += t * self._drift
         return out
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier."""
+        self._advance(t)
         out = 0.0
-        for c, a, b in self._parts(t):
-            out = out + 1j * c * self._xin * (a if b is None else a - b)
+        for (c, A, B), state in zip(self._terms, self._state):
+            part = state if B is None else state * A - state.conj() * B
+            out = out + 1j * c * self._xin * part
         if self._drift is not None:
             out[self._zero] += self._drift
         return out
@@ -286,13 +292,15 @@ class ElasticPropagator:
             terms.append((c, 0.5 * (f_k + g_k), 0.5 * (f_k - g_k)))
         self.time_even = not np.any(state.g.values)
         self._sampler = WaveSampler(grid, terms, drift, time_even=self.time_even)
+        self.shape = self._sampler.shape
 
     def __call__(self, t: float) -> VectorField:
         return self.displacement(t)
 
-    def spectrum(self, t: float) -> np.ndarray:
-        """The displacement's coefficients uhat(t), in FFT storage order."""
-        return self._sampler.spectrum(t)
+    def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The displacement's coefficients uhat(t), in FFT storage order; see
+        ``WaveSampler.spectrum`` for ``out``."""
+        return self._sampler.spectrum(t, out)
 
     def displacement(self, t: float) -> VectorField:
         return VectorField(self.grid, inverse_values(self._sampler.spectrum(t), self.grid))

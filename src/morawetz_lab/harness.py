@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import hs_norm, lp_project
 from .elastic import ElasticPropagator, ElasticState, LameParams, halfwave_sampler
-from .errors import ConfigurationError, DomainError
+from .errors import AccuracyError, ConfigurationError, DomainError
 from .spectral import GridSpec, VectorField, forward_values, inverse_values
 from .weights import (
     SPACETIME_POWER,
@@ -241,6 +241,12 @@ def compute_ratio(
     ``propagation`` is a wave speed (scalar half-wave mode) or LameParams
     (elastic mode).  Scalar mode evolves f by the half-wave propagator and
     rejects members with velocity data; elastic mode evolves the full state.
+
+    Raises
+    ------
+    AccuracyError
+        If the numerator, the denominator or the ratio is not finite: the
+        time pass transforms in ``complex64``, which overflows near 3.4e38.
     """
     quad = quad or QuadratureConfig()
     weight = WeightSpec(kind=query.weight_kind, alpha=query.alpha)
@@ -273,13 +279,19 @@ def compute_ratio(
         raise ConfigurationError("zero initial data: the ratio is undefined")
 
     numerator = weighted_spacetime_norm(sampler, weight, grid, quad)
+    ratio = numerator / denominator
+    if not all(map(math.isfinite, (numerator, denominator, ratio))):
+        raise AccuracyError(
+            f"member {member.member_id!r}: result not finite (numerator {numerator}, "
+            f"denominator {denominator}); the data overflow the float range"
+        )
     return RatioRecord(
         query=query,
         member_id=member.member_id,
         lam=lam,
         numerator=numerator,
         denominator=denominator,
-        ratio=numerator / denominator,
+        ratio=ratio,
         margin=margin,
         grid=grid,
         refinement=quad.singular_cell_refinement,

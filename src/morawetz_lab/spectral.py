@@ -129,14 +129,26 @@ class GridSpec:
     def x_norm(self) -> np.ndarray:
         return self._memo("x_norm", lambda: np.sqrt(sum(x**2 for x in self.x_grids())))
 
+    def _x_sq(self) -> np.ndarray:
+        x2 = (self.dx * self.mode_axis) ** 2
+        return sum(np.meshgrid(*([x2] * self.dim), indexing="ij", sparse=True))
+
     def x_sq_fft(self) -> np.ndarray:
         """|x|^2 in FFT storage order: index m sits at x = dx * m (m taken mod N
         into [-N/2, N/2)), so the origin is index 0."""
-        def build():
-            x2 = (self.dx * self.mode_axis) ** 2
-            return sum(np.meshgrid(*([x2] * self.dim), indexing="ij", sparse=True))
+        return self._memo("x_sq_fft", self._x_sq)
 
-        return self._memo("x_sq_fft", build)
+    def x_sq_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of ``x_sq_fft()``, ascending, and the index of
+        each grid point's value among them (``intp``, of shape ``shape``), so
+        a radial function of |x|^2 can be evaluated once per value.  Neither
+        keeps ``x_sq_fft()`` alive."""
+        def build():  # np.unique would import numpy.ma, about 1 MB
+            ordered = np.sort(self._x_sq(), axis=None)
+            return ordered[np.diff(ordered, prepend=-1.0) > 0]
+
+        levels = self._memo("x_sq_levels", build)
+        return levels, self._memo("x_sq_index", lambda: np.searchsorted(levels, self._x_sq()))
 
     def xi_grids(self) -> tuple[np.ndarray, ...]:
         def build():

@@ -328,10 +328,15 @@ def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) 
 
 
 def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with |(x,t)|^-alpha in FFT storage order, 0 at the space-time origin."""
-    np.add(grid.x_sq_fft(), t * t, out=out)
+    """Fill ``out`` with |(x,t)|^-alpha in FFT storage order, 0 at the space-time origin.
+
+    The power is taken once per distinct |x|^2 (``GridSpec.x_sq_levels``) and
+    spread over the grid by one ``take``, with the same values as pointwise.
+    """
+    levels, index = grid.x_sq_levels()
     with np.errstate(divide="ignore"):
-        np.power(out, -0.5 * alpha, out=out)
+        table = np.power(levels + t * t, -0.5 * alpha)
+    np.take(table, index, out=out, mode="clip")  # "raise" would buffer the output
     if t == 0:
         out[(0,) * grid.dim] = 0.0
     return out
@@ -363,8 +368,8 @@ def weighted_spacetime_norm(
     if weight.kind == SPATIAL_POWER:
         w = _spatial_weight_array(grid, weight, quad)[0].ravel()
         total = 0.0
-        for _, _, tw, squares in _time_pass(u_sampler, grid):
-            total += tw * measure * _weighted_sum(w, squares)
+        for _, _, tw, density in _time_pass(u_sampler, grid):
+            total += tw * measure * _weighted_sum(w, density)
         return float(np.sqrt(total))
 
     # spacetime power: pointwise except near the (0,0) cell
@@ -377,12 +382,12 @@ def weighted_spacetime_norm(
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
     w = np.empty(grid.shape)
     total = 0.0
-    for i, t, tw, squares in _time_pass(u_sampler, grid):
+    for i, t, tw, density in _time_pass(u_sampler, grid):
         _spacetime_pointwise(grid, weight.alpha, t, w)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
             w[cells] = patch[ring_t + dti]
-        total += tw * measure * _weighted_sum(w.ravel(), squares)
+        total += tw * measure * _weighted_sum(w.ravel(), density)
     return float(np.sqrt(total))
 
 

@@ -178,6 +178,8 @@ class TestExitCodes:
         ["kernel-decay", "--dmin", "1e306", "--dmax", "1e308"],
         ["kernel-decay", "--regime", "offcone", "--tau", "1e300", "--dmin", "1e301",
          "--dmax", "1e303"],
+        ["scan-ratio", "--grid", "16", "--box", "8", "--horizon", "2", "--samples", "9",
+         "--alpha", "0", "--s", "200"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option

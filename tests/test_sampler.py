@@ -270,5 +270,8 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         want = oracle(make())
         sampler = make()
         assert sampler.time_even is even
-        for got in (accumulate(sampler), accumulate(lambda t, s=make(): s(t))):
-            assert abs(got - want) <= 1e-13 * want, (got, want)
+        # the sampler's pass transforms in complex64; a plain callable's is all double
+        got = accumulate(sampler)
+        assert abs(got - want) <= 1e-6 * want, (got, want)
+        got = accumulate(lambda t, s=make(): s(t))
+        assert abs(got - want) <= 1e-13 * want, (got, want)
