@@ -47,9 +47,11 @@ from .weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
     QuadratureConfig,
+    WeightSpec,
     a2_scan,
     a2_scan_max,
     default_cube_family,
+    singular_cell_report,
 )
 
 CSV_SCHEMA_VERSION = "v2"
@@ -275,6 +277,8 @@ def _run_scan_ratio(cfg: RunConfig) -> dict:
         "analytic_target": result.target,
         "dropped_lambdas": [list(d) for d in result.dropped],
         "margin_min": rep.diagnostics["margin_min"],
+        # the origin cell of the weight the members shared (cached, not rebuilt)
+        "singular_cell": singular_cell_report(WeightSpec(kind, query.alpha), grid, quad),
     }
 
 

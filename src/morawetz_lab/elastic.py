@@ -11,7 +11,12 @@ into two scalar oscillators with speeds ``sqrt(mu)`` (shear) and
 The propagator below evaluates these multipliers exactly in t; there is no
 time stepping.  ``WaveSampler`` is the one sampler of this flow and of the
 scalar half-wave flow; on the uniform time nodes it advances the phases by
-an exact-in-t recurrence rather than re-evaluating them.  Convention at
+an exact-in-t recurrence rather than re-evaluating them.  It keeps each
+Helmholtz part in the form above, as the term ``(c, cosine part fhat_*,
+sine part ghat_*/(c|xi|) or None)``, the sine part None when ``ghat_* = 0``
+(data at rest), and reads cos and sin off the phase ``e^{itc|xi|}``; its
+``spectrum(t, out=...)`` writes single-precision coefficients, for the
+one-way half-wave term and the two-way elastic terms alike.  Convention at
 the zero mode: P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)``
 (the free-particle limit of the ODE).
 """
@@ -147,16 +152,20 @@ def helmholtz_split(f: VectorField) -> tuple[VectorField, VectorField]:
 class WaveSampler:
     """The one time sampler of the half-wave and elastic flows.
 
-    Every flow here is ``uhat(t) = sum_k E_k(t) A_k + conj(E_k(t)) B_k`` with
-    ``E_k = e^{i t c_k |xi|}`` and ``terms = [(c_k, A_k, B_k), ...]`` (``B_k``
-    may be None), plus ``t * drift`` at the zero mode.  Along one ascending
-    pass over ``grid.time_nodes()`` each ``E_k`` advances from the previous
-    node by one in-place multiply with ``e^{i dt c_k |xi|}``; the first node,
-    any other t and out-of-order calls evaluate ``exp`` directly, so the
-    rounding drift is bounded by one pass (about 1e-14).  A one-way term
-    (``B_k`` None) advances ``E_k A_k`` instead, which saves its product per
-    node; a two-way term keeps ``E_k``, which is smaller than its vector parts.
-    The state belongs to one pass: give each thread its own sampler.
+    Every flow here is a sum of terms with phases ``E_k = e^{i t c_k |xi|}``,
+    plus ``t * drift`` at the zero mode.  A two-way term
+    ``(c_k, cosine part P_k, sine part Q_k or None)`` is
+    ``cos(t c_k |xi|) P_k + sin(t c_k |xi|) Q_k``, with ``Q_k`` None for a
+    flow that starts at rest; a one-way term ``(c_k, A_k)`` is ``E_k A_k``.
+    Along one ascending pass over ``grid.time_nodes()`` each ``E_k`` advances
+    from the previous node by one in-place multiply with
+    ``e^{i dt c_k |xi|}``; the first node, any other t and out-of-order calls
+    evaluate ``exp`` directly, so the rounding drift is bounded by one pass
+    (about 1e-14).  A one-way term advances ``E_k A_k`` instead, which saves
+    its product per node; a two-way term keeps ``E_k``, which is smaller than
+    its vector parts, and reads its cosine and sine as ``Re E_k`` and
+    ``Im E_k``.  The state belongs to one pass: give each thread its own
+    sampler.
 
     ``time_even`` is true when ``|u(-t)|^2 = |u(t)|^2`` holds exactly; the flow
     constructors below work it out from their data, and the time accumulators
@@ -167,7 +176,9 @@ class WaveSampler:
                  time_even: bool = False):
         self.grid = grid
         self.time_even = time_even
-        self._terms = [(float(c), A, B) for c, A, B in terms]
+        # (c, A or P, Q, one-way?)
+        self._terms = [(float(c), X, rest[0] if rest else None, not rest)
+                       for c, X, *rest in terms]
         self._drift = drift
         self._zero = (Ellipsis,) + (0,) * grid.dim
         self._xin = grid.xi_norm()
@@ -176,7 +187,8 @@ class WaveSampler:
         self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
-        self.shape = np.broadcast_shapes(*(A.shape for _, A, _ in self._terms))
+        self._single = None  # single-precision parts, built at the first ``out=`` call
+        self.shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
 
     def _advance(self, t: float) -> None:
         """Bring the state to t: one step of the recurrence, or ``exp`` directly."""
@@ -186,62 +198,104 @@ class WaveSampler:
         if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
             if self._steps is None:
                 dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
-                self._steps = [np.exp(1j * dt * c * self._xin) for c, _, _ in self._terms]
+                self._steps = [np.exp(1j * dt * c * self._xin) for c, _, _, _ in self._terms]
             for state, step in zip(self._state, self._steps):
                 state *= step
             self._index = i + 1
         else:
             self._state = []
-            for c, A, B in self._terms:
+            for c, X, _, one_way in self._terms:
                 E = np.exp(1j * t * c * self._xin)
-                self._state.append(E * A if B is None else E)
+                self._state.append(E * X if one_way else E)
             j = int(np.searchsorted(nodes, t))
             self._index = j if j < len(nodes) and nodes[j] == t else None
         self._t = t
 
+    def _single_parts(self):
+        """The cosine and sine parts in ``complex64``, a ``complex64`` buffer for
+        one cosine or sine (imaginary half zero), and a field for one product;
+        a sampler of one-way terms only needs none of them."""
+        if self._single is None:
+            parts = [(None, None) if one_way else
+                     (P.astype(np.complex64), None if Q is None else Q.astype(np.complex64))
+                     for _, P, Q, one_way in self._terms]
+            if all(one_way for _, _, _, one_way in self._terms):
+                self._single = (parts, None, None)
+            else:
+                self._single = (parts, np.zeros(self._xin.shape, np.complex64),
+                                np.empty(self.shape, np.complex64))
+        return self._single
+
     def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """uhat(t), in FFT storage order, of shape ``self.shape``.
 
-        With ``out`` the parts are written straight into it under
-        ``same_kind`` casting: a one-way term is copied, a two-way term
-        multiplied in, and the rest added in place.  This is how the time
-        pass (``analysis._time_pass``) fills its ``complex64`` transform
-        buffer: the phases stay ``complex128``, each part is rounded once to
-        single precision, and the pass reduces in ``float64``, so its norms
-        carry about 1e-7 relative rounding.  Without ``out``, a lone one-way
-        term comes back as a read-only view of the state, valid until the
-        next call, and anything else in a new ``complex128`` array.
+        ``out``, a ``complex64`` array, takes the terms in single precision,
+        whichever their kind.  A one-way term is copied in under
+        ``same_kind`` casting.  For a two-way term, ``cos = Re E_k`` and
+        ``sin = Im E_k`` are each cast once into the real half of one reused
+        ``complex64`` buffer and multiplied with ``complex64`` copies of its
+        parts, built at the first such call; the first product goes into
+        ``out``, the others into one reused field that is added to it.  (A
+        ``float32`` buffer would give the same values, but numpy has no mixed
+        ``float32 * complex64`` loop and buffers the cast, three times
+        slower.)  No field-sized temporary is allocated.  The phases stay
+        ``complex128``, so each part carries a few single-precision roundings.
+        This is how the time pass (``analysis._time_pass``) fills its
+        transform buffer; it reduces in ``float64``, so its norms carry about
+        1e-7 relative rounding.  Without ``out``, a lone one-way term comes
+        back as a read-only view of the state, valid until the next call, and
+        anything else in a new ``complex128`` array, in double precision.
         """
         self._advance(t)
         if out is None:
-            if self._drift is None and len(self._terms) == 1 and self._terms[0][2] is None:
+            if self._drift is None and len(self._terms) == 1 and self._terms[0][3]:
                 view = self._state[0].view()
                 view.setflags(write=False)
                 return view
             out = np.empty(self.shape, np.complex128)
-        for k, ((_, A, B), state) in enumerate(zip(self._terms, self._state)):
-            if B is None:
-                if k == 0:
+            parts = [(P, Q) for _, P, Q, _ in self._terms]
+            trig, product = None, np.empty_like(out)
+        else:
+            parts, trig, product = self._single_parts()
+        first = True
+        for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
+            if one_way:
+                if first:
                     np.copyto(out, state, casting="same_kind")
                 else:
                     out += state
+                first = False
                 continue
-            if k == 0:
-                np.multiply(state, A, out=out, casting="same_kind")
-            else:
-                out += state * A
-            out += state.conj() * B
+            for value, part in ((state.real, P), (state.imag, Q)):
+                if part is None:
+                    continue
+                if trig is not None:
+                    np.copyto(trig.real, value, casting="same_kind")
+                    value = trig
+                if first:
+                    np.multiply(value, part, out=out)
+                else:
+                    np.multiply(value, part, out=product)
+                    out += product
+                first = False
         if self._drift is not None:
             out[self._zero] += t * self._drift
         return out
 
     def rate(self, t: float) -> np.ndarray:
-        """d/dt uhat(t), the exact differentiated multiplier."""
+        """d/dt uhat(t), the exact differentiated multiplier:
+        ``i c|xi| E A`` per one-way term, ``c|xi| (cos Q - sin P)`` per two-way term."""
         self._advance(t)
         out = 0.0
-        for (c, A, B), state in zip(self._terms, self._state):
-            part = state if B is None else state * A - state.conj() * B
-            out = out + 1j * c * self._xin * part
+        for (c, X, Q, one_way), state in zip(self._terms, self._state):
+            w = c * self._xin
+            if one_way:
+                out = out + 1j * w * state
+                continue
+            part = -state.imag * X
+            if Q is not None:
+                part += state.real * Q
+            out = out + w * part
         if self._drift is not None:
             out[self._zero] += self._drift
         return out
@@ -263,17 +317,18 @@ def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
     if f.shape != grid.shape:
         raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
     real = not np.any(np.imag(f))
-    return WaveSampler(grid, [(c, forward_values(f, grid), None)], time_even=real)
+    return WaveSampler(grid, [(c, forward_values(f, grid))], time_even=real)
 
 
 class ElasticPropagator:
     """Exact-in-time evolution of an elastic state through one ``WaveSampler``.
 
     Per Helmholtz part with speed c, ``cos(tc|xi|) f + sin(tc|xi|)/(c|xi|) g``
-    is ``E A + conj(E) B`` with ``A, B = (f +- g/(i c|xi|))/2``.  Called as a
-    sampler, the propagator gives the displacement, and its ``spectrum``
-    gives the displacement's coefficients to the time accumulators; with zero
-    velocity g it is even in t (``A == B``, no drift), which it states as
+    is the two-way term ``(c, f, g/(c|xi|))``, its sine part 0 at xi = 0 and
+    None when that part of g is identically zero.  Called as a sampler, the
+    propagator gives the displacement, and its ``spectrum`` gives the
+    displacement's coefficients to the time accumulators; with zero velocity
+    g it is even in t (cosine parts only, no drift), which it states as
     ``time_even``.
     """
 
@@ -283,14 +338,14 @@ class ElasticPropagator:
         grid = self.grid
         fP, fQ = _split_spectrum(forward_values(state.f.values, grid), grid)
         gP, gQ = _split_spectrum(forward_values(state.g.values, grid), grid)
-        drift = gQ[(Ellipsis,) + (0,) * grid.dim].copy()  # the zero mode is all in Q
+        self.time_even = not np.any(state.g.values)
+        # the zero mode is all in Q
+        drift = None if self.time_even else gQ[(Ellipsis,) + (0,) * grid.dim].copy()
         xin = grid.xi_norm()
         inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
-        terms = []
-        for c, f_k, g_k in ((params.shear_speed, fQ, gQ), (params.pressure_speed, fP, gP)):
-            g_k *= (-1j / c) * inv  # g/(i c|xi|), 0 at xi = 0
-            terms.append((c, 0.5 * (f_k + g_k), 0.5 * (f_k - g_k)))
-        self.time_even = not np.any(state.g.values)
+        terms = [(c, f_k, g_k * (inv / c) if np.any(g_k) else None)  # g/(c|xi|), 0 at xi = 0
+                 for c, f_k, g_k in ((params.shear_speed, fQ, gQ),
+                                     (params.pressure_speed, fP, gP))]
         self._sampler = WaveSampler(grid, terms, drift, time_even=self.time_even)
         self.shape = self._sampler.shape
 

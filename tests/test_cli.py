@@ -45,6 +45,21 @@ class TestScanRatio:
         assert run(args + ["--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("alpha, truncated", [("2.0", True), ("1.5", False)])
+    def test_manifest_reports_singular_cell(self, alpha, truncated, tmp_path):
+        # alpha = n is the boundary exponent: the origin cell's integral diverges
+        # and is cut after ``refinement`` dyadic shells
+        out = tmp_path / "cell"
+        code = run(["scan-ratio", "--weight", "spatial", "--n", "2", "--alpha", alpha,
+                    "--s", "0.25", "--grid", "32", "--box", "10.0", "--horizon", "4.0",
+                    "--samples", "17", "--width", "0.5", "--refinement", "12",
+                    "--out", str(out)])
+        assert code == 0
+        cell = json.loads((out / "manifest.json").read_text())["summary"]["singular_cell"]
+        assert cell["truncated"] is truncated
+        assert cell["refinement"] == 12
+        assert cell["origin_cell"] > 0
+
     def test_missing_required_option(self, tmp_path, capsys):
         code = run(["scan-ratio", "--out", str(tmp_path / "x")])
         assert code == 2

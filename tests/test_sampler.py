@@ -115,6 +115,65 @@ def test_elastic_energy_conserved_over_a_pass(grid, ratio, mu, seed):
         assert abs(elastic_energy(*prop.pair(t), params) - e0) <= REL * e0
 
 
+SINGLE = 1e-6  # one float32 rounding of cos or sin and of each part, well inside
+
+
+@settings(max_examples=20, deadline=None)
+@given(_grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_single_precision_spectrum_matches_double(grid, ratio, mu, at_rest, seed):
+    params = _lame(ratio, mu)
+    state = _elastic_state(grid, np.random.default_rng(seed))
+    if at_rest:
+        state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
+    single, double = ElasticPropagator(state, params), ElasticPropagator(state, params)
+    buf = np.empty(single.shape, np.complex64)
+    for t in grid.time_nodes():
+        got = single.spectrum(t, out=buf).astype(np.complex128)
+        want = double.spectrum(t)
+        assert np.linalg.norm(got - want) <= SINGLE * np.linalg.norm(want), t
+        u_direct, _ = _elastic_direct(state, params, t)
+        got_u = inverse_values(got, grid)
+        assert np.linalg.norm(got_u - u_direct) <= SINGLE * np.linalg.norm(u_direct), t
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 128, 20.0, 33, 6.0), GridSpec(3, 32, 8.0, 17, 4.0)],
+                         ids=["2d", "3d"])
+def test_single_precision_spectrum_allocates_no_field(grid):
+    """A two-way pass writes into its buffers: after the first call, the
+    traced peak stays below one ``complex128`` field."""
+    import tracemalloc
+
+    prop = ElasticPropagator(_elastic_state(grid, np.random.default_rng(5)), _lame(1.0, 1.0))
+    sampler = prop._sampler
+    buf = np.empty(sampler.shape, np.complex64)
+    nodes = grid.time_nodes()
+    sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the single-precision copies
+    sampler.spectrum(nodes[1], out=buf)  # builds the recurrence steps
+    field = np.empty(sampler.shape, np.complex128).nbytes
+    tracemalloc.start()
+    try:
+        for t in nodes[2:]:
+            sampler.spectrum(t, out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field, (peak, field)
+
+
+def test_at_rest_propagator_has_no_sine_part_or_drift():
+    grid = GridSpec(2, 16, 6.0, 9, 2.0)
+    state = _elastic_state(grid, np.random.default_rng(3))
+    at_rest = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
+    rest = ElasticPropagator(at_rest, _lame(1.0, 1.0))
+    assert rest.time_even
+    assert rest._sampler._drift is None
+    assert all(Q is None for _, _, Q, _ in rest._sampler._terms)
+    moving = ElasticPropagator(state, _lame(1.0, 1.0))
+    assert not moving.time_even and moving._sampler._drift is not None
+    assert all(Q is not None for _, _, Q, _ in moving._sampler._terms)
+
+
 def _dft_matrix(grid: GridSpec) -> np.ndarray:
     """e^{-i x_j . xi_m} over all (mode m, point j), modes in FFT storage order."""
     axes = np.meshgrid(*([grid.mode_axis] * grid.dim), indexing="ij")
