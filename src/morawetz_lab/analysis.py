@@ -53,13 +53,16 @@ def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
 def _time_pass(u_sampler, grid: GridSpec):
     """Yield (node index, t, weight, density) along one ascending pass.
 
-    ``density`` is a (components, N^n) float64 array holding |u(t)|^2 in FFT
-    storage order: grid index m sits at x = dx * m (m taken mod N into
+    ``density`` is a (rows, N^n) float64 array in FFT storage order whose
+    rows sum to |u(t)|^2: grid index m sits at x = dx * m (m taken mod N into
     [-N/2, N/2)), so the origin is index 0.  A sampler with a ``spectrum``
-    and a ``shape`` (``elastic.WaveSampler``, ``ElasticPropagator``) writes
-    each node's spectrum into one ``complex64`` buffer, which one unshifted,
-    unscaled ``ifftn`` transforms in place; its modulus goes into one
-    ``density`` array and is squared there.  The pass allocates both once.
+    and an ``out_shape`` (``elastic.WaveSampler``, ``ElasticPropagator``)
+    writes each node's spectrum into one ``complex64`` buffer of that shape,
+    which one unshifted, unscaled ``ifftn`` transforms in place; its modulus
+    goes into one ``density`` array and is squared there.  The pass
+    allocates both once.  A real sampler packs its components two per field,
+    so a row then holds ``|Re u_0|^2 + |Re u_1|^2`` (see
+    ``elastic.WaveSampler``); otherwise a row is one component.
     That transform is u * dx^n, so the constant dx^{-2n} is folded into the
     node's weight.  A plain callable's physical-order samples are reordered
     by one ``ifftshift`` instead.  ``density`` is overwritten at the next
@@ -85,7 +88,7 @@ def _time_pass(u_sampler, grid: GridSpec):
     axes = tuple(range(-grid.dim, 0))
     scale = 1.0
     if spectrum is not None:
-        buf = np.empty(u_sampler.shape, np.complex64)
+        buf = np.empty(u_sampler.out_shape, np.complex64)
         density = np.empty(buf.shape)
         scale = grid.dx ** (-2 * grid.dim)
     for i in range(first, len(nodes)):
@@ -101,8 +104,8 @@ def _time_pass(u_sampler, grid: GridSpec):
 
 
 def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:
-    """sum_x w(x) |u(x)|^2 over the components, ``w`` flat in FFT storage order:
-    one dot per component."""
+    """sum_x w(x) |u(x)|^2, ``w`` flat in FFT storage order: one dot per row
+    of ``_time_pass``'s density."""
     return float(sum(w @ d for d in density))
 
 

@@ -16,9 +16,16 @@ Helmholtz part in the form above, as the term ``(c, cosine part fhat_*,
 sine part ghat_*/(c|xi|) or None)``, the sine part None when ``ghat_* = 0``
 (data at rest), and reads cos and sin off the phase ``e^{itc|xi|}``; its
 ``spectrum(t, out=...)`` writes single-precision coefficients, for the
-one-way half-wave term and the two-way elastic terms alike.  Convention at
-the zero mode: P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)``
-(the free-particle limit of the ODE).
+one-way half-wave term and the two-way elastic terms alike.  Real data
+``(f, g)`` give a real displacement (the multipliers are real and even in
+xi), except on the lattice planes where some ``xi_i = -N/2 dxi``: that mode
+has no ``+N/2 dxi`` partner, so ``P(xi)`` is not even in the mode index there.
+When that part is small, ``out`` holds the real parts of the components two
+per complex field, ``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3), ...``, whose
+modulus squared is ``|Re u_0|^2 + |Re u_1|^2``: the time pass transforms half
+the fields in 2-d and two of three in 3-d.  Convention at the zero mode:
+P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
+free-particle limit of the ODE).
 """
 
 from __future__ import annotations
@@ -170,10 +177,20 @@ class WaveSampler:
     ``time_even`` is true when ``|u(-t)|^2 = |u(t)|^2`` holds exactly; the flow
     constructors below work it out from their data, and the time accumulators
     then visit only the nodes with t >= 0.
+
+    ``real`` is true when the constructor is told ``real_data`` (two-way
+    terms of real data, so every part X is Hermitian off the Nyquist planes
+    ``m_i = -N/2``) and the parts' anti-Hermitian part on those planes, which
+    is ``Im u``, is at most ``_REAL_TOL`` of them.  A real sampler of k >= 2
+    components packs the real parts of its components two per field in
+    ``spectrum``'s ``out``, whose shape is ``out_shape`` (``shape`` when
+    nothing is packed).  A pass over it measures ``|Re u|^2``, short of
+    ``|u|^2`` by ``|Im u|^2``, where ``|Im u(t)|_2 <= _REAL_TOL sum_X |X|_2``
+    (``_REAL_TOL^2`` is 6e-8); for resolved data ``Im u`` is rounding.
     """
 
     def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
-                 time_even: bool = False):
+                 time_even: bool = False, real_data: bool = False):
         self.grid = grid
         self.time_even = time_even
         # (c, A or P, Q, one-way?)
@@ -189,6 +206,13 @@ class WaveSampler:
         self._index = None  # node index of self._t, None off the nodes
         self._single = None  # single-precision parts, built at the first ``out=`` call
         self.shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
+        parts = [X for _, P, Q, _ in self._terms for X in (P, Q) if X is not None]
+        self.real = real_data and bool(
+            sum(_nyquist_defect(X, grid.dim) for X in parts)
+            <= _REAL_TOL * sum(np.sqrt(np.vdot(X, X).real) for X in parts))
+        self.out_shape = self.shape
+        if self.real and len(self.shape) > grid.dim and self.shape[0] > 1:
+            self.out_shape = ((self.shape[0] + 1) // 2,) + self.shape[1:]
 
     def _advance(self, t: float) -> None:
         """Bring the state to t: one step of the recurrence, or ``exp`` directly."""
@@ -212,26 +236,40 @@ class WaveSampler:
         self._t = t
 
     def _single_parts(self):
-        """The cosine and sine parts in ``complex64``, a ``complex64`` buffer for
-        one cosine or sine (imaginary half zero), and a field for one product;
-        a sampler of one-way terms only needs none of them."""
+        """The cosine and sine parts in ``complex64`` and the drift, as
+        ``spectrum``'s ``out`` takes them (for a real sampler, those of
+        ``Re u``, packed); a ``complex64`` buffer for one cosine or sine
+        (imaginary half zero), and a field for one product.  A sampler of
+        one-way terms only needs no parts or buffers."""
         if self._single is None:
-            parts = [(None, None) if one_way else
-                     (P.astype(np.complex64), None if Q is None else Q.astype(np.complex64))
+            packed = self.out_shape != self.shape
+
+            def single(X):
+                if X is None:
+                    return None
+                return (_packed(_hermitian_at_nyquist(X, self.grid.dim)) if packed
+                        else X).astype(np.complex64)
+
+            parts = [(None, None) if one_way else (single(P), single(Q))
                      for _, P, Q, one_way in self._terms]
+            drift = self._drift
+            if drift is not None and packed:
+                drift = _packed(drift)  # the zero mode of real data is real
             if all(one_way for _, _, _, one_way in self._terms):
-                self._single = (parts, None, None)
+                self._single = (parts, None, None, drift)
             else:
                 self._single = (parts, np.zeros(self._xin.shape, np.complex64),
-                                np.empty(self.shape, np.complex64))
+                                np.empty(self.out_shape, np.complex64), drift)
         return self._single
 
     def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """uhat(t), in FFT storage order, of shape ``self.shape``.
 
-        ``out``, a ``complex64`` array, takes the terms in single precision,
-        whichever their kind.  A one-way term is copied in under
-        ``same_kind`` casting.  For a two-way term, ``cos = Re E_k`` and
+        ``out``, a ``complex64`` array of shape ``out_shape``, takes the terms
+        in single precision, whichever their kind; for a real sampler it holds
+        the packed coefficients of ``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3),
+        ...``, which cost half the multiplies.  A one-way term is copied in
+        under ``same_kind`` casting.  For a two-way term, ``cos = Re E_k`` and
         ``sin = Im E_k`` are each cast once into the real half of one reused
         ``complex64`` buffer and multiplied with ``complex64`` copies of its
         parts, built at the first such call; the first product goes into
@@ -247,8 +285,9 @@ class WaveSampler:
         anything else in a new ``complex128`` array, in double precision.
         """
         self._advance(t)
+        drift = self._drift
         if out is None:
-            if self._drift is None and len(self._terms) == 1 and self._terms[0][3]:
+            if drift is None and len(self._terms) == 1 and self._terms[0][3]:
                 view = self._state[0].view()
                 view.setflags(write=False)
                 return view
@@ -256,7 +295,9 @@ class WaveSampler:
             parts = [(P, Q) for _, P, Q, _ in self._terms]
             trig, product = None, np.empty_like(out)
         else:
-            parts, trig, product = self._single_parts()
+            if out.shape != self.out_shape:
+                raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
+            parts, trig, product, drift = self._single_parts()
         first = True
         for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
             if one_way:
@@ -278,8 +319,8 @@ class WaveSampler:
                     np.multiply(value, part, out=product)
                     out += product
                 first = False
-        if self._drift is not None:
-            out[self._zero] += t * self._drift
+        if drift is not None:
+            out[self._zero] += t * drift
         return out
 
     def rate(self, t: float) -> np.ndarray:
@@ -303,6 +344,44 @@ class WaveSampler:
     def __call__(self, t: float) -> np.ndarray:
         """u(t) on the physical grid."""
         return inverse_values(self.spectrum(t), self.grid)
+
+
+_REAL_TOL = 2.0**-12  # largest relative Nyquist-plane part a real sampler packs
+
+
+def _nyquist_planes(X: np.ndarray, dim: int):
+    """Each lattice plane ``m_i = -N/2`` of X's last ``dim`` axes (a view; index
+    N/2 in FFT storage order) with its reflection ``conj X(-m)``, which maps
+    the plane onto itself."""
+    N = X.shape[-1]
+    axes = tuple(range(1 - dim, 0))
+    for i in range(dim):
+        plane = X[(Ellipsis, N // 2) + (slice(None),) * (dim - 1 - i)]
+        yield plane, np.roll(np.flip(plane, axes), 1, axes).conj()
+
+
+def _nyquist_defect(X: np.ndarray, dim: int) -> float:
+    """The norm of X's anti-Hermitian part on the Nyquist planes, counted once
+    per plane."""
+    return sum(float(np.linalg.norm(p - m)) for p, m in _nyquist_planes(X, dim)) / 2
+
+
+def _hermitian_at_nyquist(X: np.ndarray, dim: int) -> np.ndarray:
+    """X with its Nyquist planes made Hermitian: the coefficients of Re u when
+    X holds those of a u whose coefficients are Hermitian elsewhere."""
+    X = X.copy()
+    for plane, mirror in _nyquist_planes(X, dim):
+        plane += mirror
+        plane *= 0.5
+    return X
+
+
+def _packed(X: np.ndarray) -> np.ndarray:
+    """``X[0] + i X[1], X[2] + i X[3], ...``, an odd last component alone: the
+    coefficients of ``u_0 + i u_1, ...`` when X holds those of real u_j."""
+    out = X[0::2].astype(np.complex128)
+    out[: len(X) // 2] += 1j * X[1::2]
+    return out
 
 
 def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
@@ -329,7 +408,10 @@ class ElasticPropagator:
     propagator gives the displacement, and its ``spectrum`` gives the
     displacement's coefficients to the time accumulators; with zero velocity
     g it is even in t (cosine parts only, no drift), which it states as
-    ``time_even``.
+    ``time_even``, and g is then neither transformed nor split.  Data f and g
+    with no nonzero imaginary part are real data for ``WaveSampler``, which
+    works out ``real`` from them; the imaginary rounding of, say, a Helmholtz
+    part from ``helmholtz_split`` makes data complex.
     """
 
     def __init__(self, state: ElasticState, params: LameParams):
@@ -337,17 +419,22 @@ class ElasticPropagator:
         self.params = params
         grid = self.grid
         fP, fQ = _split_spectrum(forward_values(state.f.values, grid), grid)
-        gP, gQ = _split_spectrum(forward_values(state.g.values, grid), grid)
         self.time_even = not np.any(state.g.values)
-        # the zero mode is all in Q
-        drift = None if self.time_even else gQ[(Ellipsis,) + (0,) * grid.dim].copy()
-        xin = grid.xi_norm()
-        inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
-        terms = [(c, f_k, g_k * (inv / c) if np.any(g_k) else None)  # g/(c|xi|), 0 at xi = 0
-                 for c, f_k, g_k in ((params.shear_speed, fQ, gQ),
-                                     (params.pressure_speed, fP, gP))]
-        self._sampler = WaveSampler(grid, terms, drift, time_even=self.time_even)
+        terms = [(c, f_k, None) for c, f_k in ((params.shear_speed, fQ),
+                                              (params.pressure_speed, fP))]
+        drift = None
+        if not self.time_even:
+            gP, gQ = _split_spectrum(forward_values(state.g.values, grid), grid)
+            drift = gQ[(Ellipsis,) + (0,) * grid.dim].copy()  # the zero mode is all in Q
+            xin = grid.xi_norm()
+            inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
+            terms = [(c, f_k, g_k * (inv / c) if np.any(g_k) else None)  # g/(c|xi|), 0 at xi = 0
+                     for (c, f_k, _), g_k in zip(terms, (gQ, gP))]
+        real_data = not (np.any(state.f.values.imag) or np.any(state.g.values.imag))
+        self._sampler = WaveSampler(grid, terms, drift, self.time_even, real_data)
+        self.real = self._sampler.real
         self.shape = self._sampler.shape
+        self.out_shape = self._sampler.out_shape
 
     def __call__(self, t: float) -> VectorField:
         return self.displacement(t)

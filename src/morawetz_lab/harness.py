@@ -144,24 +144,25 @@ class DataFamily:
         if self.kind == MODULATED and not self.carrier > 0:
             raise ConfigurationError("modulated family needs a positive carrier")
 
-    def member(self, grid: GridSpec, lam: float = 1.0, propagation=1.0) -> Member:
-        """Materialize the member f_lam(x) = f(lam x) (velocity g scaled by lam)."""
+    def support_radius(self, lam: float = 1.0) -> float:
+        """Support radius of the member at lam, checking lam as ``member`` does."""
         if not lam > 0:
             raise ConfigurationError("lambda must be positive")
+        if self.level is not None and abs(math.log2(lam) - round(math.log2(lam))) > 1e-12:
+            raise ConfigurationError("band-localized members require power-of-two lambda")
+        return 5.0 * (self.width / lam)  # envelope below ~4e-6 outside (1.4e-11 in energy)
+
+    def member(self, grid: GridSpec, lam: float = 1.0, propagation=1.0) -> Member:
+        """Materialize the member f_lam(x) = f(lam x) (velocity g scaled by lam)."""
+        support = self.support_radius(lam)
         width = self.width / lam
         profile = np.exp(-(grid.x_norm() ** 2) / (2.0 * width**2)).astype(np.complex128)
         if self.kind == MODULATED:
             carrier = self.carrier * lam
             profile = profile * np.exp(1j * carrier * grid.x_grids()[self.carrier_axis])
         if self.level is not None:
-            shift = math.log2(lam)
-            if abs(shift - round(shift)) > 1e-12:
-                raise ConfigurationError(
-                    "band-localized members require power-of-two lambda"
-                )
-            profile = lp_project(profile, self.level + int(round(shift)), grid)
+            profile = lp_project(profile, self.level + round(math.log2(lam)), grid)
         member_id = f"{self.kind}-w{self.width}-lam{lam}"
-        support = 5.0 * width  # envelope below ~4e-6 outside (1.4e-11 in energy)
 
         if self.scalar:
             g = None
@@ -360,8 +361,7 @@ def scale_covariance_test(
     kept: list[float] = []
     dropped: list[tuple[float, float]] = []
     for lam in lambdas:
-        member = family.member(grid, lam=lam, propagation=propagation)
-        margin = grid.wraparound_margin(member.support_radius, max_speed)
+        margin = grid.wraparound_margin(family.support_radius(lam), max_speed)
         if margin <= 0:
             dropped.append((float(lam), float(margin)))
         else:

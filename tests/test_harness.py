@@ -128,31 +128,68 @@ class TestComputeRatio:
         # the sampler's complex64 pass against the all-double plain-callable one
         assert rec_e.ratio == pytest.approx(num / den, rel=1e-6)
 
-    def test_scan_ratio_3d_folds_its_time_pass(self, monkeypatch):
-        # the key 3-d scan: real Gaussian data is time-even, so the norm loop
-        # takes the spectrum of (and inverse-transforms) 27 of the 53 time
-        # nodes per lambda; every inverse FFT of the run is the time pass's
+    @staticmethod
+    def _count_time_pass(monkeypatch, member, query, propagation, grid, lam=1.0):
+        """compute_ratio's ``spectrum`` calls, inverse FFTs and the fields they
+        transform; every inverse FFT of a ratio of data at rest is the time pass's."""
         from morawetz_lab import elastic
 
-        grid = GridSpec(3, 64, 16.0, 53, 6.5)
-        calls = {"spectrum": 0, "ifftn": 0}
+        calls = {"spectrum": 0, "ifftn": 0, "fields": 0}
         spectrum, ifftn = elastic.WaveSampler.spectrum, np.fft.ifftn
 
         def counted_spectrum(self, t, out=None):
             calls["spectrum"] += 1
             return spectrum(self, t, out)
 
-        def counted_ifftn(*args, **kwargs):
+        def counted_ifftn(a, *args, **kwargs):
             calls["ifftn"] += 1
-            return ifftn(*args, **kwargs)
+            calls["fields"] += a.size // grid.mode_count
+            return ifftn(a, *args, **kwargs)
 
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
         monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
+        rec = compute_ratio(member, query, propagation, grid, lam=lam)
+        assert rec.numerator > 0
+        return calls
+
+    def test_scan_ratio_3d_folds_its_time_pass(self, monkeypatch):
+        # the key 3-d scan: real Gaussian data is time-even, so the norm loop
+        # takes the spectrum of (and inverse-transforms) 27 of the 53 time
+        # nodes per lambda
+        grid = GridSpec(3, 64, 16.0, 53, 6.5)
         member = DataFamily(kind="gaussian", width=0.9).member(grid, lam=2.0)
         q = RegionQuery(2.0, 0.5, 3, SPACETIME_POWER)
-        rec = compute_ratio(member, q, 1.0, grid, lam=2.0)
-        assert calls == {"spectrum": 27, "ifftn": 27}
-        assert rec.numerator > 0
+        calls = self._count_time_pass(monkeypatch, member, q, 1.0, grid, lam=2.0)
+        assert calls == {"spectrum": 27, "ifftn": 27, "fields": 27}
+
+    def test_elastic_2d_packs_its_time_pass(self, monkeypatch):
+        # the elastic scan: resolved real data at rest give a real displacement,
+        # whose two components share one complex transform, at 49 of the 97 nodes
+        grid = GridSpec(2, 128, 20.0, 97, 6.0)
+        member = DataFamily(kind="gaussian", width=0.75, scalar=False).member(grid)
+        q = RegionQuery(1.6, 0.3, 2, SPATIAL_POWER)
+        calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
+        assert calls == {"spectrum": 49, "ifftn": 49, "fields": 49}
+
+    @pytest.mark.parametrize(
+        "dim, family, fields",
+        [
+            # three real components: Re u_0 + i Re u_1 and Re u_2
+            (3, DataFamily(kind="gaussian", width=1.2, scalar=False), 2),
+            # real data with 4e-3 of their spectrum on the Nyquist planes
+            (3, DataFamily(kind="gaussian", width=0.8, scalar=False), 3),
+            # complex data: one field per component
+            (2, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 2),
+            (3, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 3),
+        ],
+        ids=["3d-real", "3d-real-unresolved", "2d-complex", "3d-complex"],
+    )
+    def test_elastic_time_pass_fields_per_node(self, monkeypatch, dim, family, fields):
+        grid = GridSpec(dim, 32, 12.0, 17, 2.0)
+        q = RegionQuery(1.5, 0.25, dim, SPATIAL_POWER)
+        member = family.member(grid)
+        calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
+        assert calls == {"spectrum": 9, "ifftn": 9, "fields": 9 * fields}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, then inf - inf
     def test_non_finite_result_is_an_accuracy_error(self):

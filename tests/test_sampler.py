@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from morawetz_lab import ElasticPropagator, ElasticState, GridSpec, LameParams, VectorField
 from morawetz_lab.analysis import local_smoothing_functional
-from morawetz_lab.elastic import _split_spectrum, elastic_energy, halfwave_sampler
+from morawetz_lab.elastic import (
+    _hermitian_at_nyquist,
+    _packed,
+    _split_spectrum,
+    elastic_energy,
+    halfwave_sampler,
+)
+from morawetz_lab.errors import ShapeError
 from morawetz_lab.spectral import forward_values, inverse_values
 from morawetz_lab.weights import (
     SPACETIME_POWER,
@@ -75,6 +82,28 @@ def _elastic_state(grid: GridSpec, rng) -> ElasticState:
     return ElasticState(VectorField(grid, _white(rng, shape)), VectorField(grid, g))
 
 
+def _random_state(grid: GridSpec, rng, at_rest: bool, resolved: bool = True,
+                  real: bool = True) -> ElasticState:
+    """Real or complex data, at rest or with a mean-zero velocity.  Resolved
+    data carry below 4e-6 of their spectrum on the Nyquist planes, white data
+    as much as anywhere else."""
+    shape = (grid.dim,) + grid.shape
+    envelope = np.exp(-12.5 * (grid.xi_norm() / grid.xi_max) ** 2) if resolved else 1.0
+
+    def draw():
+        white = rng.standard_normal(shape)
+        if not real:
+            white = white + 1j * rng.standard_normal(shape)
+        values = inverse_values(envelope * forward_values(white, grid), grid)
+        return values.real if real else values
+
+    g = np.zeros(shape)
+    if not at_rest:
+        g = draw()
+        g -= g.reshape(grid.dim, -1).mean(axis=1).reshape((grid.dim,) + (1,) * grid.dim)
+    return ElasticState(VectorField(grid, draw()), VectorField(grid, g))
+
+
 def _elastic_direct(state: ElasticState, params: LameParams, t: float):
     """cos(w t) f + sin(w t)/w g per Helmholtz part, and its t-derivative."""
     grid = state.grid
@@ -119,46 +148,81 @@ SINGLE = 1e-6  # one float32 rounding of cos or sin and of each part, well insid
 
 
 @settings(max_examples=20, deadline=None)
-@given(_grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0), st.booleans(),
+@given(_grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0), st.booleans(), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_single_precision_spectrum_matches_double(grid, ratio, mu, at_rest, seed):
+def test_single_precision_spectrum_matches_double(grid, ratio, mu, at_rest, real, seed):
     params = _lame(ratio, mu)
-    state = _elastic_state(grid, np.random.default_rng(seed))
-    if at_rest:
+    rng = np.random.default_rng(seed)
+    state = _random_state(grid, rng, at_rest) if real else _elastic_state(grid, rng)
+    if at_rest and not real:
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
     single, double = ElasticPropagator(state, params), ElasticPropagator(state, params)
-    buf = np.empty(single.shape, np.complex64)
+    assert single.real is real
+    buf = np.empty(single.out_shape, np.complex64)
     for t in grid.time_nodes():
         got = single.spectrum(t, out=buf).astype(np.complex128)
         want = double.spectrum(t)
-        assert np.linalg.norm(got - want) <= SINGLE * np.linalg.norm(want), t
         u_direct, _ = _elastic_direct(state, params, t)
+        if real:  # Re u_0 + i Re u_1, Re u_2 (+ i Re u_3)
+            want = _packed(_hermitian_at_nyquist(want, grid.dim))
+            u_direct = _packed(u_direct.real)
+        assert np.linalg.norm(got - want) <= SINGLE * np.linalg.norm(want), t
         got_u = inverse_values(got, grid)
         assert np.linalg.norm(got_u - u_direct) <= SINGLE * np.linalg.norm(u_direct), t
+
+
+def test_spectrum_rejects_a_buffer_of_the_wrong_shape():
+    grid = GridSpec(2, 16, 6.0, 9, 2.0)
+    prop = ElasticPropagator(_random_state(grid, np.random.default_rng(2), False), _lame(1.0, 1.0))
+    assert prop.out_shape == (1,) + grid.shape
+    with pytest.raises(ShapeError):
+        prop.spectrum(0.5, out=np.empty(prop.shape, np.complex64))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_real_data_with_nyquist_content_is_not_packed(dim):
+    """On the planes m_i = -N/2 the projector P(xi) is not even in the mode
+    index, so real white data give a displacement with an imaginary part of
+    several percent, which packing would drop: they are not ``real``, and
+    their pass matches the physical-order oracle."""
+    grid = GridSpec(dim, 16, 6.0, 9, 2.0)
+    weight = WeightSpec(SPATIAL_POWER, 1.0)
+    for at_rest in (True, False):
+        state = _random_state(grid, np.random.default_rng(4), at_rest, resolved=False)
+        prop = ElasticPropagator(state, _lame(1.0, 1.0))
+        u = prop(0.7).values
+        assert np.linalg.norm(u.imag) > 1e-2 * np.linalg.norm(u)
+        assert not prop.real and prop.out_shape == prop.shape
+        got = weighted_spacetime_norm(prop, weight, grid)
+        want = weighted_norm_oracle(ElasticPropagator(state, _lame(1.0, 1.0)), weight, grid)
+        assert abs(got - want) <= 1e-6 * want, (got, want)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 128, 20.0, 33, 6.0), GridSpec(3, 32, 8.0, 17, 4.0)],
                          ids=["2d", "3d"])
 def test_single_precision_spectrum_allocates_no_field(grid):
-    """A two-way pass writes into its buffers: after the first call, the
-    traced peak stays below one ``complex128`` field."""
+    """A two-way pass writes into its buffers, packed (real data) or not:
+    after the first call, the traced peak stays below one ``complex128`` field."""
     import tracemalloc
 
-    prop = ElasticPropagator(_elastic_state(grid, np.random.default_rng(5)), _lame(1.0, 1.0))
-    sampler = prop._sampler
-    buf = np.empty(sampler.shape, np.complex64)
-    nodes = grid.time_nodes()
-    sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the single-precision copies
-    sampler.spectrum(nodes[1], out=buf)  # builds the recurrence steps
-    field = np.empty(sampler.shape, np.complex128).nbytes
-    tracemalloc.start()
-    try:
-        for t in nodes[2:]:
-            sampler.spectrum(t, out=buf)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < field, (peak, field)
+    rng = np.random.default_rng(5)
+    for real, state in ((False, _elastic_state(grid, rng)),
+                        (True, _random_state(grid, rng, False))):
+        sampler = ElasticPropagator(state, _lame(1.0, 1.0))._sampler
+        assert sampler.real is real
+        buf = np.empty(sampler.out_shape, np.complex64)
+        nodes = grid.time_nodes()
+        sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the single-precision copies
+        sampler.spectrum(nodes[1], out=buf)  # builds the recurrence steps
+        field = np.empty(sampler.shape, np.complex128).nbytes
+        tracemalloc.start()
+        try:
+            for t in nodes[2:]:
+                sampler.spectrum(t, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field, (real, peak, field)
 
 
 def test_at_rest_propagator_has_no_sine_part_or_drift():
@@ -307,8 +371,15 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
     if even:
         f = f.real.astype(np.complex128)
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
-    samplers = (lambda: halfwave_sampler(f, grid, c),
-                lambda: ElasticPropagator(state, _lame(1.0, c)))
+    # resolved elastic data: real ones, whose sampler packs two components
+    # per transform, and complex ones, which it must not pack; even at rest,
+    # odd with a velocity
+    real = _random_state(grid, rng, at_rest=even)
+    resolved = _random_state(grid, rng, at_rest=even, real=False)
+    samplers = ((lambda: halfwave_sampler(f, grid, c), False),
+                (lambda: ElasticPropagator(state, _lame(1.0, c)), False),
+                (lambda: ElasticPropagator(real, _lame(1.0, c)), True),
+                (lambda: ElasticPropagator(resolved, _lame(1.0, c)), False))
     radii = [4.0, 8.0] if edge else [1.0, 2.0, 4.0, 8.0]
     if kind == "local_smoothing":
         def accumulate(v):
@@ -325,10 +396,11 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         def oracle(v):
             return weighted_norm_oracle(v, weight, grid)
 
-    for make in samplers:
+    for make, packed in samplers:
         want = oracle(make())
         sampler = make()
         assert sampler.time_even is even
+        assert sampler.real is packed
         # the sampler's pass transforms in complex64; a plain callable's is all double
         got = accumulate(sampler)
         assert abs(got - want) <= 1e-6 * want, (got, want)
