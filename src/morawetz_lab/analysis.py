@@ -27,7 +27,7 @@ import numpy as np
 
 from .cutoff import DyadicCutoff, default_cutoff
 from .errors import DomainError, ShapeError
-from .spectral import GridSpec, VectorField, forward_values, inverse_values
+from .spectral import GridSpec, VectorField, cosine_transform, forward_values, inverse_values
 
 __all__ = [
     "hs_norm",
@@ -53,7 +53,7 @@ def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
 def _time_pass(u_sampler, grid: GridSpec):
     """Yield (node index, t, weight, density) along one ascending pass.
 
-    ``density`` is a (rows, N^n) float64 array in FFT storage order whose
+    ``density`` is a (rows, points) float64 array in FFT storage order whose
     rows sum to |u(t)|^2: grid index m sits at x = dx * m (m taken mod N into
     [-N/2, N/2)), so the origin is index 0.  A sampler with a ``spectrum``
     and an ``out_shape`` (``elastic.WaveSampler``, ``ElasticPropagator``)
@@ -68,10 +68,22 @@ def _time_pass(u_sampler, grid: GridSpec):
     by one ``ifftshift`` instead.  ``density`` is overwritten at the next
     node; reduce it with ``_weighted_sum``.
 
+    An ``even`` sampler (``_on_block``) writes the block ``grid.even_block``
+    of its spectrum, and u is even in every axis too.  The pass transforms
+    the block to the block with ``spectral.cosine_transform``, which gives
+    u * (N dx)^n, so it folds (N dx)^{-2n} into the weight.  Its density then
+    has ``grid.even_shape`` points per row, and each point is multiplied by
+    its orbit size ``grid.orbit_sizes()``.  That is the density contract of
+    the block: a weight even in every axis, read on the block, sums against
+    it to the sum over the whole lattice.  The lattice weights and masks of
+    the consumers are all even (see ``weights``).
+
     Precision: a sampler's phases stay ``complex128`` and the density and
-    its reduction are ``float64``; only the per-node transform and the
-    modulus run in single precision, which puts about 1e-7 relative on the
-    norms.  A plain callable's pass is all double.
+    its reduction are ``float64``; only the spectrum buffer, the per-node
+    FFT and its modulus run in single precision, which puts about 1e-7
+    relative on the norms.  The cosine transform of an even pass reads that
+    buffer but sums in double, which leaves about 1e-9.  A plain callable's
+    pass is all double.
 
     The sampler is called once per node, in ascending order, at every node,
     or only at the nodes with t >= 0 when it declares ``time_even``: the
@@ -86,21 +98,39 @@ def _time_pass(u_sampler, grid: GridSpec):
         weights[len(nodes) - first:] += weights[:first][::-1]
     spectrum = getattr(u_sampler, "spectrum", None)
     axes = tuple(range(-grid.dim, 0))
-    scale = 1.0
+    scale, orbit, points = 1.0, None, grid.mode_count
     if spectrum is not None:
         buf = np.empty(u_sampler.out_shape, np.complex64)
         density = np.empty(buf.shape)
         scale = grid.dx ** (-2 * grid.dim)
+        if _on_block(u_sampler):
+            work, orbit = np.empty((2,) + buf.shape, np.complex128), grid.orbit_sizes()
+            points = orbit.size
+            scale /= grid.mode_count**2
+
+            def transform():
+                return cosine_transform(buf, work, grid)
+        else:
+            def transform():
+                return np.fft.ifftn(buf, axes=axes, out=buf)
     for i in range(first, len(nodes)):
         if spectrum is None:
             # no sample outlives this statement, so the pass holds one field
             density = np.abs(np.fft.ifftshift(_field_values(u_sampler(nodes[i]), grid)[0],
                                               axes=axes))
         else:
-            np.fft.ifftn(spectrum(nodes[i], out=buf), axes=axes, out=buf)
-            np.abs(buf, out=density)
+            spectrum(nodes[i], out=buf)
+            np.abs(transform(), out=density)
         np.square(density, out=density)
-        yield i, nodes[i], weights[i] * scale, density.reshape(-1, grid.mode_count)
+        if orbit is not None:
+            density *= orbit
+        yield i, nodes[i], weights[i] * scale, density.reshape(-1, points)
+
+
+def _on_block(u_sampler) -> bool:
+    """Whether ``_time_pass`` runs on the block ``grid.even_block``: the
+    sampler states that it is ``even`` (see ``elastic.WaveSampler``)."""
+    return getattr(u_sampler, "even", False)
 
 
 def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:
@@ -141,7 +171,12 @@ def hs_norm(field, s: float, grid: GridSpec | None = None) -> float:
         overflows the float range.
     """
     values, grid = _field_values(field, grid)
-    F = forward_values(values, grid)
+    return _hs_norm(forward_values(values, grid), s, grid)
+
+
+def _hs_norm(F: np.ndarray, s: float, grid: GridSpec) -> float:
+    """``hs_norm`` of the field whose component-stacked coefficients
+    ``forward_values`` gave F."""
     n = grid.dim
     G = np.sum(np.abs(F) ** 2, axis=0) / (2 * pi) ** n
     xin = grid.xi_norm()
@@ -204,7 +239,8 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     ascending order, over all nodes, or over the nodes with t >= 0 if it is
     ``time_even`` (see ``elastic.WaveSampler``).  R runs over powers of two
     that fit in the box, down to a few grid cells; the ball masks are built
-    in FFT storage order, like the samples.
+    in FFT storage order, like the samples, and read on the block of an
+    ``even`` sampler's pass.
     """
     if radii is None:
         m_lo = int(np.ceil(np.log2(2 * grid.dx)))
@@ -213,7 +249,7 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
             raise DomainError("box too small to hold any dyadic ball")
         radii = [2.0**m for m in range(m_lo, m_hi + 1)]
 
-    xnorm = np.sqrt(grid.x_sq_fft()).ravel()
+    xnorm = np.sqrt(grid.x_sq_fft()[grid.even_block if _on_block(u_sampler) else ()]).ravel()
     masks = [(xnorm < R).astype(np.float64) for R in radii]
     totals = np.zeros(len(radii))
     for _, _, tw, density in _time_pass(u_sampler, grid):

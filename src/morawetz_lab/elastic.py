@@ -23,7 +23,12 @@ has no ``+N/2 dxi`` partner, so ``P(xi)`` is not even in the mode index there.
 When that part is small, ``out`` holds the real parts of the components two
 per complex field, ``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3), ...``, whose
 modulus squared is ``|Re u_0|^2 + |Re u_1|^2``: the time pass transforms half
-the fields in 2-d and two of three in 3-d.  Convention at the zero mode:
+the fields in 2-d and two of three in 3-d.  Data even in every axis, such
+as radial scalar data, stay even, since the multipliers depend on |xi| only:
+such a sampler keeps its parts and its state on the block ``[:N/2 + 1]^n``
+of FFT storage order (``GridSpec.even_block``), one point per orbit of the
+axis reflections, and the time pass transforms that block alone (see
+``analysis._time_pass``).  Convention at the zero mode:
 P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
 free-particle limit of the ODE).
 """
@@ -132,7 +137,7 @@ def projection_matrices(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _split_spectrum(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode (potential, solenoidal) parts of spectral coefficients."""
-    xi = grid.xi_grids()
+    xi = grid.xi_open()
     nsq = grid.xi_norm() ** 2
     dot = sum(xi[i] * coeffs[i] for i in range(grid.dim))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -166,7 +171,8 @@ class WaveSampler:
     flow that starts at rest; a one-way term ``(c_k, A_k)`` is ``E_k A_k``.
     Along one ascending pass over ``grid.time_nodes()`` each ``E_k`` advances
     from the previous node by one in-place multiply with
-    ``e^{i dt c_k |xi|}``; the first node, any other t and out-of-order calls
+    ``e^{i dt c_k |xi|}`` (``GridSpec.phase_step``, shared by the samplers of
+    one grid); the first node, any other t and out-of-order calls
     evaluate ``exp`` directly, so the rounding drift is bounded by one pass
     (about 1e-14).  A one-way term advances ``E_k A_k`` instead, which saves
     its product per node; a two-way term keeps ``E_k``, which is smaller than
@@ -187,6 +193,19 @@ class WaveSampler:
     nothing is packed).  A pass over it measures ``|Re u|^2``, short of
     ``|u|^2`` by ``|Im u|^2``, where ``|Im u(t)|_2 <= _REAL_TOL sum_X |X|_2``
     (``_REAL_TOL^2`` is 6e-8); for resolved data ``Im u`` is rounding.
+
+    ``even`` is true when every part X is even in every axis, to
+    ``|X - R_i X| <= _EVEN_TOL |X|`` for each reflection
+    ``R_i: m_i -> -m_i mod N``, and nothing is packed (an elastic part
+    ``xi_i xi_j / |xi|^2 fhat`` is odd in axes i and j, so only constant
+    elastic data would be even).  An even sampler keeps its parts, its |xi|
+    and its state on the block ``grid.even_block``, and ``out_shape`` is the
+    block: ``spectrum``'s ``out`` takes the block only, and the time pass
+    transforms it with ``spectral.cosine_transform``.  ``spectrum`` without
+    ``out``, ``rate`` and ``__call__`` still give the full lattice, each
+    unfolded once from the block (``GridSpec.unfold``).  The parts' odd
+    remainder, at most ``_EVEN_TOL``, is dropped; radial data on any grid
+    carry only rounding there.
     """
 
     def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
@@ -198,9 +217,7 @@ class WaveSampler:
                        for c, X, *rest in terms]
         self._drift = drift
         self._zero = (Ellipsis,) + (0,) * grid.dim
-        self._xin = grid.xi_norm()
         self._nodes = grid.time_nodes()
-        self._steps = None  # e^{i dt c_k |xi|}, built at the first recurrence step
         self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
@@ -211,8 +228,17 @@ class WaveSampler:
             sum(_nyquist_defect(X, grid.dim) for X in parts)
             <= _REAL_TOL * sum(np.sqrt(np.vdot(X, X).real) for X in parts))
         self.out_shape = self.shape
-        if self.real and len(self.shape) > grid.dim and self.shape[0] > 1:
+        self._packing = self.real and len(self.shape) > grid.dim and self.shape[0] > 1
+        if self._packing:
             self.out_shape = ((self.shape[0] + 1) // 2,) + self.shape[1:]
+        self.even = not self._packing and all(_is_even(X, grid.dim) for X in parts)
+        if self.even:
+            block = (Ellipsis,) + grid.even_block
+            self._terms = [(c, np.ascontiguousarray(P[block]),
+                            None if Q is None else np.ascontiguousarray(Q[block]), one_way)
+                           for c, P, Q, one_way in self._terms]
+            self.out_shape = self.shape[:len(self.shape) - grid.dim] + grid.even_shape
+        self._xin = grid.xi_norm(self.even)
 
     def _advance(self, t: float) -> None:
         """Bring the state to t: one step of the recurrence, or ``exp`` directly."""
@@ -220,11 +246,8 @@ class WaveSampler:
             return
         nodes, i = self._nodes, self._index
         if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
-            if self._steps is None:
-                dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
-                self._steps = [np.exp(1j * dt * c * self._xin) for c, _, _, _ in self._terms]
-            for state, step in zip(self._state, self._steps):
-                state *= step
+            for state, (c, _, _, _) in zip(self._state, self._terms):
+                state *= self.grid.phase_step(c, self.even)
             self._index = i + 1
         else:
             self._state = []
@@ -242,7 +265,7 @@ class WaveSampler:
         (imaginary half zero), and a field for one product.  A sampler of
         one-way terms only needs no parts or buffers."""
         if self._single is None:
-            packed = self.out_shape != self.shape
+            packed = self._packing
 
             def single(X):
                 if X is None:
@@ -282,16 +305,21 @@ class WaveSampler:
         transform buffer; it reduces in ``float64``, so its norms carry about
         1e-7 relative rounding.  Without ``out``, a lone one-way term comes
         back as a read-only view of the state, valid until the next call, and
-        anything else in a new ``complex128`` array, in double precision.
+        anything else in a new ``complex128`` array, in double precision; an
+        ``even`` sampler's come back unfolded to the full lattice, in a new
+        array either way.
         """
         self._advance(t)
         drift = self._drift
+        unfold = out is None and self.even
         if out is None:
             if drift is None and len(self._terms) == 1 and self._terms[0][3]:
+                if unfold:
+                    return self.grid.unfold(self._state[0])
                 view = self._state[0].view()
                 view.setflags(write=False)
                 return view
-            out = np.empty(self.shape, np.complex128)
+            out = np.empty(self.out_shape if self.even else self.shape, np.complex128)
             parts = [(P, Q) for _, P, Q, _ in self._terms]
             trig, product = None, np.empty_like(out)
         else:
@@ -321,7 +349,7 @@ class WaveSampler:
                 first = False
         if drift is not None:
             out[self._zero] += t * drift
-        return out
+        return self.grid.unfold(out) if unfold else out
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier:
@@ -339,7 +367,7 @@ class WaveSampler:
             out = out + w * part
         if self._drift is not None:
             out[self._zero] += self._drift
-        return out
+        return self.grid.unfold(out) if self.even else out
 
     def __call__(self, t: float) -> np.ndarray:
         """u(t) on the physical grid."""
@@ -347,6 +375,26 @@ class WaveSampler:
 
 
 _REAL_TOL = 2.0**-12  # largest relative Nyquist-plane part a real sampler packs
+
+
+_EVEN_TOL = 1e-12  # largest relative odd part of an even sampler's parts
+
+
+def _is_even(X: np.ndarray, dim: int) -> bool:
+    """Whether ``|X - R_i X| <= _EVEN_TOL |X|`` for each reflection
+    ``R_i: m_i -> -m_i mod N`` of X's last ``dim`` axes (FFT storage order).
+    R_i fixes the indices 0 and N/2 and swaps m with N - m, so
+    ``|X - R_i X|^2`` is twice the squared difference of the views
+    ``X[..., 1:N/2]`` and ``X[..., N-1:N/2:-1]`` along the axis; nothing is
+    copied but that difference.  Stops at the first failing axis."""
+    h = X.shape[-1] // 2
+    bound = 0.5 * _EVEN_TOL**2 * np.vdot(X, X).real
+    for axis in range(X.ndim - dim, X.ndim):
+        head = (slice(None),) * axis
+        odd = X[head + (slice(1, h),)] - X[head + (slice(None, h, -1),)]
+        if np.vdot(odd, odd).real > bound:
+            return False
+    return True
 
 
 def _nyquist_planes(X: np.ndarray, dim: int):
@@ -388,15 +436,25 @@ def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
     """Sampler of ``e^{i t c sqrt(-Lap)} f`` for scalar samples of shape ``grid.shape``.
 
     For real f, ``u(-t) = conj(u(t))`` because ``|xi|`` is even, so the
-    sampler is ``time_even``.
+    sampler is ``time_even``; for f even in every axis, such as radial data,
+    it is ``even``.
     """
+    return _halfwave_sampler(f, grid, c)
+
+
+def _halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
+                      coeffs: np.ndarray | None = None) -> WaveSampler:
+    """``halfwave_sampler``, taking f's coefficients ``forward_values(f, grid)``
+    from a caller that has them already."""
     if not c > 0:
         raise DomainError(f"wave speed must be positive, got {c}")
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
     real = not np.any(np.imag(f))
-    return WaveSampler(grid, [(c, forward_values(f, grid))], time_even=real)
+    if coeffs is None:
+        coeffs = forward_values(f, grid)
+    return WaveSampler(grid, [(c, coeffs)], time_even=real)
 
 
 class ElasticPropagator:
@@ -433,6 +491,7 @@ class ElasticPropagator:
         real_data = not (np.any(state.f.values.imag) or np.any(state.g.values.imag))
         self._sampler = WaveSampler(grid, terms, drift, self.time_even, real_data)
         self.real = self._sampler.real
+        self.even = self._sampler.even
         self.shape = self._sampler.shape
         self.out_shape = self._sampler.out_shape
 

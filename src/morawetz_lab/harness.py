@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import hs_norm, lp_project
-from .elastic import ElasticPropagator, ElasticState, LameParams, halfwave_sampler
+from .analysis import _hs_norm, hs_norm, lp_project
+from .elastic import ElasticPropagator, ElasticState, LameParams, _halfwave_sampler
 from .errors import AccuracyError, ConfigurationError, DomainError
 from .spectral import GridSpec, VectorField, forward_values, inverse_values
 from .weights import (
@@ -225,8 +225,16 @@ def _max_speed(propagation) -> float:
     return speed
 
 
-def _scalar_halfwave_sampler(profile: np.ndarray, grid: GridSpec, speed: float):
-    return halfwave_sampler(profile, grid, speed)
+def _scalar_halfwave_sampler(profile: np.ndarray, grid: GridSpec, speed: float,
+                             coeffs: np.ndarray | None = None):
+    return _halfwave_sampler(profile, grid, speed, coeffs)
+
+
+def _scalar_sampler_and_norm(f: np.ndarray, grid: GridSpec, speed: float, s: float):
+    """The half-wave sampler of f and ``hs_norm(f, s, grid)``, from one forward
+    transform of f, which is freed on return unless the sampler keeps it."""
+    F = forward_values(np.asarray(f), grid)
+    return _scalar_halfwave_sampler(f, grid, speed, F), _hs_norm(F[np.newaxis], s, grid)
 
 
 def compute_ratio(
@@ -267,8 +275,8 @@ def compute_ratio(
                 "scalar mode uses the half-wave propagator e^{itc sqrt(-Lap)}: "
                 "velocity data is not part of that reduction"
             )
-        sampler = _scalar_halfwave_sampler(member.f, grid, float(propagation))
-        denominator = hs_norm(member.f, query.s, grid)
+        sampler, denominator = _scalar_sampler_and_norm(member.f, grid, float(propagation),
+                                                        query.s)
     else:
         if not isinstance(propagation, LameParams):
             raise ConfigurationError("vector members need LameParams")

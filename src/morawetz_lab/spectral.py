@@ -34,6 +34,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "frequency_lattice",
+    "cosine_transform",
 ]
 
 
@@ -127,28 +128,75 @@ class GridSpec:
         return tuple(g)
 
     def x_norm(self) -> np.ndarray:
-        return self._memo("x_norm", lambda: np.sqrt(sum(x**2 for x in self.x_grids())))
+        return self._memo("x_norm", lambda: np.sqrt(sum(x**2 for x in self._open(self.x_axis))))
 
-    def _x_sq(self) -> np.ndarray:
-        x2 = (self.dx * self.mode_axis) ** 2
-        return sum(np.meshgrid(*([x2] * self.dim), indexing="ij", sparse=True))
+    def _open(self, axis: np.ndarray) -> list[np.ndarray]:
+        """One broadcasting copy of ``axis`` per dimension: the values of the
+        dense grids without their memory."""
+        return np.meshgrid(*([axis] * self.dim), indexing="ij", sparse=True)
+
+    def _x_sq(self, block: bool = False) -> np.ndarray:
+        m = np.arange(self.points_per_axis // 2 + 1) if block else self.mode_axis
+        return sum(self._open((self.dx * m) ** 2))
 
     def x_sq_fft(self) -> np.ndarray:
         """|x|^2 in FFT storage order: index m sits at x = dx * m (m taken mod N
         into [-N/2, N/2)), so the origin is index 0."""
         return self._memo("x_sq_fft", self._x_sq)
 
-    def x_sq_levels(self) -> tuple[np.ndarray, np.ndarray]:
+    def x_sq_levels(self, block: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The distinct values of ``x_sq_fft()``, ascending, and the index of
-        each grid point's value among them (``intp``, of shape ``shape``), so
-        a radial function of |x|^2 can be evaluated once per value.  Neither
-        keeps ``x_sq_fft()`` alive."""
+        each grid point's value among them (``intp``, of shape ``shape``, or
+        of ``even_shape`` for the points of the block), so a radial function
+        of |x|^2 can be evaluated once per value.  |x|^2 is even in every
+        axis, so the block holds every value.  Neither keeps ``x_sq_fft()``
+        alive."""
         def build():  # np.unique would import numpy.ma, about 1 MB
-            ordered = np.sort(self._x_sq(), axis=None)
+            ordered = np.sort(self._x_sq(block=True), axis=None)
             return ordered[np.diff(ordered, prepend=-1.0) > 0]
 
         levels = self._memo("x_sq_levels", build)
-        return levels, self._memo("x_sq_index", lambda: np.searchsorted(levels, self._x_sq()))
+        return levels, self._memo(f"x_sq_index {block}",
+                                  lambda: np.searchsorted(levels, self._x_sq(block)))
+
+    # -- the even block ------------------------------------------------------
+    # An array even in every axis, X(R_i m) = X(m) for each reflection
+    # R_i: m_i -> -m_i mod N, is fixed by its values on one representative of
+    # every orbit of those reflections, m_i in [0, N/2]: the block
+    # [:N/2 + 1]^n of FFT storage order.  A point's orbit has
+    # prod_i (1 if m_i in {0, N/2} else 2) points.
+
+    @property
+    def even_block(self) -> tuple[slice, ...]:
+        """Index of the block ``[:N/2 + 1]^n`` in FFT storage order."""
+        return (slice(0, self.points_per_axis // 2 + 1),) * self.dim
+
+    @property
+    def even_shape(self) -> tuple[int, ...]:
+        return (self.points_per_axis // 2 + 1,) * self.dim
+
+    def orbit_sizes(self) -> np.ndarray:
+        """The number of lattice points in the orbit of each block point, of
+        shape ``even_shape``: a sum over the lattice of an even array is the
+        sum over the block of the array times these."""
+        def build():
+            axis = np.full(self.points_per_axis // 2 + 1, 2.0)
+            axis[[0, -1]] = 1.0
+            sizes = axis
+            for _ in range(self.dim - 1):
+                sizes = np.multiply.outer(sizes, axis)
+            return sizes
+
+        return self._memo("orbit_sizes", build)
+
+    def unfold(self, block: np.ndarray) -> np.ndarray:
+        """The full lattice, in FFT storage order, of an array even in its last
+        ``dim`` axes, from its block: a new array, index m read at min(m, N - m)."""
+        def build():
+            m = np.arange(self.points_per_axis)
+            return np.minimum(m, self.points_per_axis - m)
+
+        return block[(Ellipsis,) + np.ix_(*([self._memo("fold_axis", build)] * self.dim))]
 
     def xi_grids(self) -> tuple[np.ndarray, ...]:
         def build():
@@ -157,8 +205,27 @@ class GridSpec:
         g = self._memo("xi_grids", build)
         return tuple(g)
 
-    def xi_norm(self) -> np.ndarray:
-        return self._memo("xi_norm", lambda: np.sqrt(sum(x**2 for x in self.xi_grids())))
+    def xi_norm(self, block: bool = False) -> np.ndarray:
+        """|xi| in FFT storage order, on the full lattice or on its even block."""
+        if block:
+            return self._memo("xi_norm block",
+                              lambda: np.ascontiguousarray(self.xi_norm()[self.even_block]))
+        return self._memo("xi_norm", lambda: np.sqrt(sum(x**2 for x in self.xi_open())))
+
+    def xi_open(self) -> list[np.ndarray]:
+        """The xi grids as an open mesh, one broadcasting axis per dimension."""
+        return self._open(self.xi_axis)
+
+    def phase_step(self, c: float, block: bool = False) -> np.ndarray:
+        """``e^{i dt c |xi|}``, the phase a wave of speed c gains from one time
+        node to the next, on the lattice ``xi_norm(block)``; built once per
+        grid, speed and lattice and shared by every sampler on them."""
+        def build():
+            nodes = self.time_nodes()
+            dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
+            return np.exp(1j * dt * c * self.xi_norm(block))
+
+        return self._memo(f"phase_step {c!r} {block}", build)
 
     @property
     def xi_max(self) -> float:
@@ -262,6 +329,42 @@ def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.fft.fftshift(np.fft.ifftn(coeffs, axes=axes), axes=axes)
     out /= grid.dx**grid.dim
     return out
+
+
+def cosine_transform(a: np.ndarray, work: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The unscaled inverse DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of coefficients
+    even in every spatial axis, from the block to the block.
+
+    The sum over m's orbit is ``mult_m cos(2 pi j m/N)`` per axis, so along
+    each axis it is the cosine transform (DCT-I) ``C[j, m] = mult_m cos(2 pi
+    j m/N)`` on ``j, m in [0, N/2]``, ``mult_m`` 1 at m = 0 and N/2 and 2
+    otherwise, applied by one matmul.  C is real, so along every axis but the
+    last it multiplies the real view of the data, real and imaginary parts
+    alike, at half the cost of a complex product.  ``a`` is complex, of any
+    precision, with trailing axes ``grid.even_shape``; the sums run in
+    double precision through ``work``, a ``complex128`` array of shape
+    ``(2,) + a.shape`` that is overwritten.  Returns the half of ``work``
+    that holds the result.
+    """
+    def build():
+        N = grid.points_per_axis
+        m = np.arange(N // 2 + 1)
+        mult = np.where((m == 0) | (m == N // 2), 1.0, 2.0)
+        return mult * np.cos(2 * np.pi * (np.outer(m, m) % N) / N)
+
+    C = grid._memo("cosine_matrix", build)
+    K = len(C)
+    src = a
+    for i in range(grid.dim):
+        dst = work[i % 2]
+        if i < grid.dim - 1:  # C @ (rows, K, columns) sums over the middle axis
+            shape = (-1, K, 2 * K ** (grid.dim - 1 - i))
+            np.matmul(C, src.view(src.real.dtype).reshape(shape),
+                      out=dst.view(np.float64).reshape(shape))
+        else:
+            np.matmul(src.reshape(-1, K), C.T, out=dst.reshape(-1, K))
+        src = dst
+    return src
 
 
 def forward_transform(f: VectorField) -> SpectralVectorField:

@@ -39,7 +39,14 @@ x = dx * m (m taken mod N into [-N/2, N/2)) and the origin is index 0; the
 averaged cells around it are the wrapped indices ``arange(-r, r + 1) % N``.
 The time pass hands over squared moduli of the raw inverse FFT, u * dx^n,
 and folds the constant dx^{-2n} into its node weights, so the norms here
-need no per-node rescaling or shift.
+need no per-node rescaling or shift.  Every weight here, and every ball
+mask of ``analysis.local_smoothing_functional``, is even in each axis
+(``m_i -> -m_i mod N``).  So for an ``even`` sampler, whose pass hands over
+the block ``[:N/2 + 1]^n`` of the lattice with each point's density
+multiplied by its orbit size, the weights are read on that block: the
+spatial array as a slice, the space-time fill from the block's |x|^2
+levels, and the averaged patch through its nonnegative orthant, which sits
+at the indices ``arange(r + 1)``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _time_pass, _weighted_sum
+from .analysis import _on_block, _time_pass, _weighted_sum
 from .errors import DomainError
 from .spectral import GridSpec
 
@@ -272,11 +279,15 @@ def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[in
 # -- effective lattice weights ------------------------------------------------
 
 
-def _ring_index(ring: int, grid: GridSpec):
-    """Index of the cells within ``ring`` of x = 0 on every axis, in FFT storage
-    order; it matches the axes of an ``_origin_patch``."""
+def _ring_index(ring: int, grid: GridSpec, block: bool = False):
+    """Where the cells within ``ring`` of x = 0 on every axis sit in FFT storage
+    order, and which part of an ``_origin_patch`` (its last ``dim`` axes) goes
+    there: all of it at the wrapped indices on the full lattice, its
+    nonnegative orthant at the first ``ring + 1`` indices on the block."""
+    if block:
+        return (slice(0, ring + 1),) * grid.dim, (Ellipsis,) + (slice(ring, None),) * grid.dim
     wrapped = np.arange(-ring, ring + 1) % grid.points_per_axis
-    return np.ix_(*([wrapped] * grid.dim))
+    return np.ix_(*([wrapped] * grid.dim)), ()
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,7 +304,7 @@ def _spatial_weight_array(grid: GridSpec, weight: WeightSpec, quad: QuadratureCo
         w = np.where(xnorm > 0, weight.radial()(np.where(xnorm > 0, xnorm, 1.0)), 0.0)
     ring = _ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
     patch, info = _origin_patch(weight, [grid.dx] * n, [ring] * n, quad)
-    w[_ring_index(ring, grid)] = patch
+    w[_ring_index(ring, grid)[0]] = patch
     w.setflags(write=False)
     return w, info
 
@@ -327,13 +338,15 @@ def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) 
         _spatial_weight_array(grid, weight, quad)
 
 
-def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with |(x,t)|^-alpha in FFT storage order, 0 at the space-time origin.
+def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray,
+                         block: bool = False) -> np.ndarray:
+    """Fill ``out`` with |(x,t)|^-alpha in FFT storage order, 0 at the space-time
+    origin, on the full lattice or on the block ``grid.even_block``.
 
     The power is taken once per distinct |x|^2 (``GridSpec.x_sq_levels``) and
     spread over the grid by one ``take``, with the same values as pointwise.
     """
-    levels, index = grid.x_sq_levels()
+    levels, index = grid.x_sq_levels(block)
     with np.errstate(divide="ignore"):
         table = np.power(levels + t * t, -0.5 * alpha)
     np.take(table, index, out=out, mode="clip")  # "raise" would buffer the output
@@ -364,9 +377,11 @@ def weighted_spacetime_norm(
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
     measure = grid.dx**grid.dim
+    block = _on_block(u_sampler)
 
     if weight.kind == SPATIAL_POWER:
-        w = _spatial_weight_array(grid, weight, quad)[0].ravel()
+        w = _spatial_weight_array(grid, weight, quad)[0]
+        w = (w[grid.even_block] if block else w).ravel()
         total = 0.0
         for _, _, tw, density in _time_pass(u_sampler, grid):
             total += tw * measure * _weighted_sum(w, density)
@@ -375,18 +390,18 @@ def weighted_spacetime_norm(
     # spacetime power: pointwise except near the (0,0) cell
     patch, _ = _spacetime_ring_patch(grid, weight, quad)
     ring_t, ring = patch.shape[0] // 2, patch.shape[1] // 2
-    cells = _ring_index(ring, grid)
+    cells, part = _ring_index(ring, grid, block)
     tnodes = grid.time_nodes()
     dt = tnodes[1] - tnodes[0]
     i0 = int(np.argmin(np.abs(tnodes)))
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
-    w = np.empty(grid.shape)
+    w = np.empty(grid.even_shape if block else grid.shape)
     total = 0.0
     for i, t, tw, density in _time_pass(u_sampler, grid):
-        _spacetime_pointwise(grid, weight.alpha, t, w)
+        _spacetime_pointwise(grid, weight.alpha, t, w, block)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
-            w[cells] = patch[ring_t + dti]
+            w[cells] = patch[ring_t + dti][part]
         total += tw * measure * _weighted_sum(w.ravel(), density)
     return float(np.sqrt(total))
 

@@ -21,6 +21,7 @@ from morawetz_lab import (
     helmholtz_split,
     scale_covariance_test,
 )
+from morawetz_lab.elastic import halfwave_sampler
 from morawetz_lab.harness import time_sampling_drift, worker_count
 from morawetz_lab.spectral import forward_values
 from morawetz_lab.weights import SPACETIME_POWER, SPATIAL_POWER, QuadratureConfig, WeightSpec
@@ -131,11 +132,13 @@ class TestComputeRatio:
     @staticmethod
     def _count_time_pass(monkeypatch, member, query, propagation, grid, lam=1.0):
         """compute_ratio's ``spectrum`` calls, inverse FFTs and the fields they
-        transform; every inverse FFT of a ratio of data at rest is the time pass's."""
-        from morawetz_lab import elastic
+        transform, and its cosine transforms and the points they transform;
+        every inverse transform of a ratio of data at rest is the time pass's."""
+        from morawetz_lab import analysis, elastic
 
-        calls = {"spectrum": 0, "ifftn": 0, "fields": 0}
+        calls = {"spectrum": 0, "ifftn": 0, "fields": 0, "cosine": 0, "points": 0}
         spectrum, ifftn = elastic.WaveSampler.spectrum, np.fft.ifftn
+        cosine = analysis.cosine_transform
 
         def counted_spectrum(self, t, out=None):
             calls["spectrum"] += 1
@@ -146,21 +149,29 @@ class TestComputeRatio:
             calls["fields"] += a.size // grid.mode_count
             return ifftn(a, *args, **kwargs)
 
+        def counted_cosine(a, work, g):
+            calls["cosine"] += 1
+            calls["points"] += a.size
+            return cosine(a, work, g)
+
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
         monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
+        monkeypatch.setattr(analysis, "cosine_transform", counted_cosine)
         rec = compute_ratio(member, query, propagation, grid, lam=lam)
         assert rec.numerator > 0
         return calls
 
     def test_scan_ratio_3d_folds_its_time_pass(self, monkeypatch):
         # the key 3-d scan: real Gaussian data is time-even, so the norm loop
-        # takes the spectrum of (and inverse-transforms) 27 of the 53 time
-        # nodes per lambda
+        # takes the spectrum of 27 of the 53 time nodes per lambda; radial
+        # data are even in every axis, so it transforms only the 33^3 points
+        # of the block, by cosine transform, and the full 64^3 grid never
         grid = GridSpec(3, 64, 16.0, 53, 6.5)
         member = DataFamily(kind="gaussian", width=0.9).member(grid, lam=2.0)
         q = RegionQuery(2.0, 0.5, 3, SPACETIME_POWER)
         calls = self._count_time_pass(monkeypatch, member, q, 1.0, grid, lam=2.0)
-        assert calls == {"spectrum": 27, "ifftn": 27, "fields": 27}
+        assert calls == {"spectrum": 27, "ifftn": 0, "fields": 0,
+                         "cosine": 27, "points": 27 * 33**3}
 
     def test_elastic_2d_packs_its_time_pass(self, monkeypatch):
         # the elastic scan: resolved real data at rest give a real displacement,
@@ -169,7 +180,7 @@ class TestComputeRatio:
         member = DataFamily(kind="gaussian", width=0.75, scalar=False).member(grid)
         q = RegionQuery(1.6, 0.3, 2, SPATIAL_POWER)
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
-        assert calls == {"spectrum": 49, "ifftn": 49, "fields": 49}
+        assert calls == {"spectrum": 49, "ifftn": 49, "fields": 49, "cosine": 0, "points": 0}
 
     @pytest.mark.parametrize(
         "dim, family, fields",
@@ -189,14 +200,16 @@ class TestComputeRatio:
         q = RegionQuery(1.5, 0.25, dim, SPATIAL_POWER)
         member = family.member(grid)
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
-        assert calls == {"spectrum": 9, "ifftn": 9, "fields": 9 * fields}
+        assert calls == {"spectrum": 9, "ifftn": 9, "fields": 9 * fields, "cosine": 0, "points": 0}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, then inf - inf
     def test_non_finite_result_is_an_accuracy_error(self):
-        # the time pass transforms in complex64, which overflows near 3.4e38
+        # the time pass writes its spectra in complex64, which overflows near
+        # 3.4e38; radial data take the reduced pass, on the even block
         g = GridSpec(2, 32, 12.0, 17, 3.0)
         probe = scalar_gaussian_member(g, 0.8)
         member = Member("huge", 1e40 * probe.f, None, probe.support_radius, True)
+        assert halfwave_sampler(member.f, g, 1.0).even
         q = RegionQuery(1.0, 0.5, 2, SPATIAL_POWER)
         with pytest.raises(AccuracyError, match="not finite"):
             compute_ratio(member, q, 1.0, g)

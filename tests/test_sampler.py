@@ -56,19 +56,39 @@ def _white(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _even_data(grid: GridSpec, rng, real: bool = False) -> np.ndarray:
+    """Samples whose coefficients are white on the block and even in every
+    axis: real-valued for real ones (a real even spectrum)."""
+    block = rng.standard_normal(grid.even_shape) if real else _white(rng, grid.even_shape)
+    f = inverse_values(grid.unfold(block), grid)
+    return f.real.astype(np.complex128) if real else f
+
+
+def _odd_in_axis(grid: GridSpec, rng, axis: int) -> np.ndarray:
+    """Samples whose coefficients are odd in one axis, ``W - R_axis W``."""
+    W = _white(rng, grid.shape)
+    return inverse_values(W - np.roll(np.flip(W, axis), 1, axis), grid)
+
+
 def _close(got: np.ndarray, want: np.ndarray) -> bool:
     return np.linalg.norm(got - want) <= REL * np.linalg.norm(want)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.data(), _grids(), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
-def test_halfwave_recurrence_matches_direct(data, grid, c, seed):
-    f = _white(np.random.default_rng(seed), grid.shape)
+@given(st.data(), _grids(), st.floats(0.1, 3.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_halfwave_recurrence_matches_direct(data, grid, c, even, seed):
+    # even data keep their state on the block; spectrum, rate and samples
+    # still come back on the full lattice
+    rng = np.random.default_rng(seed)
+    f = _even_data(grid, rng) if even else _white(rng, grid.shape)
     F = forward_values(f, grid)
     sampler = halfwave_sampler(f, grid, c)
+    assert sampler.even is even
     for t in _schedule(data.draw, grid):
-        direct = inverse_values(np.exp(1j * t * c * grid.xi_norm()) * F, grid)
-        assert _close(sampler(t), direct), t
+        coeffs = np.exp(1j * t * c * grid.xi_norm()) * F
+        assert _close(sampler.spectrum(t), coeffs), t
+        assert _close(sampler.rate(t), 1j * c * grid.xi_norm() * coeffs), t
+        assert _close(sampler(t), inverse_values(coeffs, grid)), t
 
 
 def _lame(ratio: float, mu: float) -> LameParams:
@@ -406,3 +426,93 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         assert abs(got - want) <= 1e-6 * want, (got, want)
         got = accumulate(lambda t, s=make(): s(t))
         assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+def _even_cases():
+    """(label, sampler, whether it is even) for the data the fact must tell apart."""
+    grid = GridSpec(3, 32, 7.3, 9, 2.0)  # dx 0.45625: not dyadic
+    rng = np.random.default_rng(14)
+    gauss = np.exp(-grid.x_norm() ** 2 / 2.0).astype(np.complex128)
+    carrier = np.exp(1j * 1.5 * grid.x_grids()[0])
+    odd = _even_data(grid, rng) + 1e-3 * _odd_in_axis(grid, rng, 2)
+    elastic = ElasticState(VectorField(grid, np.stack([gauss, 0 * gauss, 0 * gauss])),
+                           VectorField(grid, np.zeros((3,) + grid.shape)))
+    return [
+        ("radial", halfwave_sampler(gauss, grid, 1.0), True),
+        ("even white", halfwave_sampler(_even_data(grid, rng), grid, 1.0), True),
+        ("modulated", halfwave_sampler(gauss * carrier, grid, 1.0), False),
+        ("white", halfwave_sampler(_white(rng, grid.shape), grid, 1.0), False),
+        ("odd in one axis", halfwave_sampler(odd, grid, 1.0), False),
+        ("elastic", ElasticPropagator(elastic, LameParams(1.0, 1.0)), False),
+        ("complex elastic", ElasticPropagator(
+            ElasticState(VectorField(grid, elastic.f.values * 1j), elastic.g),
+            LameParams(1.0, 1.0)), False),
+        ("constant elastic", _constant_elastic(grid), True),
+    ]
+
+
+def _constant_elastic(grid: GridSpec) -> ElasticPropagator:
+    """Constant complex displacement at rest: its Helmholtz parts are the zero
+    mode alone, so the three-component sampler is even and packs nothing."""
+    f = np.ones((3,) + grid.shape) * np.array([1 + 2j, 0.5j, -1.0])[:, None, None, None]
+    return ElasticPropagator(ElasticState(VectorField(grid, f), VectorField(grid, 0 * f)),
+                             LameParams(1.0, 1.0))
+
+
+def test_even_fact_tells_even_data_apart():
+    # radial data at a non-dyadic dx are even in the spectrum to rounding,
+    # though not bitwise in physical space; a 1e-3 odd part in one axis,
+    # the Helmholtz parts of elastic data and carriers break the fact
+    for label, sampler, even in _even_cases():
+        assert sampler.even is even, label
+        grid = sampler.grid
+        lead = sampler.shape[: len(sampler.shape) - grid.dim]
+        if even:
+            assert sampler.out_shape == lead + grid.even_shape, label
+        else:
+            assert sampler.out_shape[-grid.dim:] == grid.shape, label
+
+
+@pytest.mark.parametrize("kind", ACCUMULATORS)
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=6, deadline=None)
+@given(n=st.sampled_from([8, 16, 32]), odd_m=st.booleans(), u=st.floats(0.05, 1.0),
+       c=st.floats(0.5, 2.0), real=st.booleans(), odd_part=st.sampled_from([0.0, 1e-3]),
+       axis=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_even_pass_matches_complex128_oracle(kind, dim, n, odd_m, u, c, real, odd_part, axis,
+                                             seed):
+    # the block pass of even data against the full double-precision pass in
+    # physical order; data with a 1e-3 odd part in one axis take the full
+    # pass, and must not be read on the block
+    grid = GridSpec(dim, n, 8.0, 17 if odd_m else 18, 2.0)
+    rng = np.random.default_rng(seed)
+    f = _even_data(grid, rng, real) + odd_part * _odd_in_axis(grid, rng, axis % dim)
+    if real:
+        f = f.real.astype(np.complex128)
+    radii = [1.0, 2.0, 4.0, 8.0]
+    if kind == "local_smoothing":
+        got = local_smoothing_functional(sampler := halfwave_sampler(f, grid, c), grid, radii)
+        want = local_smoothing_oracle(sampler, grid, radii)
+    else:
+        weight = WeightSpec(kind, u * (grid.dim if kind == SPATIAL_POWER else grid.dim + 1))
+        got = weighted_spacetime_norm(sampler := halfwave_sampler(f, grid, c), weight, grid)
+        want = weighted_norm_oracle(sampler, weight, grid)
+    assert abs(got - want) <= 1e-6 * want, (got, want)
+    assert sampler.even is (odd_part == 0.0)
+    assert sampler.time_even is real
+
+
+@pytest.mark.parametrize("kind", ACCUMULATORS)
+def test_even_components_take_the_block_pass(kind):
+    # a sampler of several components on the block: each is transformed there
+    grid = GridSpec(3, 16, 8.0, 9, 2.0)
+    radii = [1.0, 2.0, 4.0]
+    if kind == "local_smoothing":
+        got = local_smoothing_functional(sampler := _constant_elastic(grid), grid, radii)
+        want = local_smoothing_oracle(sampler, grid, radii)
+    else:
+        weight = WeightSpec(kind, 1.2)
+        got = weighted_spacetime_norm(sampler := _constant_elastic(grid), weight, grid)
+        want = weighted_norm_oracle(sampler, weight, grid)
+    assert sampler.even and sampler.out_shape == (3,) + grid.even_shape
+    assert abs(got - want) <= 1e-6 * want, (got, want)

@@ -301,6 +301,50 @@ def test_shared_weight_caches_are_read_only():
             arr[(0,) * arr.ndim] = 1.0
 
 
+def _assert_even(a: np.ndarray, dim: int, label: str) -> None:
+    """a is unchanged by each reflection m_i -> -m_i mod N of its last dim axes."""
+    for axis in range(a.ndim - dim, a.ndim):
+        head = (slice(None),) * axis
+        np.testing.assert_array_equal(a[head + (slice(1, None),)],
+                                      a[head + (slice(None, 0, -1),)], err_msg=label)
+
+
+@pytest.mark.parametrize("dim, n, edge", [(2, 32, False), (3, 16, False), (2, 8, True),
+                                          (3, 8, True)])
+def test_lattice_weights_are_even_and_read_on_the_block(dim, n, edge):
+    # the block pass of even samplers reads every weight and mask on the
+    # block [:N/2 + 1]^n, which holds them only if they are even in each axis;
+    # edge: the ring patch is clipped to N/4 cells and covers half the grid
+    g = GridSpec(dim, n, 6.0, 5 if edge else 17, 2.0)
+    block = g.even_block
+    quad = QuadratureConfig()
+    w, _ = W._spatial_weight_array(g, WeightSpec(SPATIAL_POWER, 0.7 * dim), quad)
+    _assert_even(w, dim, "spatial")
+    patch, _ = W._spacetime_ring_patch(g, WeightSpec(SPACETIME_POWER, 0.7 * (dim + 1)), quad)
+    ring = patch.shape[1] // 2
+    for k in range(patch.shape[0]):
+        for axis in range(dim):
+            np.testing.assert_array_equal(patch[k], np.flip(patch[k], axis), err_msg="ring")
+        full, part = W._ring_index(ring, g)
+        lattice = np.zeros(g.shape)
+        lattice[full] = patch[k][part]
+        _assert_even(lattice, dim, "ring on the lattice")
+        cells, orthant = W._ring_index(ring, g, block=True)
+        on_block = np.zeros(g.even_shape)
+        on_block[cells] = patch[k][orthant]
+        np.testing.assert_array_equal(on_block, lattice[block])
+    for t in (0.0, 0.5, -1.25):
+        fill = W._spacetime_pointwise(g, 2.2, t, np.empty(g.shape))
+        _assert_even(fill, dim, f"fill at t = {t}")
+        np.testing.assert_array_equal(
+            W._spacetime_pointwise(g, 2.2, t, np.empty(g.even_shape), block=True), fill[block])
+    for R in (1.0, 2.0, 4.0):
+        _assert_even((np.sqrt(g.x_sq_fft()) < R).astype(float), dim, f"ball {R}")
+    # a sum over the lattice of an even array is its block sum times the orbit sizes
+    assert np.sum(w) == pytest.approx(np.sum(w[block] * g.orbit_sizes()), rel=1e-13)
+    assert g.orbit_sizes().sum() == g.mode_count
+
+
 @st.composite
 def _oracle_boxes(draw):
     """Boxes in [-2, 2]^d that straddle, touch or avoid the origin per axis,
