@@ -34,7 +34,6 @@ from .harness import (
     DataFamily,
     FrequencyScan,
     Member,
-    ExperimentReport,
     RatioRecord,
     Region,
     RegionQuery,
@@ -43,7 +42,6 @@ from .harness import (
     compute_ratio,
     decomposition_check,
     frequency_constant_scan,
-    scale_covariance_report,
     scale_covariance_test,
 )
 from .kernel import (
@@ -57,11 +55,8 @@ from .kernel import (
 from .spectral import (
     FrequencyLattice,
     GridSpec,
-    SpectralVectorField,
     VectorField,
-    forward_transform,
     frequency_lattice,
-    inverse_transform,
 )
 from .weights import (
     SPACETIME_POWER,

@@ -25,7 +25,7 @@ from math import gamma, pi
 
 import numpy as np
 
-from .cutoff import DyadicCutoff, default_cutoff
+from .cutoff import default_cutoff
 from .errors import DomainError, ShapeError
 from .spectral import GridSpec, VectorField, cosine_transform, forward_values, inverse_values
 
@@ -203,26 +203,25 @@ def _hs_norm(F: np.ndarray, s: float, grid: GridSpec) -> float:
     return float(np.sqrt(total))
 
 
-def lp_project(field, k: int, grid: GridSpec | None = None, cutoff: DyadicCutoff | None = None):
+def lp_project(field, k: int, grid: GridSpec | None = None):
     """Littlewood-Paley projection to the dyadic band |xi| ~ 2^k.
 
     Multiplies the spectrum by phi(2^{-k}|xi|); the zero mode is annihilated
     (phi vanishes at 0).  Returns the same type that was passed in.
     """
-    cutoff = cutoff or default_cutoff()
     values, g = _field_values(field, grid)
     F = forward_values(values, g)
     xin = g.xi_norm()
     mult = np.zeros_like(xin)
     pos = xin > 0
-    mult[pos] = cutoff(xin[pos] * 2.0 ** (-k))
+    mult[pos] = default_cutoff()(xin[pos] * 2.0 ** (-k))
     out = inverse_values(mult * F, g)
     if isinstance(field, VectorField):
         return VectorField(g, out)
     return out if np.asarray(field).ndim > g.dim else out[0]
 
 
-def lp_level_range(grid: GridSpec, cutoff: DyadicCutoff | None = None) -> range:
+def lp_level_range(grid: GridSpec) -> range:
     """Levels k whose bands (2^{k-1}, 2^{k+1}) touch the nonzero lattice frequencies."""
     lo = grid.dxi
     hi = grid.xi_max * np.sqrt(grid.dim)

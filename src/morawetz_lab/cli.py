@@ -36,9 +36,9 @@ from .errors import AccuracyError, ConfigurationError, MorawetzLabError
 from .harness import (
     DataFamily,
     RegionQuery,
+    classify_region,
     decomposition_check,
     frequency_constant_scan,
-    scale_covariance_report,
     scale_covariance_test,
 )
 from .kernel import decay_fit
@@ -49,7 +49,6 @@ from .weights import (
     QuadratureConfig,
     WeightSpec,
     a2_scan,
-    a2_scan_max,
     default_cube_family,
     singular_cell_report,
 )
@@ -208,10 +207,11 @@ def _run_evolve(cfg: RunConfig) -> dict:
     o = cfg.options
     grid = GridSpec(o["n"], o["grid"], o["box"], o["samples"], o["horizon"])
     params = LameParams(o["lame-lambda"], o["lame-mu"])
-    member = DataFamily(kind="gaussian", width=o["width"], scalar=False).member(grid)
-    margin = grid.wraparound_margin(member.support_radius, params.max_speed)
+    family = DataFamily(kind="gaussian", width=o["width"], scalar=False)
+    margin = grid.wraparound_margin(family.support_radius(), params.max_speed)
     if margin <= 0:
         raise ConfigurationError(f"wrap-around margin {margin:.3f} <= 0; enlarge box")
+    member = family.member(grid)
     prop = ElasticPropagator(ElasticState(member.f, member.g), params)
     e0 = None
     rows = []
@@ -268,15 +268,14 @@ def _run_scan_ratio(cfg: RunConfig) -> dict:
     for r in result.records:
         dat.append(f"{_fmt(float(np.log2(r.lam)))} {_fmt(float(np.log2(r.ratio)))}")
     (cfg.out_dir / "ratio-scaling.dat").write_text("\n".join(dat) + "\n")
-    rep = scale_covariance_report(result, query, grid, config={"family": o["family"]})
     return {
-        "region": rep.classification,
+        "region": classify_region(query),
         "fitted_slope": result.slope,
         "slope_stderr": result.stderr,
-        "slope_ci95": rep.fitted["dilation_exponent"][1],
+        "slope_ci95": 1.96 * result.stderr,
         "analytic_target": result.target,
         "dropped_lambdas": [list(d) for d in result.dropped],
-        "margin_min": rep.diagnostics["margin_min"],
+        "margin_min": min(r.margin for r in result.records),
         # the origin cell of the weight the members shared (cached, not rebuilt)
         "singular_cell": singular_cell_report(WeightSpec(kind, query.alpha), grid, quad),
     }
@@ -316,7 +315,9 @@ def _run_a2_scan(cfg: RunConfig) -> dict:
                          row.side, row.product])
     _write_csv(cfg.out_dir / "results.csv", "a2-scan",
                ["alpha", "cube", "center", "side", "product"], rows_out)
-    sup = a2_scan_max(rows)
+    sup: dict[float, float] = {}
+    for row in rows:
+        sup[row.alpha] = max(sup.get(row.alpha, 1.0), row.product)
     alphas_sorted = sorted(sup)
     monotone = all(sup[a] < sup[b] for a, b in zip(alphas_sorted, alphas_sorted[1:]))
     return {"max_product_per_alpha": {repr(a): sup[a] for a in alphas_sorted},

@@ -8,11 +8,7 @@ every t > 0; at most two terms of the sum are nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DomainError
 
 __all__ = ["DyadicCutoff", "default_cutoff"]
 
@@ -25,16 +21,8 @@ def _eta(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class DyadicCutoff:
-    """Smooth phi supported in (support_lo, support_hi) = (1/2, 2), values in [0, 1]."""
-
-    support_lo: float = 0.5
-    support_hi: float = 2.0
-
-    def __post_init__(self) -> None:
-        if (self.support_lo, self.support_hi) != (0.5, 2.0):
-            raise DomainError("the dyadic cutoff is fixed to the band (1/2, 2)")
+    """The smooth phi above: supported in the fixed band (1/2, 2), values in [0, 1]."""
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,8 @@ import numpy as np
 from .analysis import _hs_norm, hs_norm, lp_project
 from .elastic import ElasticPropagator, ElasticState, LameParams, _halfwave_sampler
 from .errors import AccuracyError, ConfigurationError, DomainError
-from .spectral import GridSpec, VectorField, forward_values, inverse_values
+from .spectral import GridSpec, VectorField, forward_values
+from .spectral import inverse_values  # noqa: F401  unused here; perfbench/tracing.py wraps it
 from .weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -54,7 +55,6 @@ __all__ = [
     "frequency_constant_scan",
     "DecompositionCheck",
     "decomposition_check",
-    "time_sampling_drift",
     "worker_count",
 ]
 
@@ -117,28 +117,23 @@ class DataFamily:
     """Deterministic probe-data recipe; members are exact dilations of the base.
 
     ``kind`` is ``gaussian`` (radial envelope) or ``modulated`` (envelope times
-    a plane-wave carrier).  If ``level`` is set, modulated members are
-    band-localized by a dyadic projection at ``level + log2(lambda)``, so a
-    rescaled member stays an exact dilation of the base probe.  ``g_policy``
-    is ``zero`` or ``matched`` (velocity that turns each mode into a single
-    outgoing half-wave).  Scalar members carry plain samples; vector members
-    put the profile into one displacement component.
+    a plane-wave carrier along the first axis).  If ``level`` is set, modulated
+    members are band-localized by a dyadic projection at
+    ``level + log2(lambda)``, so a rescaled member stays an exact dilation of
+    the base probe.  Every member starts at rest: scalar members carry plain
+    samples and no velocity; vector members put the profile into the first
+    displacement component and carry a zero velocity.
     """
 
     kind: str = GAUSSIAN
     width: float = 1.0
     carrier: float = 0.0
-    carrier_axis: int = 0
     level: int | None = None
-    g_policy: str = "zero"
     scalar: bool = True
-    component: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in (GAUSSIAN, MODULATED):
             raise ConfigurationError(f"unknown family kind {self.kind!r}")
-        if self.g_policy not in ("zero", "matched"):
-            raise ConfigurationError(f"unknown g policy {self.g_policy!r}")
         if not self.width > 0:
             raise ConfigurationError("family width must be positive")
         if self.kind == MODULATED and not self.carrier > 0:
@@ -152,50 +147,33 @@ class DataFamily:
             raise ConfigurationError("band-localized members require power-of-two lambda")
         return 5.0 * (self.width / lam)  # envelope below ~4e-6 outside (1.4e-11 in energy)
 
-    def member(self, grid: GridSpec, lam: float = 1.0, propagation=1.0) -> Member:
-        """Materialize the member f_lam(x) = f(lam x) (velocity g scaled by lam)."""
+    def member(self, grid: GridSpec, lam: float = 1.0) -> Member:
+        """Materialize the member f_lam(x) = f(lam x)."""
         support = self.support_radius(lam)
         width = self.width / lam
         profile = np.exp(-(grid.x_norm() ** 2) / (2.0 * width**2)).astype(np.complex128)
         if self.kind == MODULATED:
             carrier = self.carrier * lam
-            profile = profile * np.exp(1j * carrier * grid.x_grids()[self.carrier_axis])
+            profile = profile * np.exp(1j * carrier * grid.x_grids()[0])
         if self.level is not None:
             profile = lp_project(profile, self.level + round(math.log2(lam)), grid)
         member_id = f"{self.kind}-w{self.width}-lam{lam}"
 
         if self.scalar:
-            g = None
-            if self.g_policy == "matched":
-                g = _matched_velocity_scalar(profile, grid, float(propagation))
-            return Member(member_id, profile, g, support, True)
+            return Member(member_id, profile, None, support, True)
 
         values = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-        values[self.component] = profile
-        fvec = VectorField(grid, values)
-        if self.g_policy == "matched":
-            if not isinstance(propagation, LameParams):
-                raise ConfigurationError("matched elastic velocity needs LameParams")
-            gvec = _matched_velocity_elastic(fvec, propagation)
-        else:
-            gvec = VectorField(grid, np.zeros_like(values))
-        return Member(member_id, fvec, gvec, support, False)
+        values[0] = profile
+        return Member(member_id, VectorField(grid, values),
+                      VectorField(grid, np.zeros_like(values)), support, False)
 
 
-def _matched_velocity_scalar(profile: np.ndarray, grid: GridSpec, speed: float) -> np.ndarray:
-    F = forward_values(profile, grid)
-    return inverse_values(1j * speed * grid.xi_norm() * F, grid)
-
-
-def _matched_velocity_elastic(f: VectorField, params: LameParams) -> VectorField:
-    from .elastic import _split_spectrum  # spectral Helmholtz split
-
-    grid = f.grid
-    F = forward_values(f.values, grid)
-    pot, sol = _split_spectrum(F, grid)
-    xin = grid.xi_norm()
-    G = 1j * xin * (params.shear_speed * sol + params.pressure_speed * pot)
-    return VectorField(grid, inverse_values(G, grid))
+# the frequency scan's probes, band-localized at level 0, so that each level-k
+# member is an exact dilation of its level-0 one
+_FREQUENCY_PROBES = (
+    DataFamily(kind=MODULATED, width=2.0, carrier=1.0, level=0),
+    DataFamily(kind=MODULATED, width=2.0, carrier=1.25, level=0),
+)
 
 
 # -- ratio measurement -----------------------------------------------------------
@@ -381,7 +359,7 @@ def scale_covariance_test(
         )
 
     def run(lam: float) -> RatioRecord:
-        member = family.member(grid, lam=lam, propagation=propagation)
+        member = family.member(grid, lam=lam)
         return compute_ratio(member, query, propagation, grid, quad, lam=lam)
 
     # build the shared weight once, before the pool's workers each miss its cache
@@ -427,26 +405,17 @@ def frequency_constant_scan(
     levels: Sequence[int],
     query: RegionQuery,
     grid: GridSpec,
-    probes: Sequence[DataFamily] | None = None,
-    quad: QuadratureConfig | None = None,
-    speed: float = 1.0,
 ) -> FrequencyScan:
-    """Scan max_{probes} ||half_wave(p)||_w / ||p||_{L2} over dyadic levels.
+    """Scan max_{probes} ||e^{it|D|} p||_w / ||p||_{L2} over dyadic levels.
 
-    Probes default to two band-localized modulated Gaussians whose level-k
-    members are exact dilations of the level-0 ones.  The weight is the
-    space-time power |(x,t)|^{-alpha} (alpha = 0 degenerates to the plain
-    time-slab L2 norm, where unitarity makes the constants flat in k).
+    The probes are two band-localized modulated Gaussians whose level-k
+    members are exact dilations of the level-0 ones.  The wave speed is 1:
+    dilation in t absorbs any other speed.  The weight is the space-time power
+    |(x,t)|^{-alpha} (alpha = 0 degenerates to the plain time-slab L2 norm,
+    where unitarity makes the constants flat in k).
     """
-    quad = quad or QuadratureConfig()
+    quad = QuadratureConfig()
     levels = tuple(int(k) for k in levels)
-    if probes is None:
-        probes = (
-            DataFamily(kind=MODULATED, width=2.0, carrier=1.0, level=0),
-            DataFamily(kind=MODULATED, width=2.0, carrier=1.25, level=0),
-        )
-    if not probes:
-        raise ConfigurationError("frequency scan needs at least one probe family")
     if not levels:
         raise ConfigurationError("frequency scan needs at least one level")
     weight = WeightSpec(kind=SPACETIME_POWER, alpha=query.alpha)
@@ -455,14 +424,14 @@ def frequency_constant_scan(
 
     def constant_for(level: int) -> tuple[float, ...]:
         vals = []
-        for fam in probes:
-            member = fam.member(grid, lam=2.0**level, propagation=speed)
+        for fam in _FREQUENCY_PROBES:
+            member = fam.member(grid, lam=2.0**level)
             p = member.f
             l2 = float(np.sqrt(measure * np.sum(np.abs(p) ** 2)))
             if l2 == 0.0:
                 raise ConfigurationError("probe collapsed to zero after band projection")
             num = weighted_spacetime_norm(
-                _scalar_halfwave_sampler(p, grid, speed), weight, grid, quad
+                _scalar_halfwave_sampler(p, grid, 1.0), weight, grid, quad
             )  # unnamed, so the sampler's state is freed before the next probe
             vals.append(num / l2)
         return tuple(vals)
@@ -496,42 +465,6 @@ def frequency_constant_scan(
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
-    """Bundle of one experiment's records, fits, and provenance.
-
-    ``fitted`` maps exponent names to (value, ci_halfwidth) with the 95%
-    half-width 1.96 * stderr; ``classification`` is the region label of the
-    query; ``config`` echoes the resolved experiment configuration;
-    ``diagnostics`` carries refinement/margin information.
-    """
-
-    records: tuple[RatioRecord, ...]
-    fitted: dict
-    classification: str
-    config: dict
-    diagnostics: dict
-
-
-def scale_covariance_report(
-    result: ScaleCovariance, query: RegionQuery, grid: GridSpec, config: dict | None = None
-) -> ExperimentReport:
-    ci = 1.96 * result.stderr if np.isfinite(result.stderr) else float("nan")
-    margins = [r.margin for r in result.records]
-    return ExperimentReport(
-        records=result.records,
-        fitted={"dilation_exponent": (result.slope, ci), "analytic_target": (result.target, 0.0)},
-        classification=classify_region(query),
-        config=dict(config or {}, alpha=query.alpha, s=query.s, n=query.n,
-                    weight_kind=query.weight_kind),
-        diagnostics={
-            "margin_min": min(margins) if margins else float("nan"),
-            "dropped": list(result.dropped),
-            "refinement": result.records[0].refinement if result.records else None,
-        },
-    )
-
-
-@dataclass(frozen=True)
 class DecompositionCheck:
     """Solenoidal/potential split diagnostics for one elastic state."""
 
@@ -546,12 +479,11 @@ def decomposition_check(
     params: LameParams,
     query: RegionQuery,
     grid: GridSpec,
-    quad: QuadratureConfig | None = None,
 ) -> DecompositionCheck:
     """Verify the orthogonal-split norm identity and the weighted triangle bound."""
     from .elastic import helmholtz_split
 
-    quad = quad or QuadratureConfig()
+    quad = QuadratureConfig()
     weight = WeightSpec(kind=query.weight_kind, alpha=query.alpha)
     weight.validate_for(grid)
     s = query.s
@@ -575,22 +507,3 @@ def decomposition_check(
         ratio_solenoidal=float(n_sol / den),
         ratio_potential=float(n_pot / den),
     )
-
-
-def time_sampling_drift(
-    sampler_factory: Callable[[GridSpec], Callable[[float], object]],
-    weight: WeightSpec,
-    grid: GridSpec,
-    quad: QuadratureConfig | None = None,
-) -> float:
-    """Relative change of the weighted norm when the time sampling is halved.
-
-    Diagnostic for the trapezoid resolution: experiments aim for < 0.5%.
-    """
-    quad = quad or QuadratureConfig()
-    if (grid.time_samples - 1) % 2 != 0:
-        raise ConfigurationError("time_samples - 1 must be even to halve the sampling")
-    coarse_grid = replace(grid, time_samples=(grid.time_samples - 1) // 2 + 1)
-    fine = weighted_spacetime_norm(sampler_factory(grid), weight, grid, quad)
-    coarse = weighted_spacetime_norm(sampler_factory(coarse_grid), weight, coarse_grid, quad)
-    return abs(fine - coarse) / fine

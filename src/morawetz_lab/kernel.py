@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .bessel import j0, sphere_sinc
-from .cutoff import DyadicCutoff, default_cutoff
+from .cutoff import default_cutoff
 from .errors import AccuracyError, DomainError
 
 __all__ = [
@@ -92,6 +92,9 @@ ABS_FLOOR = 1e-13
 # needs 0.69M
 MAX_PASS_NODES = 2**23
 
+# halvings of the step allowed after the first pass
+MAX_DOUBLINGS = 18
+
 
 def _panelled_gauss(f, a: float, b: float, panels: int) -> complex:
     """Midpoint sum of f over ``panels`` equal panels of [a, b], in blocks of nodes."""
@@ -102,7 +105,8 @@ def _panelled_gauss(f, a: float, b: float, panels: int) -> complex:
     return complex(h * total)
 
 
-def _radial_integrand(q: KernelQuery, cutoff: DyadicCutoff):
+def _radial_integrand(q: KernelQuery):
+    cutoff = default_cutoff()
     za, tau, k = q.z_abs, q.tau, q.k
     scale = 2.0**-k
     if q.n == 2:
@@ -112,12 +116,7 @@ def _radial_integrand(q: KernelQuery, cutoff: DyadicCutoff):
     )
 
 
-def kernel_value(
-    q: KernelQuery,
-    rtol: float = 1e-8,
-    cutoff: DyadicCutoff | None = None,
-    max_doublings: int = 18,
-) -> complex:
+def kernel_value(q: KernelQuery, rtol: float = 1e-8) -> complex:
     """Evaluate I_k by the nested trapezoid rule on the band [a, b].
 
     The rule starts at a step of a quarter of the fastest wavelength,
@@ -133,7 +132,7 @@ def kernel_value(
     Raises
     ------
     AccuracyError
-        If the doubling loop does not converge within ``max_doublings``, or
+        If the doubling loop does not converge within ``MAX_DOUBLINGS``, or
         before the rule would exceed ``MAX_PASS_NODES`` nodes; carries the
         achieved change (None if no doubling ran).
     DomainError
@@ -143,9 +142,8 @@ def kernel_value(
     """
     if not rtol >= 0:
         raise DomainError(f"rtol must be nonnegative, got {rtol}")
-    cutoff = cutoff or default_cutoff()
     a, b = 2.0 ** (q.k - 1), 2.0 ** (q.k + 1)
-    f = _radial_integrand(q, cutoff)
+    f = _radial_integrand(q)
     prefactor = 2 * np.pi if q.n == 2 else 4 * np.pi
     scale0 = 2.0 ** (q.n * q.k)
     oscillation = abs(q.tau) + q.z_abs
@@ -159,7 +157,7 @@ def kernel_value(
     h = (b - a) / panels
     value = _panelled_gauss(f, a - h / 2, b - h / 2, panels)
     achieved = None
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if 2 * panels > MAX_PASS_NODES:
             break
         new = 0.5 * (value + _panelled_gauss(f, a, b, panels))
@@ -171,7 +169,7 @@ def kernel_value(
         achieved = change / max(abs(new), 1e-300)
     last = "no doubling" if achieved is None else f"last relative change {achieved:.2e}"
     raise AccuracyError(
-        f"kernel quadrature did not reach rtol={rtol} within {max_doublings} doublings "
+        f"kernel quadrature did not reach rtol={rtol} within {MAX_DOUBLINGS} doublings "
         f"of at most {MAX_PASS_NODES} nodes per pass ({last})",
         achieved=achieved,
     )

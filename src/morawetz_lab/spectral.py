@@ -30,9 +30,6 @@ __all__ = [
     "GridSpec",
     "FrequencyLattice",
     "VectorField",
-    "SpectralVectorField",
-    "forward_transform",
-    "inverse_transform",
     "frequency_lattice",
     "cosine_transform",
 ]
@@ -74,6 +71,12 @@ class GridSpec:
             raise DomainError("time_horizon must be positive")
         if self.time_samples < 2:
             raise DomainError("time_samples must be at least 2")
+        # the transforms scale by dx^n, the Sobolev sums by dxi^n and the mean by (2L)^n
+        with np.errstate(over="ignore", under="ignore"):
+            powers = np.array([self.dx, self.dxi, 2.0 * self.half_width]) ** n
+        if not np.all((powers > 0) & (powers < np.inf)):
+            raise DomainError(f"half_width {self.half_width} puts dx^{n}, dxi^{n} or (2L)^{n} "
+                              "out of the finite nonzero float range")
         object.__setattr__(self, "_cache", {})
 
     # -- derived spacings -------------------------------------------------
@@ -92,11 +95,6 @@ class GridSpec:
     @property
     def mode_count(self) -> int:
         return self.points_per_axis**self.dim
-
-    @property
-    def zero_index(self) -> tuple[int, ...]:
-        """Grid index of the point x = 0 (present since N is even)."""
-        return (self.points_per_axis // 2,) * self.dim
 
     def _memo(self, key: str, build: Callable[[], np.ndarray]) -> np.ndarray:
         cache = self.__dict__["_cache"]
@@ -278,14 +276,6 @@ def frequency_lattice(grid: GridSpec) -> FrequencyLattice:
     return FrequencyLattice(grid)
 
 
-def _check_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    values = np.asarray(values)
-    expected = (grid.dim,) + grid.shape
-    if values.shape != expected:
-        raise ShapeError(f"expected values of shape {expected}, got {values.shape}")
-    return np.ascontiguousarray(values, dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class VectorField:
     """n-component complex field sampled on the physical grid, shape (n, N, ..., N)."""
@@ -294,18 +284,11 @@ class VectorField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _check_values(self.values, self.grid))
-
-
-@dataclass(frozen=True)
-class SpectralVectorField:
-    """n-component Fourier coefficients in FFT storage order, shape (n, N, ..., N)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _check_values(self.coeffs, self.grid))
+        values = np.asarray(self.values)
+        expected = (self.grid.dim,) + self.grid.shape
+        if values.shape != expected:
+            raise ShapeError(f"expected values of shape {expected}, got {values.shape}")
+        object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=np.complex128))
 
 
 # -- raw-array transforms (shared by scalar and vector callers) -------------
@@ -365,13 +348,3 @@ def cosine_transform(a: np.ndarray, work: np.ndarray, grid: GridSpec) -> np.ndar
             np.matmul(src.reshape(-1, K), C.T, out=dst.reshape(-1, K))
         src = dst
     return src
-
-
-def forward_transform(f: VectorField) -> SpectralVectorField:
-    """Fourier transform a vector field; see the module docstring for normalization."""
-    return SpectralVectorField(f.grid, forward_values(f.values, f.grid))
-
-
-def inverse_transform(F: SpectralVectorField) -> VectorField:
-    return VectorField(F.grid, inverse_values(F.coeffs, F.grid))
-

@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _on_block, _time_pass, _weighted_sum
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .spectral import GridSpec
 
 __all__ = [
@@ -108,12 +108,6 @@ class WeightSpec:
             raise DomainError(
                 f"|(x,t)|^-alpha on R^{n + 1} needs alpha <= {n + 1}, got {self.alpha}"
             )
-
-    def is_boundary(self, grid: GridSpec) -> bool:
-        """True at the integrability edge, where the singular cell is regularized."""
-        if self.kind == SPATIAL_POWER:
-            return self.alpha == grid.dim
-        return self.alpha == grid.dim + 1
 
     def radial(self) -> Callable[[np.ndarray], np.ndarray]:
         a = self.alpha
@@ -438,7 +432,9 @@ def a2_product(alpha: float, n_total: int, cube: Cube) -> float:
     """Muckenhoupt A2 product ``(avg_cube |z|^-alpha)(avg_cube |z|^alpha)``.
 
     Always >= 1 by Cauchy-Schwarz, with equality exactly at alpha = 0.
-    Requires |alpha| < n_total for local integrability.
+    Requires |alpha| < n_total for local integrability, and n_total in 1..4:
+    the space-time dimension n + 1 of the package is at most 4, and the cost
+    of the face quadrature grows exponentially in n_total.
 
     For an origin-centered cube in d = n_total dimensions the 2d pyramids with
     apex at the origin give, exactly,
@@ -450,20 +446,40 @@ def a2_product(alpha: float, n_total: int, cube: Cube) -> float:
     sigma_(d-1) the area of the unit sphere and Q the unit cube.  Both
     factors are exact integrals (``_box_integral``) on every cube, so they
     stay exact however close alpha comes to the edge.
+
+    Raises
+    ------
+    DomainError
+        If n_total is outside 1..4, alpha is out of range, or the cube's
+        volume is not a finite nonzero float.
+    AccuracyError
+        If the product is not finite: the moments overflow the float range.
     """
+    if not 1 <= n_total <= 4:
+        raise DomainError(f"A2 product needs a dimension n_total in 1..4, got {n_total}")
     if not abs(alpha) < n_total:
         raise DomainError(f"A2 product needs a finite |alpha| < {n_total}, got {alpha}")
     if len(cube.center) != n_total:
         raise DomainError(f"cube center has dim {len(cube.center)}, expected {n_total}")
+    try:
+        vol = cube.side**n_total
+    except OverflowError:
+        vol = math.inf
+    if not 0.0 < vol < math.inf:
+        raise DomainError(f"a cube of side {cube.side} in {n_total} dimensions has the volume "
+                          f"{vol}, not a finite nonzero float")
     if alpha == 0.0:
         return 1.0  # both factors are averages of the constant 1
     c = np.asarray(cube.center, dtype=float)
     lo, hi = c - cube.side / 2.0, c + cube.side / 2.0
-    vol = cube.side**n_total
     # |alpha| < n_total keeps both exponents off p = -d, where depth would matter
     neg = _box_integral(-alpha, lo, hi, depth=0)[0] / vol
     pos = _box_integral(alpha, lo, hi, depth=0)[0] / vol
-    return float(neg * pos)
+    product = float(neg * pos)
+    if not math.isfinite(product):
+        raise AccuracyError(f"A2 product at alpha {alpha} on a cube of side {cube.side} is not "
+                            f"finite ({product}); the moments overflow the float range")
+    return product
 
 
 @dataclass(frozen=True)
@@ -489,10 +505,10 @@ def default_cube_family(n_total: int, side: float = 1.0) -> list[tuple[str, Cube
 def a2_scan(
     alphas: Sequence[float],
     n_total: int,
-    cube_family: Sequence[tuple[str, Cube]] | None = None,
+    cube_family: Sequence[tuple[str, Cube]],
 ) -> list[A2Row]:
     """A2 products for each alpha over a family of cubes (see default_cube_family)."""
-    family = list(cube_family) if cube_family is not None else default_cube_family(n_total)
+    family = list(cube_family)
     rows = []
     for alpha in alphas:
         for label, cube in family:
@@ -506,11 +522,3 @@ def a2_scan(
                 )
             )
     return rows
-
-
-def a2_scan_max(rows: Sequence[A2Row]) -> dict[float, float]:
-    """Max product per alpha over the scanned family."""
-    out: dict[float, float] = {}
-    for row in rows:
-        out[row.alpha] = max(out.get(row.alpha, 1.0), row.product)
-    return out

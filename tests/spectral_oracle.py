@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 
 from morawetz_lab.errors import ShapeError
-from morawetz_lab.spectral import GridSpec, SpectralVectorField, VectorField, frequency_lattice
+from morawetz_lab.spectral import GridSpec, VectorField, frequency_lattice
 from morawetz_lab.weights import (
     RING_RADIUS_FRACTION,
     SPATIAL_POWER,
@@ -19,26 +19,27 @@ from morawetz_lab.weights import (
 
 
 def apply_multiplier(
-    F: SpectralVectorField,
+    F: np.ndarray,
+    grid: GridSpec,
     m: Callable[[np.ndarray], np.ndarray],
-) -> SpectralVectorField:
-    """Apply a matrix-valued Fourier multiplier mode by mode.
+) -> np.ndarray:
+    """Apply a matrix-valued Fourier multiplier mode by mode to the
+    component-stacked coefficients F, shape (n, N, ..., N) in FFT storage order.
 
     ``m`` maps a frequency vector xi (length n) to an n-by-n complex matrix;
     it must be defined at xi = 0 as well (the caller owns the zero-mode
     convention).  Linear in ``F`` by construction.
     """
-    grid = F.grid
     n = grid.dim
     lattice = frequency_lattice(grid)
-    flat = F.coeffs.reshape(n, -1)
+    flat = F.reshape(n, -1)
     out = np.empty_like(flat)
     for i, xi in enumerate(lattice.xi):
         mat = np.asarray(m(xi), dtype=np.complex128)
         if mat.shape != (n, n):
             raise ShapeError(f"multiplier returned shape {mat.shape}, expected {(n, n)}")
         out[:, i] = mat @ flat[:, i]
-    return SpectralVectorField(grid, out.reshape(F.coeffs.shape))
+    return out.reshape(F.shape)
 
 
 # -- the time pass in physical order -------------------------------------------
@@ -62,8 +63,13 @@ def physical_densities(u_sampler, grid: GridSpec):
         yield i, tw, dens.reshape((-1,) + grid.shape).sum(axis=0)
 
 
+def zero_index(grid: GridSpec) -> tuple[int, ...]:
+    """Grid index of the point x = 0 in physical order (present since N is even)."""
+    return (grid.points_per_axis // 2,) * grid.dim
+
+
 def _center_cells(ring: int, grid: GridSpec):
-    return tuple(slice(c - ring, c + ring + 1) for c in grid.zero_index)
+    return tuple(slice(c - ring, c + ring + 1) for c in zero_index(grid))
 
 
 def weighted_norm_oracle(u_sampler, weight: WeightSpec, grid: GridSpec) -> float:
@@ -93,7 +99,7 @@ def weighted_norm_oracle(u_sampler, weight: WeightSpec, grid: GridSpec) -> float
         with np.errstate(divide="ignore"):
             w = (xnorm**2 + t * t) ** (-0.5 * weight.alpha)
         if t == 0:
-            w[grid.zero_index] = 0.0
+            w[zero_index(grid)] = 0.0
         if has_zero_node and abs(i - i0) <= ring_t:
             w[_center_cells(ring, grid)] = patch[ring_t + i - i0]
         total += tw * measure * float(np.sum(w * dens))

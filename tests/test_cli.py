@@ -60,6 +60,20 @@ class TestScanRatio:
         assert cell["refinement"] == 12
         assert cell["origin_cell"] > 0
 
+    def test_manifest_reports_region_and_fit(self, tmp_path):
+        out = tmp_path / "fit"
+        code = run(["scan-ratio", "--weight", "spatial", "--n", "2", "--alpha", "1.6",
+                    "--s", "0.3", "--grid", "32", "--box", "12.0", "--horizon", "3.0",
+                    "--samples", "17", "--width", "0.6", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = manifest["summary"]
+        assert summary["region"] == "OnTheorem1Segment"
+        assert summary["slope_ci95"] >= 0  # 95% half-width of the fitted slope
+        assert summary["margin_min"] > 0
+        assert manifest["config"]["alpha"] == 1.6
+        assert len((out / "results.csv").read_text().splitlines()) == 2 + 3
+
     def test_missing_required_option(self, tmp_path, capsys):
         code = run(["scan-ratio", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -121,6 +135,9 @@ class TestOtherCommands:
         per_alpha = manifest["summary"]["max_product_per_alpha"]
         assert per_alpha["0.0"] == 1.0
         assert per_alpha["1.5"] > 1.0
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[2:]]
+        for alpha, top in per_alpha.items():
+            assert top == max(float(r[4]) for r in rows if r[0] == alpha)
         assert manifest["summary"]["monotone_in_alpha"] is True
 
     def test_a2_scan_side(self, tmp_path):
@@ -195,6 +212,15 @@ class TestExitCodes:
          "--dmax", "1e303"],
         ["scan-ratio", "--grid", "16", "--box", "8", "--horizon", "2", "--samples", "9",
          "--alpha", "0", "--s", "200"],
+        ["a2-scan", "--alphas", "0.5", "--n-total", "5"],
+        ["a2-scan", "--alphas", "0.5", "--n-total", "40"],
+        ["a2-scan", "--side", "1e300", "--alphas", "1.5"],
+        ["a2-scan", "--side", "1e-300", "--alphas", "1.5"],
+        ["lp-check", "--box", "1e300"],
+        ["scan-ratio", "--alpha", "1", "--s", "0", "--grid", "16", "--box", "1e300",
+         "--samples", "3", "--horizon", "1"],
+        ["lp-check", "--box", "1e-300"],
+        ["evolve", "--width", "1e300", "--grid", "16", "--samples", "3"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from morawetz_lab import DyadicCutoff, default_cutoff
-from morawetz_lab.errors import DomainError
+from morawetz_lab import default_cutoff
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +48,3 @@ def test_vectorized_matches_scalar(phi):
     vec = phi(t)
     per_point = np.array([phi(float(x)) for x in t])
     np.testing.assert_array_equal(vec, per_point)
-
-
-def test_band_is_fixed():
-    with pytest.raises(DomainError):
-        DyadicCutoff(support_lo=0.25, support_hi=4.0)

@@ -22,9 +22,15 @@ from morawetz_lab import (
     scale_covariance_test,
 )
 from morawetz_lab.elastic import halfwave_sampler
-from morawetz_lab.harness import time_sampling_drift, worker_count
-from morawetz_lab.spectral import forward_values
-from morawetz_lab.weights import SPACETIME_POWER, SPATIAL_POWER, QuadratureConfig, WeightSpec
+from morawetz_lab.harness import worker_count
+from morawetz_lab.spectral import forward_values, inverse_values
+from morawetz_lab.weights import (
+    SPACETIME_POWER,
+    SPATIAL_POWER,
+    QuadratureConfig,
+    WeightSpec,
+    weighted_spacetime_norm,
+)
 
 from conftest import smooth_random_field
 
@@ -101,9 +107,12 @@ class TestComputeRatio:
         f_vec = VectorField(g, fam_like)
         _, f_vec_S = helmholtz_split(f_vec)
 
-        from morawetz_lab.harness import _matched_velocity_elastic
+        # the velocity that turns each Helmholtz part into one outgoing half-wave
+        from morawetz_lab.elastic import _split_spectrum
 
-        g_vec = _matched_velocity_elastic(f_vec_S, params)
+        pot, sol = _split_spectrum(forward_values(f_vec_S.values, g), g)
+        G = 1j * g.xi_norm() * (params.shear_speed * sol + params.pressure_speed * pot)
+        g_vec = VectorField(g, inverse_values(G, g))
         member_e = Member("el", f_vec_S, g_vec, 5.0, False)
         q = RegionQuery(1.0, 0.5, 2, SPATIAL_POWER)
         rec_e = compute_ratio(member_e, q, params, g)
@@ -111,7 +120,6 @@ class TestComputeRatio:
         # scalar route on each nonzero component with matched scalar velocity
         quadc = QuadratureConfig()
         from morawetz_lab.harness import _scalar_halfwave_sampler
-        from morawetz_lab.weights import weighted_spacetime_norm
         from morawetz_lab.analysis import hs_norm
 
         def stacked_sampler(t):
@@ -289,11 +297,6 @@ class TestFrequencyScan:
         outside = (xin < 1.0 - 1e-9) | (xin > 4.0 + 1e-9)
         assert np.max(np.abs(F[outside])) < 1e-12 * np.max(np.abs(F))
 
-    def test_empty_probe_set_rejected(self):
-        g = GridSpec(2, 32, 10.0, 9, 2.0)
-        with pytest.raises(ConfigurationError):
-            frequency_constant_scan((0, 1), RegionQuery(2.0, 0.75, 2, SPACETIME_POWER), g, probes=())
-
     def test_reference_exponent_reported_not_asserted(self):
         g = GridSpec(2, 64, 12.0, 17, 3.0)
         q = RegionQuery(2.5, 0.9375, 2, SPACETIME_POWER)  # p = 3/(4 s) = 0.8
@@ -372,43 +375,23 @@ class TestInfrastructure:
         assert weights._spatial_weight_array.cache_info().misses == 1
 
     def test_time_sampling_drift_small(self):
-        g = GridSpec(2, 32, 12.0, 33, 3.0)
-
-        def factory(grid):
-            prof = np.exp(-(grid.x_norm() ** 2)).astype(complex)
-            from morawetz_lab.harness import _scalar_halfwave_sampler
-
-            return _scalar_halfwave_sampler(prof, grid, 1.0)
-
-        drift = time_sampling_drift(factory, WeightSpec(SPATIAL_POWER, 1.0), g)
-        assert drift < 5e-3
+        # halving the time sampling moves the weighted norm by less than 0.5%
+        norms = []
+        for samples in (33, 17):
+            g = GridSpec(2, 32, 12.0, samples, 3.0)
+            prof = np.exp(-(g.x_norm() ** 2)).astype(complex)
+            norms.append(weighted_spacetime_norm(halfwave_sampler(prof, g, 1.0),
+                                                 WeightSpec(SPATIAL_POWER, 1.0), g))
+        assert abs(norms[0] - norms[1]) / norms[0] < 5e-3
 
     def test_family_validation(self):
         with pytest.raises(ConfigurationError):
             DataFamily(kind="bump")
         with pytest.raises(ConfigurationError):
             DataFamily(kind="modulated", width=1.0, carrier=0.0)
-        with pytest.raises(ConfigurationError):
-            DataFamily(kind="gaussian", width=1.0, g_policy="anything")
 
     def test_band_localized_member_needs_dyadic_lambda(self):
         g = GridSpec(2, 32, 10.0, 9, 2.0)
         fam = DataFamily(kind="modulated", width=2.0, carrier=1.0, level=0)
         with pytest.raises(ConfigurationError):
             fam.member(g, lam=3.0)
-
-
-class TestExperimentReport:
-    def test_report_bundles_fit_and_provenance(self):
-        from morawetz_lab import scale_covariance_report
-
-        g = GridSpec(2, 32, 12.0, 17, 3.0)
-        fam = DataFamily(kind="gaussian", width=0.6)
-        q = RegionQuery(1.6, 0.3, 2, SPATIAL_POWER)
-        res = scale_covariance_test(fam, q, g)
-        rep = scale_covariance_report(res, q, g, config={"family": "gaussian"})
-        assert rep.classification == Region.ON_THEOREM1_SEGMENT
-        assert rep.fitted["dilation_exponent"][1] >= 0  # ci half-width
-        assert rep.config["alpha"] == 1.6
-        assert rep.diagnostics["margin_min"] > 0
-        assert len(rep.records) == 3

@@ -99,7 +99,7 @@ class TestKernelValue:
            st.floats(-8.0, 8.0))
     def test_against_scipy_quad(self, n, k, za, tau):
         q = KernelQuery(z=(za,), tau=tau, k=k, n=n)
-        f = kernel._radial_integrand(q, default_cutoff())
+        f = kernel._radial_integrand(q)
         a, b = 2.0 ** (k - 1), 2.0 ** (k + 1)
         re, im = (quad(lambda r: part(f(r)), a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
                   for part in (np.real, np.imag))
@@ -207,8 +207,8 @@ class TestPassBudget:
         sizes = []
         make = kernel._radial_integrand
 
-        def recording(q, cutoff):
-            f = make(q, cutoff)
+        def recording(q):
+            f = make(q)
 
             def g(r):
                 sizes.append(r.size)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morawetz_lab import (
+    AccuracyError,
     Cube,
     DomainError,
     GridSpec,
@@ -21,7 +22,6 @@ from morawetz_lab import weights as W
 from morawetz_lab.weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
-    a2_scan_max,
     default_cube_family,
     singular_cell_report,
 )
@@ -55,11 +55,6 @@ class TestWeightSpec:
             WeightSpec(SPATIAL_POWER, 2.1).validate_for(g)
         with pytest.raises(DomainError):
             WeightSpec(SPACETIME_POWER, 3.1).validate_for(g)
-
-    def test_boundary_flag(self):
-        g = GridSpec(2, 16, 1.0)
-        assert WeightSpec(SPATIAL_POWER, 2.0).is_boundary(g)
-        assert not WeightSpec(SPATIAL_POWER, 1.5).is_boundary(g)
 
 
 class TestWeightedNorm:
@@ -193,10 +188,16 @@ class TestA2Product:
         with pytest.raises(DomainError):
             a2_product(1.0, 3, Cube((0.0, 0.0), 1.0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the moments
+    def test_overflowing_moments_are_an_accuracy_error(self):
+        # the volume 1e180 is finite, the moment of |z|^2.7 is not
+        with pytest.raises(AccuracyError, match="not finite"):
+            a2_product(2.7, 3, Cube((0.0, 0.0, 0.0), 1e60))
+
 
 class TestA2Scan:
     def test_alpha_zero_row_all_ones(self):
-        rows = [r for r in a2_scan([0.0], 3) if r.alpha == 0.0]
+        rows = [r for r in a2_scan([0.0], 3, default_cube_family(3)) if r.alpha == 0.0]
         assert rows and all(r.product == 1.0 for r in rows)
 
     def test_monotone_in_alpha_origin_cubes(self):
@@ -210,12 +211,6 @@ class TestA2Scan:
         by_label = {r.label: r.product for r in rows}
         assert by_label["offset-4.0"] < by_label["offset-2.0"] < by_label["origin"]
         assert by_label["offset-4.0"] == pytest.approx(1.0, abs=5e-2)
-
-    def test_scan_max(self):
-        rows = a2_scan([0.0, 1.5], 3)
-        sup = a2_scan_max(rows)
-        assert sup[0.0] == 1.0
-        assert sup[1.5] > 1.0
 
 
 def test_spacetime_norm_even_time_samples():
