@@ -212,6 +212,12 @@ class TestA2Scan:
         assert by_label["offset-4.0"] < by_label["offset-2.0"] < by_label["origin"]
         assert by_label["offset-4.0"] == pytest.approx(1.0, abs=5e-2)
 
+    def test_scan_max(self):
+        rows = a2_scan([0.0, 1.5], 3, default_cube_family(3))
+        sup = {a: max(r.product for r in rows if r.alpha == a) for a in (0.0, 1.5)}
+        assert sup[0.0] == 1.0
+        assert sup[1.5] > 1.0
+
 
 def test_spacetime_norm_even_time_samples():
     # with no t = 0 node there is no singular node; all weights stay finite
