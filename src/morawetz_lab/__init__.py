@@ -69,4 +69,64 @@ from .weights import (
     weighted_spacetime_norm,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # analysis
+    "hs_norm",
+    "local_smoothing_functional",
+    "lp_level_range",
+    "lp_project",
+    # cutoff
+    "DyadicCutoff",
+    "default_cutoff",
+    # elastic
+    "ElasticPropagator",
+    "ElasticState",
+    "LameParams",
+    "elastic_energy",
+    "evolve",
+    "half_wave",
+    "helmholtz_split",
+    "pde_residual",
+    "projection_matrices",
+    # errors
+    "AccuracyError",
+    "ConfigurationError",
+    "DomainError",
+    "EllipticityError",
+    "MorawetzLabError",
+    "ShapeError",
+    # harness
+    "DataFamily",
+    "FrequencyScan",
+    "Member",
+    "RatioRecord",
+    "Region",
+    "RegionQuery",
+    "ScaleCovariance",
+    "classify_region",
+    "compute_ratio",
+    "decomposition_check",
+    "frequency_constant_scan",
+    "scale_covariance_test",
+    # kernel
+    "OFF_CONE",
+    "ON_CONE",
+    "DecayFit",
+    "KernelQuery",
+    "decay_fit",
+    "kernel_value",
+    # spectral
+    "FrequencyLattice",
+    "GridSpec",
+    "VectorField",
+    "frequency_lattice",
+    # weights
+    "SPACETIME_POWER",
+    "SPATIAL_POWER",
+    "Cube",
+    "QuadratureConfig",
+    "WeightSpec",
+    "a2_product",
+    "a2_scan",
+    "weighted_spacetime_norm",
+]

@@ -88,7 +88,11 @@ def _time_pass(u_sampler, grid: GridSpec):
     The sampler is called once per node, in ascending order, at every node,
     or only at the nodes with t >= 0 when it declares ``time_even``: the
     nodes are symmetric about 0, so each of those then carries the weight of
-    its mirror node too (a node at t = 0 is its own mirror).
+    its mirror node too (a node at t = 0 is its own mirror).  The density at
+    -t may be that at t reflected, ``|u(-t, x)|^2 = |u(t, -x)|^2`` (real
+    coefficients, see ``elastic.halfwave_sampler``), so a consumer's weight
+    must be even in x as well as in t; every lattice weight and ball mask
+    here is.
     """
     nodes, weights = grid.time_nodes(), grid.trapezoid_weights()
     first = 0

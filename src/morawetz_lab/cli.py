@@ -210,7 +210,7 @@ def _run_evolve(cfg: RunConfig) -> dict:
     family = DataFamily(kind="gaussian", width=o["width"], scalar=False)
     margin = grid.wraparound_margin(family.support_radius(), params.max_speed)
     if margin <= 0:
-        raise ConfigurationError(f"wrap-around margin {margin:.3f} <= 0; enlarge box")
+        raise ConfigurationError(f"wrap-around margin {margin:.3g} <= 0; enlarge box")
     member = family.member(grid)
     prop = ElasticPropagator(ElasticState(member.f, member.g), params)
     e0 = None
@@ -308,6 +308,8 @@ def _run_a2_scan(cfg: RunConfig) -> dict:
         alphas = [float(x) for x in o["alphas"].split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse alphas {o['alphas']!r}") from exc
+    if not alphas:
+        raise ConfigurationError(f"no alpha in {o['alphas']!r}")
     rows_out = []
     rows = a2_scan(alphas, o["n-total"], default_cube_family(o["n-total"], o["side"]))
     for row in rows:

@@ -180,9 +180,13 @@ class WaveSampler:
     ``Im E_k``.  The state belongs to one pass: give each thread its own
     sampler.
 
-    ``time_even`` is true when ``|u(-t)|^2 = |u(t)|^2`` holds exactly; the flow
-    constructors below work it out from their data, and the time accumulators
-    then visit only the nodes with t >= 0.
+    ``time_even`` is true when the density at -t is that at t, pointwise,
+    ``|u(-t, x)|^2 = |u(t, x)|^2``, or reflected through the origin,
+    ``|u(-t, x)|^2 = |u(t, -x)|^2`` (on the lattice ``-x`` is the index
+    ``-m mod N``); the flow constructors below work it out from their data,
+    and the time accumulators then visit only the nodes with t >= 0.  The
+    reflected case is exact only against weights even in x: every weight
+    and ball mask of the consumers is (see ``weights``).
 
     ``real`` is true when the constructor is told ``real_data`` (two-way
     terms of real data, so every part X is Hermitian off the Nyquist planes
@@ -397,6 +401,12 @@ def _is_even(X: np.ndarray, dim: int) -> bool:
     return True
 
 
+def _is_real(X: np.ndarray) -> bool:
+    """Whether ``|Im X| <= _EVEN_TOL |X|``."""
+    imag = X.imag.ravel()
+    return bool(imag @ imag <= _EVEN_TOL**2 * np.vdot(X, X).real)
+
+
 def _nyquist_planes(X: np.ndarray, dim: int):
     """Each lattice plane ``m_i = -N/2`` of X's last ``dim`` axes (a view; index
     N/2 in FFT storage order) with its reflection ``conj X(-m)``, which maps
@@ -435,9 +445,20 @@ def _packed(X: np.ndarray) -> np.ndarray:
 def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
     """Sampler of ``e^{i t c sqrt(-Lap)} f`` for scalar samples of shape ``grid.shape``.
 
-    For real f, ``u(-t) = conj(u(t))`` because ``|xi|`` is even, so the
-    sampler is ``time_even``; for f even in every axis, such as radial data,
-    it is ``even``.
+    The sampler is ``time_even`` in two cases.  For real f,
+    ``u(-t) = conj(u(t))`` because ``|xi|`` is even.  For f whose
+    coefficients F are real, such as a modulated Gaussian (an even envelope
+    times a carrier), ``u(-t, x) = conj(u(t, -x))``, so
+    ``|u(-t, x)|^2 = |u(t, -x)|^2``: folding the time pass is then exact
+    only against weights even in x, which the weights of
+    ``weights.weighted_spacetime_norm`` and the ball masks of
+    ``analysis.local_smoothing_functional`` are.  F counts as real when
+    ``|Im F| <= _EVEN_TOL |F|``; the sampler then keeps ``Re F`` and drops
+    the rest, which moves a squared norm by that rest's own squared norm,
+    about ``_EVEN_TOL^2`` relative: the cross term of the two parts is odd
+    under ``(t, x) -> (-t, -x)`` and cancels.  That check runs only for
+    complex f.  For f even in every axis, such as radial data, the sampler
+    is ``even``.
     """
     return _halfwave_sampler(f, grid, c)
 
@@ -454,6 +475,9 @@ def _halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
     real = not np.any(np.imag(f))
     if coeffs is None:
         coeffs = forward_values(f, grid)
+    if not real and _is_real(coeffs):
+        coeffs = coeffs.real.astype(np.complex128)
+        real = True
     return WaveSampler(grid, [(c, coeffs)], time_even=real)
 
 

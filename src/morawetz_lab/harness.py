@@ -242,7 +242,7 @@ def compute_ratio(
     if margin <= 0:
         raise ConfigurationError(
             f"member {member.member_id!r} violates the wrap-around margin "
-            f"({margin:.3f} <= 0); enlarge the box or shrink the window"
+            f"({margin:.3g} <= 0); enlarge the box or shrink the window"
         )
 
     if member.scalar:
@@ -422,22 +422,22 @@ def frequency_constant_scan(
     weight.validate_for(grid)
     measure = grid.dx**grid.dim
 
-    def constant_for(level: int) -> tuple[float, ...]:
-        vals = []
-        for fam in _FREQUENCY_PROBES:
-            member = fam.member(grid, lam=2.0**level)
-            p = member.f
-            l2 = float(np.sqrt(measure * np.sum(np.abs(p) ** 2)))
-            if l2 == 0.0:
-                raise ConfigurationError("probe collapsed to zero after band projection")
-            num = weighted_spacetime_norm(
-                _scalar_halfwave_sampler(p, grid, 1.0), weight, grid, quad
-            )  # unnamed, so the sampler's state is freed before the next probe
-            vals.append(num / l2)
-        return tuple(vals)
+    def ratio_for(task: tuple[int, DataFamily]) -> float:
+        level, fam = task
+        p = fam.member(grid, lam=2.0**level).f
+        l2 = float(np.sqrt(measure * np.sum(np.abs(p) ** 2)))
+        if l2 == 0.0:
+            raise ConfigurationError("probe collapsed to zero after band projection")
+        num = weighted_spacetime_norm(_scalar_halfwave_sampler(p, grid, 1.0), weight, grid, quad)
+        return num / l2
 
     prebuild_weight(weight, grid, quad)
-    per_probe = tuple(_map_ordered(constant_for, levels))
+    # one task per (level, probe): 3 levels of 2 probes give 2 workers 3 probes
+    # each, where one task per level gave one worker 4 probes and the other 2
+    k = len(_FREQUENCY_PROBES)
+    ratios = _map_ordered(ratio_for, [(level, fam) for level in levels
+                                      for fam in _FREQUENCY_PROBES])
+    per_probe = tuple(tuple(ratios[i:i + k]) for i in range(0, len(ratios), k))
     constants = tuple(max(v) for v in per_probe)
     x = np.asarray(levels, dtype=float)
     y = np.log2(np.asarray(constants))

@@ -24,8 +24,13 @@ point.  At p = -d (the boundary exponent) the flux formula is replaced by
 the depth-truncated value ``depth * ln 2 * flux``: each dyadic shell of the
 cell carries ``ln 2 * flux``.  Cells adjacent to the singularity use Gauss
 cell averages of the weight instead of point values: the point-sampled sum
-converges only logarithmically near the admissibility boundary, the
-cell-averaged one at second order.
+converges only logarithmically near the admissibility boundary.  The
+cell-averaged one is second order only once the density spans many cells:
+measured against the closed-form weighted integral of the smooth density
+``exp(-(|x|^2 + t^2)/0.81)`` on boxes of half-width 16 with N = 32, 64
+and 128, it errs by 0.3-3.3% (space-time alpha 2.1: -1.55%, -3.27%,
+-1.25%; spatial alpha 0.5: -1.73%, -1.15%, -0.32%; spatial alpha 2.1:
++1.43%, -2.24%, -0.93%), not monotonically in N.
 
 One tensor Gauss evaluator, ``_gauss_box``, integrates a batch of boxes in
 one broadcast: the face panels of ``_box_integral`` or one row of cells
@@ -364,7 +369,8 @@ def weighted_spacetime_norm(
     ``spectrum`` (see ``analysis._time_pass``); it is called once per time
     node in ascending order, over all nodes, or over the nodes with t >= 0 if
     it is ``time_even`` (see ``elastic.WaveSampler``): every weight here is
-    even in t, so each such node then also stands for its mirror node.  The
+    even in t and in x, so each such node then also stands for its mirror
+    node.  The
     sums run in FFT storage order against one weight array, which the
     space-time weight refills in place at every node.
     """

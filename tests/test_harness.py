@@ -1,5 +1,7 @@
 """Region classification, ratio records, dilation fits, and decomposition checks."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,26 @@ class TestFrequencyScan:
         xin = g.xi_norm()
         outside = (xin < 1.0 - 1e-9) | (xin > 4.0 + 1e-9)
         assert np.max(np.abs(F[outside])) < 1e-12 * np.max(np.abs(F))
+
+    def test_each_probe_folds_its_time_pass(self, monkeypatch):
+        # the probes' coefficients are real to rounding, so each of the six
+        # (level, probe) passes on the freq_scan_2t grid takes the spectrum
+        # at the 33 nodes with t >= 0 of its 65
+        from morawetz_lab import elastic
+
+        seen, spectrum = [], elastic.WaveSampler.spectrum
+
+        def counted_spectrum(self, t, out=None):
+            seen.append(self)  # keeps each sampler, so its id stays its own
+            return spectrum(self, t, out)
+
+        monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
+        g = GridSpec(2, 128, 20.0, 65, 8.0)
+        res = frequency_constant_scan((0, 1, 2), RegionQuery(2.25, 0.625, 2, SPACETIME_POWER), g)
+        assert len(res.per_probe) == 3 and all(len(v) == 2 for v in res.per_probe)
+        assert all(sampler.time_even for sampler in seen)
+        counts = collections.Counter(map(id, seen))
+        assert len(seen) == 198 and sorted(counts.values()) == [33] * 6
 
     def test_reference_exponent_reported_not_asserted(self):
         g = GridSpec(2, 64, 12.0, 17, 3.0)

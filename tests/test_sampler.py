@@ -357,6 +357,35 @@ def test_halfwave_fold_matches_full_pass(kind, dim, data, u, c, real, seed):
 @pytest.mark.parametrize("kind", ACCUMULATORS)
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=5, deadline=None)
+@given(data=st.data(), u=st.floats(0.1, 0.9), c=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_halfwave_fold_of_real_coefficients_matches_full_pass(kind, dim, data, u, c, seed):
+    # complex samples whose coefficients are real white noise: the density
+    # at -t is the one at t reflected through the origin, and every weight
+    # and ball mask is even in x, so the pass still folds
+    grid = data.draw(_grids([dim]))
+    F = np.random.default_rng(seed).standard_normal(grid.shape)
+    _fold_cases(kind, u, grid, lambda g: halfwave_sampler(inverse_values(F, g), g, c), True)
+
+
+def test_coefficients_real_to_rounding_only_fold():
+    # a 1e-6 relative imaginary part of the coefficients is kept, and the
+    # data do not fold; rounding of 1e-14 is dropped, and they do
+    grid = GridSpec(2, 16, 6.0, 9, 2.0)
+    rng = np.random.default_rng(11)
+    re, im = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    for size, time_even in ((1e-6, False), (1e-14, True)):
+        F = re + 1j * size * np.linalg.norm(re) / np.linalg.norm(im) * im
+        sampler = halfwave_sampler(inverse_values(F, grid), grid, 1.0)
+        assert sampler.time_even is time_even, size
+        kept = F.real if time_even else F
+        assert _close(sampler.spectrum(0.0), kept), size
+        assert bool(np.any(sampler.spectrum(0.0).imag)) is not time_even, size  # Re F alone
+
+
+@pytest.mark.parametrize("kind", ACCUMULATORS)
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=5, deadline=None)
 @given(data=st.data(), u=st.floats(0.1, 0.9), ratio=st.floats(-1.9, 4.0),
        mu=st.floats(0.1, 3.0), at_rest=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_elastic_fold_matches_full_pass(kind, dim, data, u, ratio, mu, at_rest, seed):
