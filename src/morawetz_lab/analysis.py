@@ -180,10 +180,16 @@ def hs_norm(field, s: float, grid: GridSpec | None = None) -> float:
 
 def _hs_norm(F: np.ndarray, s: float, grid: GridSpec) -> float:
     """``hs_norm`` of the field whose component-stacked coefficients
-    ``forward_values`` gave F."""
+    ``forward_values`` gave F, or, for coefficients even in every axis, the
+    block ``grid.even_block`` of them (trailing axes ``grid.even_shape``): a
+    block point's ``|F|^2`` then counts ``grid.orbit_sizes()`` times, against
+    ``xi_norm(block=True)``."""
     n = grid.dim
+    block = F.shape[1:] == grid.even_shape
     G = np.sum(np.abs(F) ** 2, axis=0) / (2 * pi) ** n
-    xin = grid.xi_norm()
+    if block:
+        G *= grid.orbit_sizes()
+    xin = grid.xi_norm(block)
     zero = tuple(0 for _ in range(n))
     g0 = float(G[zero])
     measure = grid.dxi**n

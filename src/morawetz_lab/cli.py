@@ -221,6 +221,9 @@ def _run_evolve(cfg: RunConfig) -> dict:
         e0 = e if e0 is None else e0
         drift = abs(e - e0) / e0 if e0 else 0.0
         l2 = float(np.sqrt(grid.dx**grid.dim * np.sum(np.abs(u.values) ** 2)))
+        if not (math.isfinite(e) and math.isfinite(l2)):
+            raise AccuracyError(f"at t = {t:.6g} the energy ({e}) or the L2 norm ({l2}) "
+                                "is not finite; the data overflow the float range")
         rows.append([float(t), e, drift, l2,
                      grid.dim, grid.points_per_axis, grid.half_width, grid.time_horizon,
                      grid.time_samples, 0, margin])

@@ -43,6 +43,7 @@ from .errors import DomainError, EllipticityError, ShapeError
 from .spectral import (
     GridSpec,
     VectorField,
+    cosine_transform,
     forward_values,
     inverse_values,
 )
@@ -209,7 +210,10 @@ class WaveSampler:
     ``out``, ``rate`` and ``__call__`` still give the full lattice, each
     unfolded once from the block (``GridSpec.unfold``).  The parts' odd
     remainder, at most ``_EVEN_TOL``, is dropped; radial data on any grid
-    carry only rounding there.
+    carry only rounding there.  Terms whose spatial axes have the shape
+    ``grid.even_shape`` are taken as the block of even parts, without a
+    check: ``halfwave_sampler`` hands over the block of data it has found
+    even, and ``shape`` is still that of the full lattice.
     """
 
     def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
@@ -226,22 +230,27 @@ class WaveSampler:
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
         self._single = None  # single-precision parts, built at the first ``out=`` call
-        self.shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
+        shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
+        lead = shape[:len(shape) - grid.dim]
+        on_block = shape[len(lead):] == grid.even_shape
+        self.shape = lead + grid.shape
         parts = [X for _, P, Q, _ in self._terms for X in (P, Q) if X is not None]
-        self.real = real_data and bool(
+        self.real = real_data and not on_block and bool(
             sum(_nyquist_defect(X, grid.dim) for X in parts)
             <= _REAL_TOL * sum(np.sqrt(np.vdot(X, X).real) for X in parts))
         self.out_shape = self.shape
         self._packing = self.real and len(self.shape) > grid.dim and self.shape[0] > 1
         if self._packing:
             self.out_shape = ((self.shape[0] + 1) // 2,) + self.shape[1:]
-        self.even = not self._packing and all(_is_even(X, grid.dim) for X in parts)
+        self.even = on_block or (not self._packing
+                                 and all(_is_even(X, grid.dim) for X in parts))
         if self.even:
+            self.out_shape = lead + grid.even_shape
+        if self.even and not on_block:
             block = (Ellipsis,) + grid.even_block
             self._terms = [(c, np.ascontiguousarray(P[block]),
                             None if Q is None else np.ascontiguousarray(Q[block]), one_way)
                            for c, P, Q, one_way in self._terms]
-            self.out_shape = self.shape[:len(self.shape) - grid.dim] + grid.even_shape
         self._xin = grid.xi_norm(self.even)
 
     def _advance(self, t: float) -> None:
@@ -457,25 +466,54 @@ def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
     the rest, which moves a squared norm by that rest's own squared norm,
     about ``_EVEN_TOL^2`` relative: the cross term of the two parts is odd
     under ``(t, x) -> (-t, -x)`` and cancels.  That check runs only for
-    complex f.  For f even in every axis, such as radial data, the sampler
-    is ``even``.
+    complex f.
+
+    Whether f is even in every axis, such as radial data, is decided once,
+    on f itself (``_halfwave_coefficients``); the sampler of even f is
+    ``even`` and never holds f's full-lattice coefficients.
     """
     return _halfwave_sampler(f, grid, c)
 
 
-def _halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
-                      coeffs: np.ndarray | None = None) -> WaveSampler:
-    """``halfwave_sampler``, taking f's coefficients ``forward_values(f, grid)``
-    from a caller that has them already."""
-    if not c > 0:
-        raise DomainError(f"wave speed must be positive, got {c}")
+def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The coefficients ``forward_values(f, grid)`` of scalar samples f, or,
+    for f even in every axis, their block ``grid.even_block`` alone.
+
+    In physical order the reflection ``x -> -x`` is the index map
+    ``j -> -j mod N``, as ``m -> -m`` is in FFT storage order, so ``_is_even``
+    tests f as it would test F; the DFT is unitary up to a constant and
+    commutes with the reflections, so by Parseval both tests agree.  Even f
+    has even F, and its forward DFT is the cosine transform of the block
+    (``spectral.cosine_transform``): block index m of F is
+    ``dx^n * cosine_transform`` of f at the physical indices
+    ``(m + N/2) % N``, where x = dx * m.  Nothing of full-lattice size is
+    transformed or kept.
+    """
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
-    real = not np.any(np.imag(f))
+    if not _is_even(f, grid.dim):
+        return forward_values(f, grid)
+    N = grid.points_per_axis
+    index = (np.arange(N // 2 + 1) + N // 2) % N
+    block = f[np.ix_(*([index] * grid.dim))]
+    work = np.empty((2,) + block.shape, np.complex128)
+    return cosine_transform(block, work, grid) * grid.dx**grid.dim
+
+
+def _halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
+                      coeffs: np.ndarray | None = None) -> WaveSampler:
+    """``halfwave_sampler``, taking f's coefficients
+    ``_halfwave_coefficients(f, grid)`` from a caller that has them already."""
+    if not c > 0:
+        raise DomainError(f"wave speed must be positive, got {c}")
     if coeffs is None:
-        coeffs = forward_values(f, grid)
-    if not real and _is_real(coeffs):
+        coeffs = _halfwave_coefficients(f, grid)
+    f = np.asarray(f)
+    real = not (np.iscomplexobj(f) and np.any(f.imag))
+    # for even f, Im F is the cosine transform of Im f, so by Parseval f's
+    # test is F's on the full lattice; the block alone would drop the orbit sizes
+    if not real and _is_real(f if coeffs.shape == grid.even_shape else coeffs):
         coeffs = coeffs.real.astype(np.complex128)
         real = True
     return WaveSampler(grid, [(c, coeffs)], time_even=real)

@@ -28,10 +28,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import _hs_norm, hs_norm, lp_project
-from .elastic import ElasticPropagator, ElasticState, LameParams, _halfwave_sampler
+from .elastic import (
+    ElasticPropagator,
+    ElasticState,
+    LameParams,
+    _halfwave_coefficients,
+    _halfwave_sampler,
+)
 from .errors import AccuracyError, ConfigurationError, DomainError
-from .spectral import GridSpec, VectorField, forward_values
-from .spectral import inverse_values  # noqa: F401  unused here; perfbench/tracing.py wraps it
+from .spectral import GridSpec, VectorField
+from .spectral import forward_values, inverse_values  # noqa: F401  perfbench/tracing.py wraps them
 from .weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -148,13 +154,33 @@ class DataFamily:
         return 5.0 * (self.width / lam)  # envelope below ~4e-6 outside (1.4e-11 in energy)
 
     def member(self, grid: GridSpec, lam: float = 1.0) -> Member:
-        """Materialize the member f_lam(x) = f(lam x)."""
+        """Materialize the member f_lam(x) = f(lam x).
+
+        The Gaussian is the outer product of one factor per axis, so a
+        scalar Gaussian member is real (``float64``); the carrier multiplies
+        along the first axis only.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``(width / lam)^2`` under- or overflows: the profile would be
+            0/0 or flat.
+        """
         support = self.support_radius(lam)
-        width = self.width / lam
-        profile = np.exp(-(grid.x_norm() ** 2) / (2.0 * width**2)).astype(np.complex128)
+        with np.errstate(over="ignore", under="ignore"):
+            var = np.float64(self.width / lam) ** 2
+        if not 0.0 < var < np.inf:
+            raise ConfigurationError(
+                f"family width {self.width} at lambda {lam} squares to {var}, "
+                "outside the positive float range")
+        x = grid.x_axis
+        axis = np.exp(-(x**2) / (2.0 * var))
+        profile = axis
+        for _ in range(grid.dim - 1):
+            profile = np.multiply.outer(profile, axis)
         if self.kind == MODULATED:
             carrier = self.carrier * lam
-            profile = profile * np.exp(1j * carrier * grid.x_grids()[0])
+            profile = profile * np.exp(1j * carrier * x).reshape((-1,) + (1,) * (grid.dim - 1))
         if self.level is not None:
             profile = lp_project(profile, self.level + round(math.log2(lam)), grid)
         member_id = f"{self.kind}-w{self.width}-lam{lam}"
@@ -209,9 +235,11 @@ def _scalar_halfwave_sampler(profile: np.ndarray, grid: GridSpec, speed: float,
 
 
 def _scalar_sampler_and_norm(f: np.ndarray, grid: GridSpec, speed: float, s: float):
-    """The half-wave sampler of f and ``hs_norm(f, s, grid)``, from one forward
-    transform of f, which is freed on return unless the sampler keeps it."""
-    F = forward_values(np.asarray(f), grid)
+    """The half-wave sampler of f and ``hs_norm(f, s, grid)``, from one set of
+    coefficients of f (``elastic._halfwave_coefficients``: the block only,
+    for f even in every axis), which is freed on return unless the sampler
+    keeps it."""
+    F = _halfwave_coefficients(f, grid)
     return _scalar_halfwave_sampler(f, grid, speed, F), _hs_norm(F[np.newaxis], s, grid)
 
 

@@ -315,19 +315,25 @@ def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def cosine_transform(a: np.ndarray, work: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The unscaled inverse DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of coefficients
-    even in every spatial axis, from the block to the block.
+    """The unscaled DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of an array even in
+    every spatial axis, from the block to the block.
 
     The sum over m's orbit is ``mult_m cos(2 pi j m/N)`` per axis, so along
     each axis it is the cosine transform (DCT-I) ``C[j, m] = mult_m cos(2 pi
     j m/N)`` on ``j, m in [0, N/2]``, ``mult_m`` 1 at m = 0 and N/2 and 2
-    otherwise, applied by one matmul.  C is real, so along every axis but the
-    last it multiplies the real view of the data, real and imaginary parts
-    alike, at half the cost of a complex product.  ``a`` is complex, of any
-    precision, with trailing axes ``grid.even_shape``; the sums run in
-    double precision through ``work``, a ``complex128`` array of shape
-    ``(2,) + a.shape`` that is overwritten.  Returns the half of ``work``
-    that holds the result.
+    otherwise, applied by one matmul.  The orbit sum of ``e^{-2 pi i j.m/N}``
+    is the same cosine, so this is also the forward DFT of even data: the
+    time pass's inverse transform and the forward transform of even samples
+    (``elastic._halfwave_coefficients``) are both this function.  C is real,
+    so along every axis but the last it multiplies the real view of the
+    data, real and imaginary parts alike, at half the cost of a complex
+    product.  ``a``, real or complex of any precision, with trailing axes
+    ``grid.even_shape``, is first copied into ``work``, a ``complex128``
+    array of shape ``(2,) + a.shape`` that is overwritten; every sum then
+    runs in double precision from that copy, as a BLAS product (numpy
+    multiplies a ``float32`` operand by the ``float64`` C outside BLAS), and
+    the result depends on a's values only, not on its precision.  Returns
+    the half of ``work`` that holds the result.
     """
     def build():
         N = grid.points_per_axis
@@ -337,12 +343,13 @@ def cosine_transform(a: np.ndarray, work: np.ndarray, grid: GridSpec) -> np.ndar
 
     C = grid._memo("cosine_matrix", build)
     K = len(C)
-    src = a
+    src = work[1]
+    np.copyto(src, a)
     for i in range(grid.dim):
         dst = work[i % 2]
         if i < grid.dim - 1:  # C @ (rows, K, columns) sums over the middle axis
             shape = (-1, K, 2 * K ** (grid.dim - 1 - i))
-            np.matmul(C, src.view(src.real.dtype).reshape(shape),
+            np.matmul(C, src.view(np.float64).reshape(shape),
                       out=dst.view(np.float64).reshape(shape))
         else:
             np.matmul(src.reshape(-1, K), C.T, out=dst.reshape(-1, K))

@@ -35,8 +35,8 @@ and 128, it errs by 0.3-3.3% (space-time alpha 2.1: -1.55%, -3.27%,
 One tensor Gauss evaluator, ``_gauss_box``, integrates a batch of boxes in
 one broadcast: the face panels of ``_box_integral`` or one row of cells
 around the singularity.  The weights are even in every axis, so the averaged
-patch around the singularity is integrated over the nonnegative orthant only
-and mirrored.
+patch around the singularity is integrated over the nonnegative orthant only,
+one cell per permutation orbit of its equally spaced axes, and mirrored.
 
 Storage order: the lattice weights are built in FFT storage order, the order
 of ``analysis._time_pass``'s samples, in which grid index m sits at
@@ -254,20 +254,26 @@ def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[in
     Cell ``j`` on axis i is centered at ``j * steps[i]`` with width
     ``steps[i]``; the returned array has shape ``(2 r_i + 1, ...)`` with the
     origin cell, holding its exact (or, at the boundary exponent, truncated)
-    integral over its volume, in the middle.  The weight is even in every
-    axis, so only the nonnegative orthant is integrated, one leading-axis
-    row per call, and then mirrored.  Returns (patch, cell_info) as
-    described in ``_spatial_weight_array``.
+    integral over its volume, in the middle.  The axes after the first share
+    one step and one ring, as in both callers.  The weight is even in every
+    axis, so only the nonnegative orthant is integrated, and it is symmetric
+    under permutations of those trailing axes, so one leading-axis row per
+    call integrates one cell per permutation orbit (its indices ascending)
+    and scatters the values over the orbit; the orthant is then mirrored.
+    Returns (patch, cell_info) as described in ``_spatial_weight_array``.
     """
     radial_fn = weight.radial()
     steps = np.asarray(steps, dtype=float)
     half, vol = steps / 2.0, float(np.prod(steps))
-    rest = np.indices([r + 1 for r in rings[1:]]).reshape(len(rings) - 1, -1).T
+    m, indices = len(rings) - 1, range(rings[1] + 1)
+    orbits = list(itertools.combinations_with_replacement(indices, m))
+    where = {cell: k for k, cell in enumerate(orbits)}
+    scatter = [where[tuple(sorted(cell))] for cell in itertools.product(indices, repeat=m)]
     orthant = np.empty([r + 1 for r in rings])
     for j in range(rings[0] + 1):
-        centers = np.column_stack([np.full(len(rest), j), rest]) * steps
+        centers = np.column_stack([np.full(len(orbits), j), orbits]) * steps
         cells = _gauss_box(radial_fn, centers - half, centers + half)
-        orthant[j] = cells.reshape(orthant.shape[1:]) / vol
+        orthant[j] = cells[scatter].reshape(orthant.shape[1:]) / vol
     value, truncated = _box_integral(-weight.alpha, -half, half, quad.singular_cell_refinement)
     orthant[(0,) * len(steps)] = value / vol
     patch = orthant[np.ix_(*(np.abs(np.arange(-r, r + 1)) for r in rings))]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from morawetz_lab.cli import main
@@ -196,6 +197,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "accuracy" in err and "3.00e-04" in err
 
+    def test_non_finite_energy_exits_3(self, tmp_path, capsys):
+        # a stiff medium over a tiny horizon keeps the margin but overflows the energy
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["evolve", "--grid", "16", "--samples", "3", "--horizon", "1e-160",
+                        "--lame-mu", "1e307", "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "accuracy" in err and "not finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x" / "results.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["scan-ratio", "--alpha", "nan", "--s", "0.5"],
         ["lp-check", "--box", "inf"],
@@ -223,6 +234,9 @@ class TestExitCodes:
         ["evolve", "--width", "1e300", "--grid", "16", "--samples", "3"],
         ["evolve", "--horizon", "1e300", "--grid", "16", "--samples", "3"],
         ["a2-scan", "--alphas", ","],
+        ["evolve", "--grid", "16", "--samples", "5", "--width", "1e-200"],
+        ["scan-ratio", "--alpha", "1", "--s", "0.3", "--width", "1e-200", "--grid", "16",
+         "--samples", "5", "--horizon", "1", "--box", "20"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option

@@ -175,13 +175,31 @@ class TestComputeRatio:
         # the key 3-d scan: real Gaussian data is time-even, so the norm loop
         # takes the spectrum of 27 of the 53 time nodes per lambda; radial
         # data are even in every axis, so it transforms only the 33^3 points
-        # of the block, by cosine transform, and the full 64^3 grid never
+        # of the block, by cosine transform, and the full 64^3 grid never; the
+        # data's coefficients and norm come from the block too, with one
+        # evenness check and no forward FFT
+        from morawetz_lab import elastic
+
         grid = GridSpec(3, 64, 16.0, 53, 6.5)
         member = DataFamily(kind="gaussian", width=0.9).member(grid, lam=2.0)
         q = RegionQuery(2.0, 0.5, 3, SPACETIME_POWER)
+        seen = {"fftn": 0, "is_even": 0}
+        fftn, is_even = np.fft.fftn, elastic._is_even
+
+        def counted_fftn(*args, **kwargs):
+            seen["fftn"] += 1
+            return fftn(*args, **kwargs)
+
+        def counted_is_even(*args):
+            seen["is_even"] += 1
+            return is_even(*args)
+
+        monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+        monkeypatch.setattr(elastic, "_is_even", counted_is_even)
         calls = self._count_time_pass(monkeypatch, member, q, 1.0, grid, lam=2.0)
         assert calls == {"spectrum": 27, "ifftn": 0, "fields": 0,
                          "cosine": 27, "points": 27 * 33**3}
+        assert seen == {"fftn": 0, "is_even": 1}
 
     def test_elastic_2d_packs_its_time_pass(self, monkeypatch):
         # the elastic scan: resolved real data at rest give a real displacement,

@@ -370,17 +370,23 @@ def test_halfwave_fold_of_real_coefficients_matches_full_pass(kind, dim, data, u
 
 def test_coefficients_real_to_rounding_only_fold():
     # a 1e-6 relative imaginary part of the coefficients is kept, and the
-    # data do not fold; rounding of 1e-14 is dropped, and they do
+    # data do not fold; rounding of 1e-14 is dropped, and they do; even data
+    # are told apart on their samples, whose imaginary part is Im F's
     grid = GridSpec(2, 16, 6.0, 9, 2.0)
     rng = np.random.default_rng(11)
-    re, im = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
-    for size, time_even in ((1e-6, False), (1e-14, True)):
-        F = re + 1j * size * np.linalg.norm(re) / np.linalg.norm(im) * im
-        sampler = halfwave_sampler(inverse_values(F, grid), grid, 1.0)
-        assert sampler.time_even is time_even, size
-        kept = F.real if time_even else F
-        assert _close(sampler.spectrum(0.0), kept), size
-        assert bool(np.any(sampler.spectrum(0.0).imag)) is not time_even, size  # Re F alone
+    for even in (False, True):
+        shape = grid.even_shape if even else grid.shape
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        for size, time_even in ((1e-6, False), (1e-14, True)):
+            F = re + 1j * size * np.linalg.norm(re) / np.linalg.norm(im) * im
+            F = grid.unfold(F) if even else F
+            sampler = halfwave_sampler(inverse_values(F, grid), grid, 1.0)
+            assert sampler.even is even
+            assert sampler.time_even is time_even, size
+            kept = F.real if time_even else F
+            assert _close(sampler.spectrum(0.0), kept), size
+            # Re F alone
+            assert bool(np.any(sampler.spectrum(0.0).imag)) is not time_even, size
 
 
 @pytest.mark.parametrize("kind", ACCUMULATORS)
@@ -545,3 +551,33 @@ def test_even_components_take_the_block_pass(kind):
         want = weighted_norm_oracle(sampler, weight, grid)
     assert sampler.even and sampler.out_shape == (3,) + grid.even_shape
     assert abs(got - want) <= 1e-6 * want, (got, want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+       half_width=st.floats(1.0, 20.0), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_even_data_coefficients_and_norm_from_the_block(dim, n, half_width, real, seed):
+    # even data: the block's cosine transform gives the block of the full
+    # forward transform, and the block's norm the full lattice's; a 1e-3 odd
+    # part in one axis keeps the full lattice
+    from morawetz_lab.analysis import _hs_norm, hs_norm
+    from morawetz_lab.elastic import _halfwave_coefficients
+
+    grid = GridSpec(dim, n, half_width * (1 + 2.0**-20), 5, 1.0)  # dx not dyadic
+    rng = np.random.default_rng(seed)
+    f = _even_data(grid, rng, real)
+    F = _halfwave_coefficients(f, grid)
+    assert F.shape == grid.even_shape
+    full = forward_values(f, grid)
+    assert np.linalg.norm(F - full[grid.even_block]) <= 1e-13 * np.linalg.norm(full)
+    for s in (0.0, 0.5, 1.0):
+        want = hs_norm(f, s, grid)
+        assert abs(_hs_norm(F[np.newaxis], s, grid) - want) <= 1e-13 * want, s
+    sampler = halfwave_sampler(f, grid, 1.0)
+    assert sampler.even and sampler.time_even is real
+    t = grid.time_nodes()[-1]
+    assert _close(sampler.spectrum(t), np.exp(1j * t * grid.xi_norm()) * full)
+
+    odd = f + 1e-3 * _odd_in_axis(grid, rng, int(rng.integers(dim)))
+    assert _halfwave_coefficients(odd, grid).shape == grid.shape
+    assert not halfwave_sampler(odd, grid, 1.0).even

@@ -11,7 +11,7 @@ from morawetz_lab import (
     frequency_lattice,
 )
 from morawetz_lab.elastic import projection_matrices
-from morawetz_lab.spectral import forward_values, inverse_values
+from morawetz_lab.spectral import cosine_transform, forward_values, inverse_values
 
 from conftest import random_vector_field
 from spectral_oracle import apply_multiplier, zero_index
@@ -154,6 +154,18 @@ class TestInverseTransform:
         expected = np.exp(1j * (xi[0] * X[0] + xi[1] * X[1])) * (g.dxi / (2 * np.pi)) ** 2
         np.testing.assert_allclose(f[1], expected, atol=1e-14)
         assert np.max(np.abs(f[0])) == 0.0
+
+
+class TestCosineTransform:
+    @pytest.mark.parametrize("dim,N", [(2, 32), (3, 16)])
+    def test_single_precision_input_sums_as_its_double_copy(self, dim, N, rng):
+        g = GridSpec(dim, N, 2.2)
+        block = (rng.standard_normal(g.even_shape)
+                 + 1j * rng.standard_normal(g.even_shape)).astype(np.complex64)
+        work = np.empty((2,) + g.even_shape, np.complex128)
+        single = cosine_transform(block, work, g).copy()
+        double = cosine_transform(block.astype(np.complex128), work, g)
+        assert np.array_equal(single, double)
 
 
 class TestApplyMultiplier:
