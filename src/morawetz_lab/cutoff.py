@@ -32,12 +32,18 @@ class DyadicCutoff:
         pos = t > 0
         tp = t[pos]
         if tp.size:
-            # only j with 2^j t in (1/2,2) contribute; they lie in a 3-window
+            # only j with 2^j t in (1/2,2) contribute; they lie in a 3-window,
+            # which holds j = 0 wherever eta(t) != 0, and 2^0 t == t exactly;
+            # halving or doubling a power of two is exact, so one power serves
+            # the whole window
             j0 = np.floor(-np.log2(tp))
-            den = np.zeros_like(tp)
-            for dj in (-1.0, 0.0, 1.0):
-                den += _eta(tp * 2.0 ** (j0 + dj))
-            out[pos] = _eta(tp) / den
+            scale = 2.0**j0
+            num, den = np.zeros_like(tp), np.zeros_like(tp)
+            for dj, factor in ((-1.0, 0.5), (0.0, 1.0), (1.0, 2.0)):
+                term = _eta(tp * (scale * factor))
+                den += term
+                num = np.where(j0 == -dj, term, num)
+            out[pos] = num / den
         return out[0] if scalar else out
 
     def partition_deviation(self, t) -> np.ndarray:

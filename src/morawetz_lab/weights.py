@@ -20,9 +20,13 @@ each face lies at a distance c > 0 from the origin and carries the smooth
 integrand c |y|^p.  The box is split at the origin into boxes of the
 nonnegative orthant, so that every face has its foot point at its corner,
 and each face is tiled by a core and dyadic shells graded toward that
-point.  At p = -d (the boundary exponent) the flux formula is replaced by
-the depth-truncated value ``depth * ln 2 * flux``: each dyadic shell of the
-cell carries ``ln 2 * flux``.  Cells adjacent to the singularity use Gauss
+point.  None of this depends on p, so ``_box_integral`` builds one node set
+per box (panels, squared radii c^2 + |y|^2 and Gauss times flux weights)
+and sums every exponent it is given from it in one pass: an A2 cube takes
+all the exponents -alpha and +alpha of a scan at once.  At p = -d (the
+boundary exponent) the flux formula is replaced by the depth-truncated
+value ``depth * ln 2 * flux``: each dyadic shell of the cell carries
+``ln 2 * flux``.  Cells adjacent to the singularity use Gauss
 cell averages of the weight instead of point values: the point-sampled sum
 converges only logarithmically near the admissibility boundary.  The
 cell-averaged one is second order only once the density spans many cells:
@@ -34,7 +38,9 @@ and 128, it errs by 0.3-3.3% (space-time alpha 2.1: -1.55%, -3.27%,
 
 One tensor Gauss evaluator, ``_gauss_box``, integrates a batch of boxes in
 one broadcast: the face panels of ``_box_integral`` or one row of cells
-around the singularity.  The weights are even in every axis, so the averaged
+around the singularity.  Its integrand is a function of the squared radius
+|z|^2 at the nodes, never of |z|, and may return one integral per exponent
+on a leading axis.  The weights are even in every axis, so the averaged
 patch around the singularity is integrated over the nonnegative orthant only,
 one cell per permutation orbit of its equally spaced axes, and mirrored.
 
@@ -115,8 +121,9 @@ class WeightSpec:
             )
 
     def radial(self) -> Callable[[np.ndarray], np.ndarray]:
-        a = self.alpha
-        return lambda r: r ** (-a)
+        """The weight as a function of the squared radius |z|^2."""
+        half_a = 0.5 * self.alpha
+        return lambda r2: r2 ** (-half_a)
 
 
 @dataclass(frozen=True)
@@ -150,14 +157,18 @@ def _ring_cells(step: float, radius: float, limit: int) -> int:
 _GAUSS_N = 6
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 _PANELS = 4  # Gauss panels per axis of every face tile
-_CHUNK = 4096  # face panels per _gauss_box call, which bounds its memory
+# exponent x node values per _gauss_box call of _box_integral, which bounds
+# its memory: 4096 nodes at the eight exponents of a scan of four alphas
+_CHUNK = 4096 * 8
 
 
-def _gauss_box(radial_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Tensor Gauss integrals of a radial function over k axis-aligned boxes.
+def _gauss_box(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Tensor Gauss integrals of a function of |z|^2 over k axis-aligned boxes.
 
-    ``lo`` and ``hi`` are (k, d) arrays of box corners; returns the k integrals,
-    evaluated in one broadcast over (k, G, ..., G) nodes.
+    ``lo`` and ``hi`` are (k, d) arrays of box corners; ``fn`` maps the
+    squared radii at the (k, G, ..., G) nodes to values of that shape, or of
+    that shape behind leading axes (one per exponent, say).  Returns the k
+    integrals behind the same leading axes, evaluated in one broadcast.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -170,7 +181,8 @@ def _gauss_box(radial_fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         shape = (k,) + (1,) * i + (_GAUSS_N,) + (1,) * (d - 1 - i)
         r2 = r2 + ((mid[:, i, None] + half[:, i, None] * _GX) ** 2).reshape(shape)
         w = w * (half[:, i, None] * _GW).reshape(shape)
-    return (radial_fn(np.sqrt(r2)) * w).reshape(k, -1).sum(axis=1)
+    values = fn(r2) * w
+    return values.reshape(values.shape[:values.ndim - d - 1] + (k, -1)).sum(axis=-1)
 
 
 def _face_tiles(c: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +208,9 @@ def _face_tiles(c: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, n
     return tile_lo[keep], tile_hi[keep]
 
 
-def _box_integral(p: float, lo, hi, depth: int) -> tuple[float, bool]:
-    """Integral of |z|^p over the box prod [lo_i, hi_i]; returns (value, truncated).
+def _box_integral(ps: Sequence[float], lo, hi, depth: int) -> list[tuple[float, bool]]:
+    """Integrals of |z|^p over the box prod [lo_i, hi_i], one (value, truncated)
+    per exponent p of ``ps``.
 
     Exact up to the Gauss rule for p > -d, by the divergence theorem:
     ``(p + d) int_B |z|^p = sum_faces (z . n) int_F |y|^p dS``.  An axis that
@@ -205,9 +218,13 @@ def _box_integral(p: float, lo, hi, depth: int) -> tuple[float, bool]:
     that does not straddle 0 keeps its interval [l, h].  Congruent orthant
     boxes and equal faces are merged.  A face at x_i = c has z . n = +-c
     (c = 0 carries no flux); it is tiled by ``_face_tiles`` with ``_PANELS``
-    Gauss panels per axis.  At p = -d, which only the cell around the
-    origin meets, the cell diverges logarithmically and is truncated after
-    ``depth`` dyadic shells, each of which carries ``ln 2 * flux``.
+    Gauss panels per axis.  The node set does not depend on p: the panels,
+    their squared radii ``c^2 + |y|^2`` and their Gauss times flux weights are
+    built once per box, and every exponent is summed from them in one pass,
+    as ``exp(p/2 * log r2)``, in chunks of at most ``_CHUNK`` exponent-node
+    values.  At p = -d, which only the cell around the origin meets, the cell
+    diverges logarithmically and is truncated after ``depth`` dyadic shells,
+    each of which carries ``ln 2 * flux``.
     """
     d = len(lo)
     axes = [[(0.0, -l), (0.0, h)] if l < 0 < h else [tuple(sorted((abs(l), abs(h))))]
@@ -234,17 +251,18 @@ def _box_integral(p: float, lo, hi, depth: int) -> tuple[float, bool]:
     shape = (len(t_lo) * len(grid), d - 1)
     panel_lo = (t_lo[:, None, :] + step * grid).reshape(shape)
     panel_hi = (t_lo[:, None, :] + step * (grid + 1)).reshape(shape)
-    c2 = np.repeat(np.concatenate(dist) ** 2, len(grid))
+    c2 = np.repeat(np.concatenate(dist) ** 2, len(grid)).reshape((-1,) + (1,) * (d - 1))
     wt = np.repeat(np.concatenate(weight), len(grid))
-    total = 0.0
-    for s in range(0, len(wt), _CHUNK):
-        c2s = c2[s:s + _CHUNK].reshape((-1,) + (1,) * (d - 1))
-        face = _gauss_box(lambda r: (c2s + r * r) ** (0.5 * p),
-                          panel_lo[s:s + _CHUNK], panel_hi[s:s + _CHUNK])
-        total += float(wt[s:s + _CHUNK] @ face)
-    if p + d == 0:
-        return depth * math.log(2.0) * total, True
-    return total / (p + d), False
+    half_p = 0.5 * np.asarray(ps, dtype=float).reshape((-1,) + (1,) * d)
+    chunk = max(1, _CHUNK // (len(half_p) * _GAUSS_N ** (d - 1)))
+    total = np.zeros(len(half_p))
+    for s in range(0, len(wt), chunk):
+        c2s = c2[s:s + chunk]
+        face = _gauss_box(lambda r2: np.exp(half_p * np.log(c2s + r2)),
+                          panel_lo[s:s + chunk], panel_hi[s:s + chunk])
+        total += face @ wt[s:s + chunk]
+    return [(depth * math.log(2.0) * float(v), True) if p + d == 0 else
+            (float(v) / (p + d), False) for p, v in zip(ps, total)]
 
 
 def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[int],
@@ -274,7 +292,8 @@ def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[in
         centers = np.column_stack([np.full(len(orbits), j), orbits]) * steps
         cells = _gauss_box(radial_fn, centers - half, centers + half)
         orthant[j] = cells[scatter].reshape(orthant.shape[1:]) / vol
-    value, truncated = _box_integral(-weight.alpha, -half, half, quad.singular_cell_refinement)
+    [(value, truncated)] = _box_integral([-weight.alpha], -half, half,
+                                         quad.singular_cell_refinement)
     orthant[(0,) * len(steps)] = value / vol
     patch = orthant[np.ix_(*(np.abs(np.arange(-r, r + 1)) for r in rings))]
     patch.setflags(write=False)
@@ -304,9 +323,9 @@ def _spatial_weight_array(grid: GridSpec, weight: WeightSpec, quad: QuadratureCo
     whether it was depth-capped.  The array is shared and read-only.
     """
     n = grid.dim
-    xnorm = np.sqrt(grid.x_sq_fft())
+    x2 = grid.x_sq_fft()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.where(xnorm > 0, weight.radial()(np.where(xnorm > 0, xnorm, 1.0)), 0.0)
+        w = np.where(x2 > 0, weight.radial()(np.where(x2 > 0, x2, 1.0)), 0.0)
     ring = _ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
     patch, info = _origin_patch(weight, [grid.dx] * n, [ring] * n, quad)
     w[_ring_index(ring, grid)[0]] = patch
@@ -440,6 +459,53 @@ class Cube:
             raise DomainError("cube side must be positive")
 
 
+def _a2_products(alphas: Sequence[float], n_total: int, cubes: Sequence[Cube]) -> np.ndarray:
+    """A2 products of every alpha (rows) on every cube (columns).
+
+    Every (alpha, cube) is validated before any quadrature runs, so a bad
+    entry fails at once however costly the others are.  Then each cube takes
+    one ``_box_integral`` over the exponents ``[-alphas, +alphas]`` of its
+    nonzero alphas, which share one node set; alpha = 0 is exactly 1.
+    """
+    if not 1 <= n_total <= 4:
+        raise DomainError(f"A2 product needs a dimension n_total in 1..4, got {n_total}")
+    for alpha in alphas:
+        if not abs(alpha) < n_total:
+            raise DomainError(f"A2 product needs a finite |alpha| < {n_total}, got {alpha}")
+    vols = []
+    for cube in cubes:
+        if len(cube.center) != n_total:
+            raise DomainError(f"cube center has dim {len(cube.center)}, expected {n_total}")
+        try:
+            vol = cube.side**n_total
+        except OverflowError:
+            vol = math.inf
+        if not 0.0 < vol < math.inf:
+            raise DomainError(f"a cube of side {cube.side} in {n_total} dimensions has the "
+                              f"volume {vol}, not a finite nonzero float")
+        vols.append(vol)
+    alphas = np.asarray(alphas, dtype=float)
+    live = alphas != 0.0  # both factors at alpha = 0 are averages of the constant 1
+    products = np.ones((len(alphas), len(vols)))
+    if not live.any():
+        return products
+    ps = np.concatenate([-alphas[live], alphas[live]])
+    for j, (cube, vol) in enumerate(zip(cubes, vols)):
+        c = np.asarray(cube.center, dtype=float)
+        lo, hi = c - cube.side / 2.0, c + cube.side / 2.0
+        # |alpha| < n_total keeps every exponent off p = -d, where depth would matter
+        moments = np.array([v for v, _ in _box_integral(ps, lo, hi, depth=0)]) / vol
+        neg, pos = np.split(moments, 2)
+        products[live, j] = neg * pos
+        bad = ~np.isfinite(products[:, j])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AccuracyError(f"A2 product at alpha {alphas[i]} on a cube of side {cube.side} "
+                                f"is not finite ({products[i, j]}); the moments overflow the "
+                                f"float range")
+    return products
+
+
 def a2_product(alpha: float, n_total: int, cube: Cube) -> float:
     """Muckenhoupt A2 product ``(avg_cube |z|^-alpha)(avg_cube |z|^alpha)``.
 
@@ -456,8 +522,10 @@ def a2_product(alpha: float, n_total: int, cube: Cube) -> float:
     The product blows up at the admissibility edge by the law
     ``(d - alpha) * A2 -> sigma_(d-1) * integral_Q |z|^d`` as alpha -> d, with
     sigma_(d-1) the area of the unit sphere and Q the unit cube.  Both
-    factors are exact integrals (``_box_integral``) on every cube, so they
-    stay exact however close alpha comes to the edge.
+    factors are exact integrals on every cube, so they stay exact however
+    close alpha comes to the edge: one ``_box_integral`` call builds the
+    cube's face nodes once and sums both exponents -alpha and +alpha from
+    them (as ``a2_scan`` sums all of its alphas).
 
     Raises
     ------
@@ -467,31 +535,7 @@ def a2_product(alpha: float, n_total: int, cube: Cube) -> float:
     AccuracyError
         If the product is not finite: the moments overflow the float range.
     """
-    if not 1 <= n_total <= 4:
-        raise DomainError(f"A2 product needs a dimension n_total in 1..4, got {n_total}")
-    if not abs(alpha) < n_total:
-        raise DomainError(f"A2 product needs a finite |alpha| < {n_total}, got {alpha}")
-    if len(cube.center) != n_total:
-        raise DomainError(f"cube center has dim {len(cube.center)}, expected {n_total}")
-    try:
-        vol = cube.side**n_total
-    except OverflowError:
-        vol = math.inf
-    if not 0.0 < vol < math.inf:
-        raise DomainError(f"a cube of side {cube.side} in {n_total} dimensions has the volume "
-                          f"{vol}, not a finite nonzero float")
-    if alpha == 0.0:
-        return 1.0  # both factors are averages of the constant 1
-    c = np.asarray(cube.center, dtype=float)
-    lo, hi = c - cube.side / 2.0, c + cube.side / 2.0
-    # |alpha| < n_total keeps both exponents off p = -d, where depth would matter
-    neg = _box_integral(-alpha, lo, hi, depth=0)[0] / vol
-    pos = _box_integral(alpha, lo, hi, depth=0)[0] / vol
-    product = float(neg * pos)
-    if not math.isfinite(product):
-        raise AccuracyError(f"A2 product at alpha {alpha} on a cube of side {cube.side} is not "
-                            f"finite ({product}); the moments overflow the float range")
-    return product
+    return float(_a2_products([alpha], n_total, [cube])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -519,18 +563,13 @@ def a2_scan(
     n_total: int,
     cube_family: Sequence[tuple[str, Cube]],
 ) -> list[A2Row]:
-    """A2 products for each alpha over a family of cubes (see default_cube_family)."""
-    family = list(cube_family)
-    rows = []
-    for alpha in alphas:
-        for label, cube in family:
-            rows.append(
-                A2Row(
-                    alpha=float(alpha),
-                    label=label,
-                    center=tuple(cube.center),
-                    side=cube.side,
-                    product=a2_product(alpha, n_total, cube),
-                )
-            )
-    return rows
+    """A2 products for each alpha over a family of cubes (see default_cube_family).
+
+    Validates every (alpha, cube) as ``a2_product`` does before any
+    quadrature, then integrates each cube once for all alphas.
+    """
+    alphas, family = list(alphas), list(cube_family)
+    products = _a2_products(alphas, n_total, [cube for _, cube in family])
+    return [A2Row(alpha=float(alpha), label=label, center=tuple(cube.center), side=cube.side,
+                  product=float(products[i, j]))
+            for i, alpha in enumerate(alphas) for j, (label, cube) in enumerate(family)]

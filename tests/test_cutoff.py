@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from morawetz_lab import default_cutoff
+from morawetz_lab.cutoff import _eta
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +49,16 @@ def test_vectorized_matches_scalar(phi):
     vec = phi(t)
     per_point = np.array([phi(float(x)) for x in t])
     np.testing.assert_array_equal(vec, per_point)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 at the float extremes
+def test_matches_the_direct_formula_bit_for_bit(phi):
+    # phi = eta(t) / sum_j eta(2^j t) with the sum's j = 0 term as numerator
+    # and one power of two scaled by 1/2 and 2: the same bits as evaluating
+    # eta(t) and every 2^j on its own, down to subnormal and up to huge t
+    edges = [np.nextafter(e, d) for e in (0.5, 1.0, 2.0) for d in (0.0, 4.0)]
+    extremes = [5e-324, 1e-310, 2.0**-1022, 1e-300, 1e300, 2.0**1023, 1.7e308, np.inf]
+    t = np.concatenate([np.logspace(-3, 3, 2001), edges, [0.5, 1.0, 2.0], extremes])
+    j0 = np.floor(-np.log2(t))
+    den = sum(_eta(t * 2.0 ** (j0 + dj)) for dj in (-1.0, 0.0, 1.0))
+    np.testing.assert_array_equal(phi(t), _eta(t) / den)

@@ -191,8 +191,11 @@ class TestA2Product:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the moments
     def test_overflowing_moments_are_an_accuracy_error(self):
         # the volume 1e180 is finite, the moment of |z|^2.7 is not
+        huge = Cube((0.0, 0.0, 0.0), 1e60)
         with pytest.raises(AccuracyError, match="not finite"):
-            a2_product(2.7, 3, Cube((0.0, 0.0, 0.0), 1e60))
+            a2_product(2.7, 3, huge)
+        with pytest.raises(AccuracyError, match="not finite"):
+            a2_scan([1.0, 2.7], 3, [("huge", huge)])
 
 
 class TestA2Scan:
@@ -217,6 +220,29 @@ class TestA2Scan:
         sup = {a: max(r.product for r in rows if r.alpha == a) for a in (0.0, 1.5)}
         assert sup[0.0] == 1.0
         assert sup[1.5] > 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_equal_single_products(self, d):
+        # one batched integral per cube gives each (alpha, cube) its own product
+        alphas = [0.0, 0.3 * d, -0.6 * d, 0.95 * d]
+        fam = default_cube_family(d, 0.7)
+        rows = a2_scan(alphas, d, fam)
+        assert [(r.alpha, r.label) for r in rows] == [(a, lab) for a in alphas for lab, _ in fam]
+        for row in rows:
+            single = a2_product(row.alpha, d, Cube(row.center, row.side))
+            assert row.product == pytest.approx(single, rel=1e-13), (row.alpha, row.label)
+
+    def test_validates_every_entry_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before validation")
+
+        monkeypatch.setattr(W, "_gauss_box", no_quadrature)
+        with pytest.raises(DomainError, match="alpha"):
+            a2_scan([1.0, 5.0], 4, default_cube_family(4))
+        with pytest.raises(DomainError, match="dim"):
+            a2_scan([1.0], 4, default_cube_family(4) + [("flat", Cube((0.0,) * 3, 1.0))])
+        with pytest.raises(DomainError, match="volume"):
+            a2_scan([1.0], 4, default_cube_family(4) + [("huge", Cube((0.0,) * 4, 1e100))])
 
 
 def test_spacetime_norm_even_time_samples():
@@ -262,7 +288,7 @@ def test_batched_gauss_box_is_exact_on_even_polynomials(boxes):
     # 6-point Gauss is exact per axis up to degree 11, so r^2 and r^4 come
     # out exact; each batch entry equals the same box evaluated alone
     lo, hi = boxes
-    for radial, which in ((lambda r: r * r, 0), (lambda r: (r * r) * (r * r), 1)):
+    for radial, which in ((lambda r2: r2, 0), (lambda r2: r2 * r2, 1)):
         batch = W._gauss_box(radial, lo, hi)
         assert batch.shape == (len(lo),)
         for i in range(len(lo)):
@@ -374,9 +400,24 @@ def _oracle_boxes(draw):
 @given(_oracle_boxes())
 def test_box_integral_matches_face_oracle(case):
     p, lo, hi = case
-    value, truncated = W._box_integral(p, lo, hi, 24)
+    [(value, truncated)] = W._box_integral([p], lo, hi, 24)
     assert not truncated
     assert value == pytest.approx(box_moment_oracle(p, lo, hi), rel=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_boxes(), st.lists(st.floats(-1.95, 3.0), min_size=1, max_size=7))
+def test_batched_exponents_match_single_exponent_calls(case, more):
+    # every exponent is summed from one node set, in chunks sized by the
+    # number of exponents; each equals its own one-exponent integral
+    p, lo, hi = case
+    ps = [p] + more
+    batch = W._box_integral(ps, lo, hi, 24)
+    assert len(batch) == len(ps)
+    for q, (value, truncated) in zip(ps, batch):
+        [(single, single_truncated)] = W._box_integral([q], lo, hi, 24)
+        assert truncated == single_truncated
+        assert value == pytest.approx(single, rel=1e-13), q
 
 
 def test_thin_box_is_cheap_and_additive(monkeypatch):
@@ -385,14 +426,14 @@ def test_thin_box_is_cheap_and_additive(monkeypatch):
     nodes = []
     gauss_box = W._gauss_box
 
-    def counted(radial_fn, lo, hi):
+    def counted(fn, lo, hi):
         nodes.append(len(lo) * W._GAUSS_N ** np.shape(lo)[1])
-        return gauss_box(radial_fn, lo, hi)
+        return gauss_box(fn, lo, hi)
 
     monkeypatch.setattr(W, "_gauss_box", counted)
     p = -3.6
     lo, hi = np.array([1e-6, -0.5, -0.5, -0.5]), np.array([1.0 + 1e-6, 0.5, 0.5, 0.5])
-    whole, truncated = W._box_integral(p, lo, hi, 24)
+    [(whole, truncated)] = W._box_integral([p], lo, hi, 24)
     assert not truncated
     assert 0 < sum(nodes) < 2e6
     monkeypatch.undo()
@@ -400,13 +441,14 @@ def test_thin_box_is_cheap_and_additive(monkeypatch):
     def split(axis, at):
         upper, lower = lo.copy(), hi.copy()
         upper[axis], lower[axis] = at, at
-        return W._box_integral(p, lo, lower, 24)[0] + W._box_integral(p, upper, hi, 24)[0]
+        return W._box_integral([p], lo, lower, 24)[0][0] + W._box_integral([p], upper, hi, 24)[0][0]
 
     assert split(1, 0.0) == pytest.approx(whole, rel=1e-12)  # halves at the origin
     assert split(0, 0.5) == pytest.approx(whole, rel=1e-12)  # halves of the thin axis
     # independent of the tiling: the slab [0, eps] x [-1/2, 1/2]^3 between the
     # touching cube and this one holds K eps^(p+4) / (p+4) + O(eps), with
     # K = integral over R^3 of (1 + |w|^2)^(p/2) = 2 pi B(3/2, -(p+3)/2)
-    touching = W._box_integral(p, np.array([0.0, -0.5, -0.5, -0.5]), hi - [1e-6, 0, 0, 0], 24)[0]
+    [(touching, _)] = W._box_integral([p], np.array([0.0, -0.5, -0.5, -0.5]),
+                                      hi - [1e-6, 0, 0, 0], 24)
     K = 2 * np.pi * gamma(1.5) * gamma(-(p + 3) / 2) / gamma(-p / 2)
     assert (touching - whole) / (K * 1e-6 ** (p + 4) / (p + 4)) == pytest.approx(1.0, abs=1e-3)
