@@ -27,7 +27,14 @@ import numpy as np
 
 from .cutoff import default_cutoff
 from .errors import DomainError, ShapeError
-from .spectral import GridSpec, VectorField, cosine_transform, forward_values, inverse_values
+from .spectral import (
+    GridSpec,
+    VectorField,
+    block_matrices,
+    block_transform,
+    forward_values,
+    inverse_values,
+)
 
 __all__ = [
     "hs_norm",
@@ -54,36 +61,40 @@ def _time_pass(u_sampler, grid: GridSpec):
     """Yield (node index, t, weight, density) along one ascending pass.
 
     ``density`` is a (rows, points) float64 array in FFT storage order whose
-    rows sum to |u(t)|^2: grid index m sits at x = dx * m (m taken mod N into
-    [-N/2, N/2)), so the origin is index 0.  A sampler with a ``spectrum``
-    and an ``out_shape`` (``elastic.WaveSampler``, ``ElasticPropagator``)
-    writes each node's spectrum into one ``complex64`` buffer of that shape,
-    which one unshifted, unscaled ``ifftn`` transforms in place; its modulus
-    goes into one ``density`` array and is squared there.  The pass
-    allocates both once.  A real sampler packs its components two per field,
-    so a row then holds ``|Re u_0|^2 + |Re u_1|^2`` (see
-    ``elastic.WaveSampler``); otherwise a row is one component.
-    That transform is u * dx^n, so the constant dx^{-2n} is folded into the
-    node's weight.  A plain callable's physical-order samples are reordered
-    by one ``ifftshift`` instead.  ``density`` is overwritten at the next
-    node; reduce it with ``_weighted_sum``.
+    rows sum to |u(t)|^2: grid index m sits at x = dx * m (m taken mod N
+    into [-N/2, N/2)), so the origin is index 0.  A sampler with a
+    ``spectrum`` and an ``out_shape`` (``elastic.WaveSampler``,
+    ``ElasticPropagator``) writes each node's spectrum into one buffer of
+    that shape, and the pass allocates it, the transform's work space and
+    the density once.  ``density`` is overwritten at the next node; reduce
+    it with ``_weighted_sum``.
 
-    An ``even`` sampler (``_on_block``) writes the block ``grid.even_block``
-    of its spectrum, and u is even in every axis too.  The pass transforms
-    the block to the block with ``spectral.cosine_transform``, which gives
-    u * (N dx)^n, so it folds (N dx)^{-2n} into the weight.  Its density then
-    has ``grid.even_shape`` points per row, and each point is multiplied by
-    its orbit size ``grid.orbit_sizes()``.  That is the density contract of
-    the block: a weight even in every axis, read on the block, sums against
-    it to the sum over the whole lattice.  The lattice weights and masks of
-    the consumers are all even (see ``weights``).
+    An unsigned sampler's buffer is ``complex64``, which one unshifted,
+    unscaled ``ifftn`` transforms in place; its modulus goes into the
+    density and is squared there.  A real sampler packs its components two
+    per field, so a row then holds ``|Re u_0|^2 + |Re u_1|^2`` (see
+    ``elastic.WaveSampler``); otherwise a row is one component.  That
+    transform is u * dx^n, so the constant dx^{-2n} is folded into the
+    node's weight.  Only the buffer, the FFT and its modulus run in single
+    precision, which puts about 1e-7 relative on the norms.
 
-    Precision: a sampler's phases stay ``complex128`` and the density and
-    its reduction are ``float64``; only the spectrum buffer, the per-node
-    FFT and its modulus run in single precision, which puts about 1e-7
-    relative on the norms.  The cosine transform of an even pass reads that
-    buffer but sums in double, which leaves about 1e-9.  A plain callable's
-    pass is all double.
+    A signed sampler (``_on_block``) writes ``float64`` planes of the block
+    ``grid.even_block`` (real parts, then imaginary ones), each with a
+    parity in every axis, ``signature``.  The pass transforms them from the
+    block to the block with ``spectral.block_transform``, which gives each
+    plane's part of u * (N dx)^n up to a unimodular factor, so it folds
+    (N dx)^{-2n} into the weight and squares each plane into one row: the
+    real and imaginary planes of a component sum to its |u|^2.  All of it
+    runs in double precision.  Its density has ``grid.even_shape`` points
+    per row, and each point is multiplied by its orbit size
+    ``grid.orbit_sizes()``: |u|^2 is even in every axis, whatever the
+    parities.  That is the density contract of the block: a weight even in
+    every axis, read on the block, sums against it to the sum over the
+    whole lattice.  The lattice weights and masks of the consumers are all
+    even (see ``weights``).
+
+    A plain callable's physical-order samples are reordered by one
+    ``ifftshift`` instead, all in double.
 
     The sampler is called once per node, in ascending order, at every node,
     or only at the nodes with t >= 0 when it declares ``time_even``: the
@@ -104,28 +115,33 @@ def _time_pass(u_sampler, grid: GridSpec):
     axes = tuple(range(-grid.dim, 0))
     scale, orbit, points = 1.0, None, grid.mode_count
     if spectrum is not None:
-        buf = np.empty(u_sampler.out_shape, np.complex64)
-        density = np.empty(buf.shape)
         scale = grid.dx ** (-2 * grid.dim)
         if _on_block(u_sampler):
-            work, orbit = np.empty((2,) + buf.shape, np.complex128), grid.orbit_sizes()
+            buf = np.empty(u_sampler.out_shape)
+            signature = u_sampler.signature
+            matrices = block_matrices(np.tile(signature, (len(buf) // len(signature), 1)), grid)
+            work, orbit = np.empty((2,) + buf.shape), grid.orbit_sizes()
             points = orbit.size
             scale /= grid.mode_count**2
 
-            def transform():
-                return cosine_transform(buf, work, grid)
+            def square():
+                return np.square(block_transform(buf, matrices, work, grid), out=density)
         else:
-            def transform():
-                return np.fft.ifftn(buf, axes=axes, out=buf)
+            buf = np.empty(u_sampler.out_shape, np.complex64)
+
+            def square():
+                np.abs(np.fft.ifftn(buf, axes=axes, out=buf), out=density)
+                return np.square(density, out=density)
+        density = np.empty(buf.shape)
     for i in range(first, len(nodes)):
         if spectrum is None:
             # no sample outlives this statement, so the pass holds one field
             density = np.abs(np.fft.ifftshift(_field_values(u_sampler(nodes[i]), grid)[0],
                                               axes=axes))
+            np.square(density, out=density)
         else:
             spectrum(nodes[i], out=buf)
-            np.abs(transform(), out=density)
-        np.square(density, out=density)
+            square()
         if orbit is not None:
             density *= orbit
         yield i, nodes[i], weights[i] * scale, density.reshape(-1, points)
@@ -133,8 +149,23 @@ def _time_pass(u_sampler, grid: GridSpec):
 
 def _on_block(u_sampler) -> bool:
     """Whether ``_time_pass`` runs on the block ``grid.even_block``: the
-    sampler states that it is ``even`` (see ``elastic.WaveSampler``)."""
-    return getattr(u_sampler, "even", False)
+    sampler has a ``signature`` (see ``elastic.WaveSampler``)."""
+    return getattr(u_sampler, "signature", None) is not None
+
+
+def _origin_density(u_sampler, t: float, grid: GridSpec) -> float:
+    """The density of an unsigned sampler's ``_time_pass`` at x = 0 and the
+    node t of its last call, summed over its rows, from the sampler's
+    double-precision coefficients: ``N^-n sum_m uhat(m)`` per component, as
+    the pass's ``ifftn`` has it, or its real part when the sampler packs
+    ``Re u`` (``out_shape`` differs from ``shape``).  The state is at t
+    already; for a lone one-way term the coefficients are a view of it."""
+    coeffs = u_sampler.spectrum(t)
+    values = coeffs.reshape(coeffs.shape[:coeffs.ndim - grid.dim] + (-1,)).sum(axis=-1)
+    values /= grid.mode_count
+    if u_sampler.out_shape != u_sampler.shape:
+        values = values.real
+    return float(np.sum(np.abs(values) ** 2))
 
 
 def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:

@@ -21,6 +21,15 @@ def _eta(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _octave(t: np.ndarray) -> np.ndarray:
+    """``floor(-log2 t)``, so that ``2^j t`` lies in [1, 2), as ``int32``
+    (numpy's fast ``ldexp`` loop; the values lie in [-1024, 1074]); 0 where
+    it is not finite (t = 0 or inf)."""
+    with np.errstate(divide="ignore"):
+        j = np.floor(-np.log2(t))
+    return np.where(np.isfinite(j), j, 0.0).astype(np.int32)
+
+
 class DyadicCutoff:
     """The smooth phi above: supported in the fixed band (1/2, 2), values in [0, 1]."""
 
@@ -34,25 +43,25 @@ class DyadicCutoff:
         if tp.size:
             # only j with 2^j t in (1/2,2) contribute; they lie in a 3-window,
             # which holds j = 0 wherever eta(t) != 0, and 2^0 t == t exactly;
-            # halving or doubling a power of two is exact, so one power serves
-            # the whole window
-            j0 = np.floor(-np.log2(tp))
-            scale = 2.0**j0
+            # scaling by a power of two is exact, and ldexp does it without
+            # forming 2^j, which overflows for subnormal t
+            j0 = _octave(tp)
             num, den = np.zeros_like(tp), np.zeros_like(tp)
-            for dj, factor in ((-1.0, 0.5), (0.0, 1.0), (1.0, 2.0)):
-                term = _eta(tp * (scale * factor))
+            for dj in (-1, 0, 1):
+                term = _eta(np.ldexp(tp, j0 + dj))
                 den += term
                 num = np.where(j0 == -dj, term, num)
-            out[pos] = num / den
+            # every window term vanishes only where phi does: t = inf
+            out[pos] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         return out[0] if scalar else out
 
     def partition_deviation(self, t) -> np.ndarray:
         """|sum_k phi(2^k t) - 1| evaluated with the (at most two) active terms."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         total = np.zeros_like(t)
-        j0 = np.floor(-np.log2(t))
-        for dj in (-1.0, 0.0, 1.0):
-            total += self(t * 2.0 ** (j0 + dj))
+        j0 = _octave(t)
+        for dj in (-1, 0, 1):
+            total += self(np.ldexp(t, j0 + dj))
         return np.abs(total - 1.0)
 
 

@@ -14,21 +14,32 @@ scalar half-wave flow; on the uniform time nodes it advances the phases by
 an exact-in-t recurrence rather than re-evaluating them.  It keeps each
 Helmholtz part in the form above, as the term ``(c, cosine part fhat_*,
 sine part ghat_*/(c|xi|) or None)``, the sine part None when ``ghat_* = 0``
-(data at rest), and reads cos and sin off the phase ``e^{itc|xi|}``; its
-``spectrum(t, out=...)`` writes single-precision coefficients, for the
-one-way half-wave term and the two-way elastic terms alike.  Real data
-``(f, g)`` give a real displacement (the multipliers are real and even in
-xi), except on the lattice planes where some ``xi_i = -N/2 dxi``: that mode
-has no ``+N/2 dxi`` partner, so ``P(xi)`` is not even in the mode index there.
-When that part is small, ``out`` holds the real parts of the components two
-per complex field, ``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3), ...``, whose
-modulus squared is ``|Re u_0|^2 + |Re u_1|^2``: the time pass transforms half
-the fields in 2-d and two of three in 3-d.  Data even in every axis, such
-as radial scalar data, stay even, since the multipliers depend on |xi| only:
-such a sampler keeps its parts and its state on the block ``[:N/2 + 1]^n``
-of FFT storage order (``GridSpec.even_block``), one point per orbit of the
-axis reflections, and the time pass transforms that block alone (see
-``analysis._time_pass``).  Convention at the zero mode:
+(data at rest), and reads cos and sin off the phase ``e^{itc|xi|}``.
+
+The multipliers depend on |xi| only, so a component that is even or odd in
+an axis stays so.  Each component of the Helmholtz parts of radial data
+has such a parity in every axis: component j of ``xi_i xi_j |xi|^-2 fhat``
+is odd in axes i and j and even in the others.  ``WaveSampler`` decides
+this parity signature once, from its parts; a signed sampler keeps its
+state on the block ``[:N/2 + 1]^n`` of FFT storage order
+(``GridSpec.even_block``), one point per orbit of the axis reflections, and
+its ``spectrum(t, out=...)`` writes real ``float64`` planes of that block,
+which the time pass transforms with one real matmul per axis, cosine
+matrices on even axes and sine matrices on odd ones
+(``spectral.block_transform``; see ``analysis._time_pass``).  The sine
+matrix drops an odd axis's Nyquist plane ``m_i = N/2``: that mode has no
+``+N/2 dxi`` partner, so the lattice projector ``P(xi)`` is not odd there;
+for the Helmholtz parts of real radial data those planes are exactly the
+parts' anti-Hermitian part, which makes the displacement's imaginary part
+``Im u``.  The sampler is signed only when they hold at most ``_REAL_TOL``
+of its parts.  Data without a full signature (a carrier,
+white noise, or Nyquist planes above that bound) keep the full-lattice
+pass: ``out`` then takes single-precision coefficients, for real data the
+real parts of the components two per complex field,
+``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3), ...``, whose modulus squared is
+``|Re u_0|^2 + |Re u_1|^2``, which again leaves out ``Im u``.  Without
+``out``, the sampler gives the full lattice, Nyquist planes included.
+Convention at the zero mode:
 P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
 free-particle limit of the ODE).
 """
@@ -43,7 +54,8 @@ from .errors import DomainError, EllipticityError, ShapeError
 from .spectral import (
     GridSpec,
     VectorField,
-    cosine_transform,
+    block_matrices,
+    block_transform,
     forward_values,
     inverse_values,
 )
@@ -189,31 +201,57 @@ class WaveSampler:
     reflected case is exact only against weights even in x: every weight
     and ball mask of the consumers is (see ``weights``).
 
+    ``signature``, when not None, is a parity for every component (the
+    leading axes flattened, one row each; one row for scalar terms) in every
+    axis (columns): True where the component is odd, ``X(R_i m) = -X(m)``
+    for the reflection ``R_i: m_i -> -m_i mod N``, False where it is even.
+    It is decided once, from the parts X and the drift: per component, the
+    parts' odd (or even) parts, summed over the parts, within ``_EVEN_TOL``
+    of their summed norm (``_signature``); |xi| is even, so the flow keeps
+    it.  A part that is only rounding in a component fits both.
+    An odd component is 0 on the plane ``m_i = 0`` of its odd axes, but not
+    on ``m_i = N/2``: there the mode has no partner, and the lattice projector
+    ``xi_i xi_j / |xi|^2`` of an elastic part is not odd.  For the Helmholtz
+    parts of real radial data those Nyquist planes are exactly the parts'
+    anti-Hermitian part (``_nyquist_defect``), which makes ``Im u`` and which
+    a ``real`` pass drops too.  The sampler is signed only when they hold at
+    most ``_REAL_TOL`` of the parts (on the members of the benchmark's
+    elastic scan: 6.0e-14 at lambda = 1, 1.45e-4 at lambda = 2), and when
+    every component has a parity in every axis.  The Helmholtz parts of
+    radial data do: component j of ``xi_i xi_j |xi|^-2 fhat`` is odd in
+    axes i and j.  One-way terms are signed only when even in every axis.
+    A signed sampler keeps its state on the block ``grid.even_block``, one
+    point per orbit of the reflections, and ``spectrum``'s ``out`` takes
+    ``float64`` planes of the block, of shape ``out_shape``: the real parts
+    of the components, then, unless every part and the drift are real to
+    ``_EVEN_TOL`` (their imaginary rounding is then dropped), their
+    imaginary parts.  The time pass transforms the planes with
+    ``spectral.block_transform``, cosine matrices on even axes and sine
+    matrices on odd ones, which drops the odd axes' Nyquist planes.
+
+    ``even`` is true when the sampler is signed and even in every axis, such
+    as radial scalar data.  An even sampler keeps its parts on the block
+    too; their odd remainder, at most ``_EVEN_TOL``, is dropped, and radial
+    data on any grid carry only rounding there.  Terms whose spatial axes
+    have the shape ``grid.even_shape`` are taken as the block of even parts,
+    without a check: ``halfwave_sampler`` hands over the block of data it
+    has found even, and ``shape`` is still that of the full lattice.  A
+    signed sampler with an odd axis keeps its parts on the full lattice.
+    ``spectrum`` without ``out``, ``rate`` and ``__call__`` of any signed
+    sampler still give the full lattice, Nyquist planes included: from the
+    full-lattice parts and the state unfolded from the block
+    (``GridSpec.unfold``; E is even), or, for an even sampler, computed on
+    the block and unfolded once.
+
     ``real`` is true when the constructor is told ``real_data`` (two-way
     terms of real data, so every part X is Hermitian off the Nyquist planes
     ``m_i = -N/2``) and the parts' anti-Hermitian part on those planes, which
-    is ``Im u``, is at most ``_REAL_TOL`` of them.  A real sampler of k >= 2
-    components packs the real parts of its components two per field in
-    ``spectrum``'s ``out``, whose shape is ``out_shape`` (``shape`` when
-    nothing is packed).  A pass over it measures ``|Re u|^2``, short of
+    is ``Im u``, is at most ``_REAL_TOL`` of them.  An unsigned real sampler
+    of k >= 2 components packs the real parts of its components two per
+    field in ``spectrum``'s ``out``, whose shape is ``out_shape`` (``shape``
+    when nothing is packed).  A pass over it measures ``|Re u|^2``, short of
     ``|u|^2`` by ``|Im u|^2``, where ``|Im u(t)|_2 <= _REAL_TOL sum_X |X|_2``
     (``_REAL_TOL^2`` is 6e-8); for resolved data ``Im u`` is rounding.
-
-    ``even`` is true when every part X is even in every axis, to
-    ``|X - R_i X| <= _EVEN_TOL |X|`` for each reflection
-    ``R_i: m_i -> -m_i mod N``, and nothing is packed (an elastic part
-    ``xi_i xi_j / |xi|^2 fhat`` is odd in axes i and j, so only constant
-    elastic data would be even).  An even sampler keeps its parts, its |xi|
-    and its state on the block ``grid.even_block``, and ``out_shape`` is the
-    block: ``spectrum``'s ``out`` takes the block only, and the time pass
-    transforms it with ``spectral.cosine_transform``.  ``spectrum`` without
-    ``out``, ``rate`` and ``__call__`` still give the full lattice, each
-    unfolded once from the block (``GridSpec.unfold``).  The parts' odd
-    remainder, at most ``_EVEN_TOL``, is dropped; radial data on any grid
-    carry only rounding there.  Terms whose spatial axes have the shape
-    ``grid.even_shape`` are taken as the block of even parts, without a
-    check: ``halfwave_sampler`` hands over the block of data it has found
-    even, and ``shape`` is still that of the full lattice.
     """
 
     def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
@@ -229,7 +267,7 @@ class WaveSampler:
         self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
-        self._single = None  # single-precision parts, built at the first ``out=`` call
+        self._out = None  # the parts as ``out=`` takes them, built at the first such call
         shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
         lead = shape[:len(shape) - grid.dim]
         on_block = shape[len(lead):] == grid.even_shape
@@ -238,20 +276,28 @@ class WaveSampler:
         self.real = real_data and not on_block and bool(
             sum(_nyquist_defect(X, grid.dim) for X in parts)
             <= _REAL_TOL * sum(np.sqrt(np.vdot(X, X).real) for X in parts))
+        one_way = any(one_way for _, _, _, one_way in self._terms)
+        self.signature = (np.zeros((int(np.prod(lead)), grid.dim), bool) if on_block
+                          else _signature([np.broadcast_to(X, shape) for X in parts], drift,
+                                          grid.dim, even_only=one_way))
+        self.even = self.signature is not None and not self.signature.any()
         self.out_shape = self.shape
-        self._packing = self.real and len(self.shape) > grid.dim and self.shape[0] > 1
+        self._packing = (self.signature is None and self.real and len(lead) > 0
+                         and self.shape[0] > 1)
         if self._packing:
             self.out_shape = ((self.shape[0] + 1) // 2,) + self.shape[1:]
-        self.even = on_block or (not self._packing
-                                 and all(_is_even(X, grid.dim) for X in parts))
-        if self.even:
-            self.out_shape = lead + grid.even_shape
+        if self.signature is not None:
+            real_parts = not one_way and all(_is_real(X) for X in parts) and (
+                drift is None or _is_real(drift))
+            # (planes: real parts[, imaginary parts]) + lead + block
+            self._planes = (1 if real_parts else 2,) + lead + grid.even_shape
+            self.out_shape = (int(np.prod(self._planes[:-grid.dim])),) + grid.even_shape
         if self.even and not on_block:
             block = (Ellipsis,) + grid.even_block
             self._terms = [(c, np.ascontiguousarray(P[block]),
                             None if Q is None else np.ascontiguousarray(Q[block]), one_way)
                            for c, P, Q, one_way in self._terms]
-        self._xin = grid.xi_norm(self.even)
+        self._xin = grid.xi_norm(self.signature is not None)
 
     def _advance(self, t: float) -> None:
         """Bring the state to t: one step of the recurrence, or ``exp`` directly."""
@@ -260,7 +306,7 @@ class WaveSampler:
         nodes, i = self._nodes, self._index
         if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
             for state, (c, _, _, _) in zip(self._state, self._terms):
-                state *= self.grid.phase_step(c, self.even)
+                state *= self.grid.phase_step(c, self.signature is not None)
             self._index = i + 1
         else:
             self._state = []
@@ -271,81 +317,114 @@ class WaveSampler:
             self._index = j if j < len(nodes) and nodes[j] == t else None
         self._t = t
 
-    def _single_parts(self):
-        """The cosine and sine parts in ``complex64`` and the drift, as
-        ``spectrum``'s ``out`` takes them (for a real sampler, those of
-        ``Re u``, packed); a ``complex64`` buffer for one cosine or sine
-        (imaginary half zero), and a field for one product.  A sampler of
-        one-way terms only needs no parts or buffers."""
-        if self._single is None:
-            packed = self._packing
+    def _lattice_state(self):
+        """The state and |xi| on the lattice of the parts: the full lattice,
+        unfolded from the block for a signed sampler with an odd axis (its
+        state is E alone, which is even), else as they are."""
+        if self.signature is None or self.even:
+            return self._state, self._xin
+        return [self.grid.unfold(E) for E in self._state], self.grid.xi_norm()
 
-            def single(X):
+    def _out_parts(self):
+        """The cosine and sine parts and the drift as ``spectrum``'s ``out``
+        takes them, a buffer for one cosine or sine, a field for one product,
+        and a function that gives a one-way term's state in that form.
+
+        Unsigned: the parts in ``complex64`` (for a real sampler, those of
+        ``Re u``, packed), a ``complex64`` buffer (imaginary half zero) and
+        the state as it is.  Signed: the planes of the parts' block in
+        ``float64``, no buffer (the phases' real and imaginary views are
+        already ``float64``), and the state's real and imaginary parts as
+        two planes, a view.  A sampler of one-way terms only needs no parts
+        or buffers."""
+        if self._out is None:
+            grid, planes = self.grid, self.signature is not None
+
+            def as_out(X):
                 if X is None:
                     return None
-                return (_packed(_hermitian_at_nyquist(X, self.grid.dim)) if packed
+                if planes:
+                    X = np.broadcast_to(X[(Ellipsis,) + grid.even_block], self._planes[1:])
+                    return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
+                return (_packed(_hermitian_at_nyquist(X, grid.dim)) if self._packing
                         else X).astype(np.complex64)
 
-            parts = [(None, None) if one_way else (single(P), single(Q))
+            parts = [(None, None) if one_way else (as_out(P), as_out(Q))
                      for _, P, Q, one_way in self._terms]
             drift = self._drift
-            if drift is not None and packed:
+            if drift is not None and planes:
+                drift = np.stack([drift.real, drift.imag][:self._planes[0]])
+            elif drift is not None and self._packing:
                 drift = _packed(drift)  # the zero mode of real data is real
-            if all(one_way for _, _, _, one_way in self._terms):
-                self._single = (parts, None, None, drift)
+            if planes:
+                def split(state):  # (re, im) + the state's shape, a float64 view
+                    return np.moveaxis(state.view(np.float64).reshape(state.shape + (2,)), -1, 0)
+
+                self._out = (parts, None, np.empty(self._planes), drift, split)
+            elif all(one_way for _, _, _, one_way in self._terms):
+                self._out = (parts, None, None, drift, None)
             else:
-                self._single = (parts, np.zeros(self._xin.shape, np.complex64),
-                                np.empty(self.out_shape, np.complex64), drift)
-        return self._single
+                self._out = (parts, np.zeros(self._xin.shape, np.complex64),
+                             np.empty(self.out_shape, np.complex64), drift, None)
+        return self._out
 
     def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """uhat(t), in FFT storage order, of shape ``self.shape``.
 
-        ``out``, a ``complex64`` array of shape ``out_shape``, takes the terms
-        in single precision, whichever their kind; for a real sampler it holds
-        the packed coefficients of ``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3),
-        ...``, which cost half the multiplies.  A one-way term is copied in
-        under ``same_kind`` casting.  For a two-way term, ``cos = Re E_k`` and
-        ``sin = Im E_k`` are each cast once into the real half of one reused
-        ``complex64`` buffer and multiplied with ``complex64`` copies of its
-        parts, built at the first such call; the first product goes into
-        ``out``, the others into one reused field that is added to it.  (A
-        ``float32`` buffer would give the same values, but numpy has no mixed
-        ``float32 * complex64`` loop and buffers the cast, three times
-        slower.)  No field-sized temporary is allocated.  The phases stay
-        ``complex128``, so each part carries a few single-precision roundings.
-        This is how the time pass (``analysis._time_pass``) fills its
-        transform buffer; it reduces in ``float64``, so its norms carry about
-        1e-7 relative rounding.  Without ``out``, a lone one-way term comes
-        back as a read-only view of the state, valid until the next call, and
-        anything else in a new ``complex128`` array, in double precision; an
-        ``even`` sampler's come back unfolded to the full lattice, in a new
-        array either way.
+        ``out``, of shape ``out_shape``, takes the terms in place, whichever
+        their kind.  For a signed sampler it is ``float64`` and takes the
+        planes of the block (see the class docstring), in double precision:
+        one product of ``Re E_k`` or ``Im E_k`` with each part's planes per
+        cosine or sine, and a one-way term's state copied in as its real and
+        imaginary planes.  Otherwise it is ``complex64``; for a real sampler
+        it holds the packed coefficients of ``Re u_0 + i Re u_1, Re u_2
+        (+ i Re u_3), ...``, which cost half the multiplies.  A one-way term
+        is copied in under ``same_kind`` casting.  For a two-way term,
+        ``cos = Re E_k`` and ``sin = Im E_k`` are each cast once into the
+        real half of one reused ``complex64`` buffer and multiplied with
+        ``complex64`` copies of its parts, built at the first such call; the
+        first product goes into ``out``, the others into one reused field
+        that is added to it.  (A ``float32`` buffer would give the same
+        values, but numpy has no mixed ``float32 * complex64`` loop and
+        buffers the cast, three times slower.)  No field-sized temporary is
+        allocated.  The phases stay ``complex128``, so each part carries a
+        few single-precision roundings.  This is how the time pass
+        (``analysis._time_pass``) fills its transform buffer; it reduces in
+        ``float64``, so the norms of an unsigned sampler carry about 1e-7
+        relative rounding.  Without ``out``, a lone one-way term comes back
+        as a read-only view of the state, valid until the next call, and
+        anything else in a new ``complex128`` array, in double precision; a
+        signed sampler's come back on the full lattice, in a new array
+        either way.
         """
         self._advance(t)
         drift = self._drift
         unfold = out is None and self.even
         if out is None:
+            states, xin = self._lattice_state()
             if drift is None and len(self._terms) == 1 and self._terms[0][3]:
                 if unfold:
-                    return self.grid.unfold(self._state[0])
-                view = self._state[0].view()
+                    return self.grid.unfold(states[0])
+                view = states[0].view()
                 view.setflags(write=False)
                 return view
-            out = np.empty(self.out_shape if self.even else self.shape, np.complex128)
+            target = out = np.empty(self.shape[:-self.grid.dim] + xin.shape, np.complex128)
             parts = [(P, Q) for _, P, Q, _ in self._terms]
-            trig, product = None, np.empty_like(out)
+            trig, product, split = None, np.empty_like(out), None
         else:
             if out.shape != self.out_shape:
                 raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
-            parts, trig, product, drift = self._single_parts()
+            states = self._state
+            parts, trig, product, drift, split = self._out_parts()
+            target = out if split is None else out.reshape(self._planes)
         first = True
-        for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
+        for (_, _, _, one_way), state, (P, Q) in zip(self._terms, states, parts):
             if one_way:
+                value = state if split is None else split(state)
                 if first:
-                    np.copyto(out, state, casting="same_kind")
+                    np.copyto(target, value, casting="same_kind")
                 else:
-                    out += state
+                    target += value
                 first = False
                 continue
             for value, part in ((state.real, P), (state.imag, Q)):
@@ -355,22 +434,23 @@ class WaveSampler:
                     np.copyto(trig.real, value, casting="same_kind")
                     value = trig
                 if first:
-                    np.multiply(value, part, out=out)
+                    np.multiply(value, part, out=target)
                 else:
                     np.multiply(value, part, out=product)
-                    out += product
+                    target += product
                 first = False
         if drift is not None:
-            out[self._zero] += t * drift
+            target[self._zero] += t * drift
         return self.grid.unfold(out) if unfold else out
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier:
         ``i c|xi| E A`` per one-way term, ``c|xi| (cos Q - sin P)`` per two-way term."""
         self._advance(t)
+        states, xin = self._lattice_state()
         out = 0.0
-        for (c, X, Q, one_way), state in zip(self._terms, self._state):
-            w = c * self._xin
+        for (c, X, Q, one_way), state in zip(self._terms, states):
+            w = c * xin
             if one_way:
                 out = out + 1j * w * state
                 continue
@@ -387,10 +467,37 @@ class WaveSampler:
         return inverse_values(self.spectrum(t), self.grid)
 
 
-_REAL_TOL = 2.0**-12  # largest relative Nyquist-plane part a real sampler packs
+_REAL_TOL = 2.0**-12  # largest relative Nyquist-plane part a real or signed sampler drops
 
 
-_EVEN_TOL = 1e-12  # largest relative odd part of an even sampler's parts
+_EVEN_TOL = 1e-12  # largest relative odd (even) part of an even (odd) component
+
+
+def _parities(X: np.ndarray, dim: int):
+    """The squared norm of each component of X (its leading axes flattened),
+    and its squared odd and even parts in each of X's last ``dim`` axes (FFT
+    storage order), as (components,) and (components, dim) arrays:
+    ``|X_j -+ R_i X_j|^2`` for the reflection ``R_i: m_i -> -m_i mod N``, the
+    even part taken off the plane ``m_i = N/2``.  R_i fixes the indices 0 and
+    N/2 and swaps m with N - m, so the odd part is twice the squared
+    difference of the views ``X[..., 1:N/2]`` and ``X[..., N-1:N/2:-1]``
+    along the axis, and the even part twice their squared sum plus four
+    times the squared plane ``m_i = 0``; nothing is copied but those."""
+    h = X.shape[-1] // 2
+    X = X.reshape((-1,) + X.shape[X.ndim - dim:])
+
+    def sq(a):  # squared norm per component
+        a = np.ascontiguousarray(a).reshape(len(X), -1)
+        a = a.view(np.float64) if np.iscomplexobj(a) else a
+        return np.array([np.dot(row, row) for row in a])
+
+    odd_part, even_part = np.empty((2, len(X), dim))
+    for i in range(dim):
+        head = (slice(None),) * (i + 1)
+        lo, hi = X[head + (slice(1, h),)], X[head + (slice(None, h, -1),)]
+        odd_part[:, i] = 2 * sq(lo - hi)
+        even_part[:, i] = 2 * sq(lo + hi) + 4 * sq(X[head + (0,)])
+    return sq(X), odd_part, even_part
 
 
 def _is_even(X: np.ndarray, dim: int) -> bool:
@@ -408,6 +515,43 @@ def _is_even(X: np.ndarray, dim: int) -> bool:
         if np.vdot(odd, odd).real > bound:
             return False
     return True
+
+
+def _signature(parts, drift: np.ndarray | None, dim: int,
+               even_only: bool = False) -> np.ndarray | None:
+    """``WaveSampler.signature`` of the parts (arrays of one shape) and the
+    drift.  Per component j and axis i, the parts' odd (even) parts there,
+    summed over the parts, against ``_EVEN_TOL`` of their summed norm: even
+    (False) where the odd parts are within it, else odd (True) where the
+    even parts are.  None where some component is neither in some axis,
+    when the odd axes' Nyquist planes ``m_i = N/2`` hold more than
+    ``_REAL_TOL`` of the parts, when an odd component has a drift beyond
+    ``_EVEN_TOL`` of its parts, and, for ``even_only``, when some component
+    is odd somewhere (then each part is tested on its own, by ``_is_even``)."""
+    if even_only:
+        even = all(_is_even(X, dim) for X in parts)
+        return np.zeros((int(np.prod(parts[0].shape[:-dim])), dim), bool) if even else None
+    norm, odd_part, even_part = (sum(x) for x in zip(*(_parities(X, dim) for X in parts)))
+    bound = _EVEN_TOL**2 * norm[:, None]
+    even = odd_part <= bound
+    signature = ~even
+    if not np.all(even | (even_part <= bound)):
+        return None
+    if not signature.any():
+        return signature
+    h = parts[0].shape[-1] // 2
+    nyquist, scale = 0.0, 0.0
+    for X in parts:
+        X = X.reshape((-1,) + X.shape[X.ndim - dim:])
+        scale += float(np.sqrt(np.vdot(X, X).real))
+        for j, i in zip(*np.nonzero(signature)):
+            nyquist += float(np.linalg.norm(X[(j,) + (slice(None),) * i + (h,)]))
+    rows = signature.any(axis=1)
+    if nyquist > _REAL_TOL * scale or (
+            drift is not None and np.any(np.abs(np.ravel(drift))[rows]
+                                         > _EVEN_TOL * np.sqrt(norm[rows]))):
+        return None
+    return signature
 
 
 def _is_real(X: np.ndarray) -> bool:
@@ -484,10 +628,10 @@ def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     tests f as it would test F; the DFT is unitary up to a constant and
     commutes with the reflections, so by Parseval both tests agree.  Even f
     has even F, and its forward DFT is the cosine transform of the block
-    (``spectral.cosine_transform``): block index m of F is
-    ``dx^n * cosine_transform`` of f at the physical indices
-    ``(m + N/2) % N``, where x = dx * m.  Nothing of full-lattice size is
-    transformed or kept.
+    (``spectral.block_transform`` with every axis even): block index m of
+    F is ``dx^n`` times that transform of f at the physical indices
+    ``(m + N/2) % N``, where x = dx * m, complex f entering as its real and
+    imaginary planes.  Nothing of full-lattice size is transformed or kept.
     """
     f = np.asarray(f)
     if f.shape != grid.shape:
@@ -497,8 +641,14 @@ def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     N = grid.points_per_axis
     index = (np.arange(N // 2 + 1) + N // 2) % N
     block = f[np.ix_(*([index] * grid.dim))]
-    work = np.empty((2,) + block.shape, np.complex128)
-    return cosine_transform(block, work, grid) * grid.dx**grid.dim
+    planes = np.stack([block.real, block.imag] if np.iscomplexobj(block) else [block])
+    planes = planes.astype(np.float64, copy=False)
+    work = np.empty((2,) + planes.shape)
+    F = block_transform(planes, block_matrices(np.zeros((len(planes), grid.dim), bool), grid),
+                        work, grid)
+    F = F[0] + 1j * F[1] if len(F) == 2 else F[0].astype(np.complex128)
+    F *= grid.dx**grid.dim
+    return F
 
 
 def _halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
@@ -530,21 +680,26 @@ class ElasticPropagator:
     g it is even in t (cosine parts only, no drift), which it states as
     ``time_even``, and g is then neither transformed nor split.  Data f and g
     with no nonzero imaginary part are real data for ``WaveSampler``, which
-    works out ``real`` from them; the imaginary rounding of, say, a Helmholtz
-    part from ``helmholtz_split`` makes data complex.
+    works out ``real`` and ``signature`` from them; the imaginary rounding of,
+    say, a Helmholtz part from ``helmholtz_split`` makes data complex.
+    ``coeffs``, from a caller that has them already, are the coefficients
+    ``forward_values`` of f and of g (None for g = 0), which the propagator
+    then does not compute again.
     """
 
-    def __init__(self, state: ElasticState, params: LameParams):
+    def __init__(self, state: ElasticState, params: LameParams, coeffs=None):
         self.grid = state.grid
         self.params = params
         grid = self.grid
-        fP, fQ = _split_spectrum(forward_values(state.f.values, grid), grid)
+        F, G = coeffs or (forward_values(state.f.values, grid), None)
+        fP, fQ = _split_spectrum(F, grid)
         self.time_even = not np.any(state.g.values)
         terms = [(c, f_k, None) for c, f_k in ((params.shear_speed, fQ),
                                               (params.pressure_speed, fP))]
         drift = None
         if not self.time_even:
-            gP, gQ = _split_spectrum(forward_values(state.g.values, grid), grid)
+            gP, gQ = _split_spectrum(forward_values(state.g.values, grid) if G is None else G,
+                                     grid)
             drift = gQ[(Ellipsis,) + (0,) * grid.dim].copy()  # the zero mode is all in Q
             xin = grid.xi_norm()
             inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
@@ -554,6 +709,7 @@ class ElasticPropagator:
         self._sampler = WaveSampler(grid, terms, drift, self.time_even, real_data)
         self.real = self._sampler.real
         self.even = self._sampler.even
+        self.signature = self._sampler.signature
         self.shape = self._sampler.shape
         self.out_shape = self._sampler.out_shape
 

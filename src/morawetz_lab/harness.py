@@ -36,8 +36,8 @@ from .elastic import (
     _halfwave_sampler,
 )
 from .errors import AccuracyError, ConfigurationError, DomainError
-from .spectral import GridSpec, VectorField
-from .spectral import forward_values, inverse_values  # noqa: F401  perfbench/tracing.py wraps them
+from .spectral import GridSpec, VectorField, forward_values
+from .spectral import inverse_values  # noqa: F401  perfbench/tracing.py wraps it
 from .weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -243,6 +243,17 @@ def _scalar_sampler_and_norm(f: np.ndarray, grid: GridSpec, speed: float, s: flo
     return _scalar_halfwave_sampler(f, grid, speed, F), _hs_norm(F[np.newaxis], s, grid)
 
 
+def _elastic_sampler_and_norm(state: ElasticState, params: LameParams, s: float):
+    """The propagator of an elastic state and ``hs_norm(f, s) + hs_norm(g, s - 1)``,
+    each field transformed once: the propagator takes the coefficients the
+    norms are read from, and g = 0 has norm 0 without a transform."""
+    grid = state.grid
+    F = forward_values(state.f.values, grid)
+    G = forward_values(state.g.values, grid) if np.any(state.g.values) else None
+    norm = _hs_norm(F, s, grid) + (0.0 if G is None else _hs_norm(G, s - 1.0, grid))
+    return ElasticPropagator(state, params, coeffs=(F, G)), norm
+
+
 def compute_ratio(
     member: Member,
     query: RegionQuery,
@@ -261,7 +272,10 @@ def compute_ratio(
     ------
     AccuracyError
         If the numerator, the denominator or the ratio is not finite: the
-        time pass transforms in ``complex64``, which overflows near 3.4e38.
+        full-lattice time pass transforms in ``complex64``, which overflows
+        near 3.4e38, and the block pass of signed samplers (radial data, see
+        ``elastic.WaveSampler``) squares ``float64`` values, which overflow
+        near 1.3e154.
     """
     quad = quad or QuadratureConfig()
     weight = WeightSpec(kind=query.weight_kind, alpha=query.alpha)
@@ -286,11 +300,10 @@ def compute_ratio(
     else:
         if not isinstance(propagation, LameParams):
             raise ConfigurationError("vector members need LameParams")
-        state = ElasticState(member.f, member.g)
-        sampler = ElasticPropagator(state, propagation)
-        denominator = hs_norm(member.f, query.s) + hs_norm(member.g, query.s - 1.0)
+        sampler, denominator = _elastic_sampler_and_norm(ElasticState(member.f, member.g),
+                                                         propagation, query.s)
 
-    if not denominator > 0:
+    if denominator == 0.0:
         raise ConfigurationError("zero initial data: the ratio is undefined")
 
     numerator = weighted_spacetime_norm(sampler, weight, grid, quad)

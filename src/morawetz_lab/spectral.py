@@ -31,7 +31,8 @@ __all__ = [
     "FrequencyLattice",
     "VectorField",
     "frequency_lattice",
-    "cosine_transform",
+    "block_matrices",
+    "block_transform",
 ]
 
 
@@ -314,44 +315,72 @@ def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def cosine_transform(a: np.ndarray, work: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The unscaled DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of an array even in
-    every spatial axis, from the block to the block.
+def block_matrices(odd: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """The matrices ``block_transform`` applies along each axis to planes
+    with the parities ``odd`` (bool, ``(planes, dim)``, True where a plane
+    is odd in an axis): per axis, the cosine matrix C or the sine matrix S
+    when every plane shares its parity there, else a ``(planes, 1, K, K)``
+    stack of them, transposed for the last axis, which they multiply from
+    the right.  C and S are built once per grid."""
+    N = grid.points_per_axis
 
-    The sum over m's orbit is ``mult_m cos(2 pi j m/N)`` per axis, so along
-    each axis it is the cosine transform (DCT-I) ``C[j, m] = mult_m cos(2 pi
-    j m/N)`` on ``j, m in [0, N/2]``, ``mult_m`` 1 at m = 0 and N/2 and 2
-    otherwise, applied by one matmul.  The orbit sum of ``e^{-2 pi i j.m/N}``
-    is the same cosine, so this is also the forward DFT of even data: the
-    time pass's inverse transform and the forward transform of even samples
-    (``elastic._halfwave_coefficients``) are both this function.  C is real,
-    so along every axis but the last it multiplies the real view of the
-    data, real and imaginary parts alike, at half the cost of a complex
-    product.  ``a``, real or complex of any precision, with trailing axes
-    ``grid.even_shape``, is first copied into ``work``, a ``complex128``
-    array of shape ``(2,) + a.shape`` that is overwritten; every sum then
-    runs in double precision from that copy, as a BLAS product (numpy
-    multiplies a ``float32`` operand by the ``float64`` C outside BLAS), and
-    the result depends on a's values only, not on its precision.  Returns
-    the half of ``work`` that holds the result.
-    """
-    def build():
-        N = grid.points_per_axis
-        m = np.arange(N // 2 + 1)
-        mult = np.where((m == 0) | (m == N // 2), 1.0, 2.0)
-        return mult * np.cos(2 * np.pi * (np.outer(m, m) % N) / N)
+    def matrix(is_odd: bool) -> np.ndarray:
+        def build():
+            m = np.arange(N // 2 + 1)
+            k = np.outer(m, m) % N
+            if is_odd:  # exactly 0 where j m is a multiple of N/2: rows and columns 0, N/2
+                return np.where(k % (N // 2) == 0, 0.0, 2.0 * np.sin(2 * np.pi * k / N))
+            mult = np.where((m == 0) | (m == N // 2), 1.0, 2.0)
+            return mult * np.cos(2 * np.pi * k / N)
 
-    C = grid._memo("cosine_matrix", build)
-    K = len(C)
-    src = work[1]
-    np.copyto(src, a)
-    for i in range(grid.dim):
-        dst = work[i % 2]
-        if i < grid.dim - 1:  # C @ (rows, K, columns) sums over the middle axis
-            shape = (-1, K, 2 * K ** (grid.dim - 1 - i))
-            np.matmul(C, src.view(np.float64).reshape(shape),
-                      out=dst.view(np.float64).reshape(shape))
+        return grid._memo(f"block_matrix {is_odd}", build)
+
+    matrices = []
+    for column in np.asarray(odd, bool).T.tolist():
+        if len(set(column)) == 1:
+            matrices.append(matrix(column[0]))
         else:
-            np.matmul(src.reshape(-1, K), C.T, out=dst.reshape(-1, K))
+            matrices.append(np.stack([matrix(c) for c in column])[:, None])
+    # the last axis multiplies from the right, by a contiguous transpose
+    matrices[-1] = np.ascontiguousarray(matrices[-1].swapaxes(-1, -2))
+    return matrices
+
+
+def block_transform(planes: np.ndarray, matrices: list[np.ndarray], work: np.ndarray,
+                    grid: GridSpec) -> np.ndarray:
+    """The unscaled DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of real arrays with a
+    parity in every spatial axis, from the block to the block, up to a sign
+    and a factor i per odd axis.
+
+    ``planes`` (``float64``, shape ``(p,) + grid.even_shape``) holds p real
+    arrays a on the block ``[:N/2 + 1]^n`` of FFT storage order, each even
+    or odd in every axis, ``a(R_i m) = +-a(m)`` for the reflection
+    ``R_i: m_i -> -m_i mod N``, which fixes ``m_i = 0`` and ``N/2``.
+    ``matrices`` are ``block_matrices`` of those parities.  Along an even
+    axis the sum over m's orbit is ``mult_m cos(2 pi j m/N)``, ``mult_m`` 1
+    at m = 0 and N/2 and 2 otherwise: the cosine transform (DCT-I)
+    ``C[j, m]``.  Along an odd axis it is ``2i sin(2 pi j m/N)``:
+    ``S[j, m] = 2 sin(2 pi j m/N)``, which is exactly 0 at ``m, j in {0, N/2}``,
+    so an odd axis's values on its Nyquist plane m_i = N/2 drop out, and the
+    result, odd in that axis, is 0 there too.  So each plane takes one real
+    matmul per axis, by C or S, summed in double, and comes out as the DFT
+    divided by ``i^(number of odd axes)``: a unimodular constant, which no
+    squared modulus sees.  The orbit sum of ``e^{-2 pi i j.m/N}`` is the same
+    matrix (for odd axes, up to sign), so this is also the forward DFT of
+    such data.  Complex data enter as two planes, their real and imaginary
+    parts.  ``work``, a ``float64`` array of shape ``(2,) + planes.shape``, is
+    overwritten; returns the half of it that holds the result.
+    """
+    K = grid.points_per_axis // 2 + 1
+    p, dim = len(planes), grid.dim
+    src = planes
+    for i, M in enumerate(matrices):
+        dst = work[i % 2]
+        if i < dim - 1:  # M @ (planes, rows, K, columns) sums over the K axis
+            shape = (p, K**i, K, K ** (dim - 1 - i))
+            np.matmul(M, src.reshape(shape), out=dst.reshape(shape))
+        else:
+            shape = (p, 1, -1, K)
+            np.matmul(src.reshape(shape), M, out=dst.reshape(shape))
         src = dst
     return src

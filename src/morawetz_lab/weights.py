@@ -52,8 +52,9 @@ The time pass hands over squared moduli of the raw inverse FFT, u * dx^n,
 and folds the constant dx^{-2n} into its node weights, so the norms here
 need no per-node rescaling or shift.  Every weight here, and every ball
 mask of ``analysis.local_smoothing_functional``, is even in each axis
-(``m_i -> -m_i mod N``).  So for an ``even`` sampler, whose pass hands over
-the block ``[:N/2 + 1]^n`` of the lattice with each point's density
+(``m_i -> -m_i mod N``).  So for a signed sampler (``WaveSampler.signature``:
+every component even or odd in every axis, so |u|^2 even), whose pass hands
+over the block ``[:N/2 + 1]^n`` of the lattice with each point's density
 multiplied by its orbit size, the weights are read on that block: the
 spatial array as a slice, the space-time fill from the block's |x|^2
 levels, and the averaged patch through its nonnegative orthant, which sits
@@ -71,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _on_block, _time_pass, _weighted_sum
+from .analysis import _on_block, _origin_density, _time_pass, _weighted_sum
 from .errors import AccuracyError, DomainError
 from .spectral import GridSpec
 
@@ -395,9 +396,12 @@ def weighted_spacetime_norm(
     node in ascending order, over all nodes, or over the nodes with t >= 0 if
     it is ``time_even`` (see ``elastic.WaveSampler``): every weight here is
     even in t and in x, so each such node then also stands for its mirror
-    node.  The
-    sums run in FFT storage order against one weight array, which the
-    space-time weight refills in place at every node.
+    node.  The sums run in FFT storage order against one weight array, which
+    the space-time weight refills in place at every node.  The origin cell
+    at t = 0 carries the largest weight of all (about 1.6e7 of a 3-d grid
+    4e-5 inside the boundary exponent), so there the density of an unsigned
+    sampler, whose pass runs in single precision, is taken from its
+    double-precision coefficients instead (``analysis._origin_density``).
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
@@ -421,12 +425,16 @@ def weighted_spacetime_norm(
     i0 = int(np.argmin(np.abs(tnodes)))
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
     w = np.empty(grid.even_shape if block else grid.shape)
+    exact_origin = has_zero_node and not block and hasattr(u_sampler, "spectrum")
     total = 0.0
     for i, t, tw, density in _time_pass(u_sampler, grid):
         _spacetime_pointwise(grid, weight.alpha, t, w, block)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
             w[cells] = patch[ring_t + dti][part]
+        if exact_origin and dti == 0:
+            density[:, 0] = 0.0
+            density[0, 0] = _origin_density(u_sampler, t, grid)
         total += tw * measure * _weighted_sum(w.ravel(), density)
     return float(np.sqrt(total))
 

@@ -9,6 +9,7 @@ from morawetz_lab import (
     AccuracyError,
     ConfigurationError,
     DataFamily,
+    ElasticPropagator,
     ElasticState,
     GridSpec,
     LameParams,
@@ -142,13 +143,14 @@ class TestComputeRatio:
     @staticmethod
     def _count_time_pass(monkeypatch, member, query, propagation, grid, lam=1.0):
         """compute_ratio's ``spectrum`` calls, inverse FFTs and the fields they
-        transform, and its cosine transforms and the points they transform;
-        every inverse transform of a ratio of data at rest is the time pass's."""
+        transform, and its block transforms, the planes they transform and
+        the points of one plane; every inverse transform of a ratio of data
+        at rest is the time pass's."""
         from morawetz_lab import analysis, elastic
 
-        calls = {"spectrum": 0, "ifftn": 0, "fields": 0, "cosine": 0, "points": 0}
+        calls = {"spectrum": 0, "ifftn": 0, "fields": 0, "block": 0, "planes": 0, "points": 0}
         spectrum, ifftn = elastic.WaveSampler.spectrum, np.fft.ifftn
-        cosine = analysis.cosine_transform
+        block = analysis.block_transform
 
         def counted_spectrum(self, t, out=None):
             calls["spectrum"] += 1
@@ -159,14 +161,15 @@ class TestComputeRatio:
             calls["fields"] += a.size // grid.mode_count
             return ifftn(a, *args, **kwargs)
 
-        def counted_cosine(a, work, g):
-            calls["cosine"] += 1
-            calls["points"] += a.size
-            return cosine(a, work, g)
+        def counted_block(planes, matrices, work, g):
+            calls["block"] += 1
+            calls["planes"] += len(planes)
+            calls["points"] += planes[0].size
+            return block(planes, matrices, work, g)
 
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
         monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
-        monkeypatch.setattr(analysis, "cosine_transform", counted_cosine)
+        monkeypatch.setattr(analysis, "block_transform", counted_block)
         rec = compute_ratio(member, query, propagation, grid, lam=lam)
         assert rec.numerator > 0
         return calls
@@ -175,9 +178,10 @@ class TestComputeRatio:
         # the key 3-d scan: real Gaussian data is time-even, so the norm loop
         # takes the spectrum of 27 of the 53 time nodes per lambda; radial
         # data are even in every axis, so it transforms only the 33^3 points
-        # of the block, by cosine transform, and the full 64^3 grid never; the
-        # data's coefficients and norm come from the block too, with one
-        # evenness check and no forward FFT
+        # of the block, its real and imaginary planes, by the block
+        # transform, and the full 64^3 grid never; the data's coefficients
+        # and norm come from the block too, with one evenness check and no
+        # forward FFT
         from morawetz_lab import elastic
 
         grid = GridSpec(3, 64, 16.0, 53, 6.5)
@@ -198,49 +202,63 @@ class TestComputeRatio:
         monkeypatch.setattr(elastic, "_is_even", counted_is_even)
         calls = self._count_time_pass(monkeypatch, member, q, 1.0, grid, lam=2.0)
         assert calls == {"spectrum": 27, "ifftn": 0, "fields": 0,
-                         "cosine": 27, "points": 27 * 33**3}
+                         "block": 27, "planes": 54, "points": 27 * 33**3}
         assert seen == {"fftn": 0, "is_even": 1}
 
-    def test_elastic_2d_packs_its_time_pass(self, monkeypatch):
-        # the elastic scan: resolved real data at rest give a real displacement,
-        # whose two components share one complex transform, at 49 of the 97 nodes
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_elastic_2d_takes_the_block_pass(self, monkeypatch, lam):
+        # the elastic scan: the Helmholtz parts of radial data at rest have a
+        # parity in every axis, component 0 even in both and component 1 odd
+        # in both, and real coefficients, so each of the 49 of 97 nodes
+        # transforms one real 65^2 plane per component, and no full field
         grid = GridSpec(2, 128, 20.0, 97, 6.0)
-        member = DataFamily(kind="gaussian", width=0.75, scalar=False).member(grid)
+        member = DataFamily(kind="gaussian", width=0.75, scalar=False).member(grid, lam)
+        prop = ElasticPropagator(ElasticState(member.f, member.g), LameParams(1.0, 1.0))
+        assert prop.signature.tolist() == [[False, False], [True, True]]
+        assert prop.out_shape == (2, 65, 65)
         q = RegionQuery(1.6, 0.3, 2, SPATIAL_POWER)
-        calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
-        assert calls == {"spectrum": 49, "ifftn": 49, "fields": 49, "cosine": 0, "points": 0}
+        calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid, lam)
+        assert calls == {"spectrum": 49, "ifftn": 0, "fields": 0,
+                         "block": 49, "planes": 98, "points": 49 * 65**2}
 
     @pytest.mark.parametrize(
-        "dim, family, fields",
+        "dim, family, fields, planes",
         [
-            # three real components: Re u_0 + i Re u_1 and Re u_2
-            (3, DataFamily(kind="gaussian", width=1.2, scalar=False), 2),
-            # real data with 4e-3 of their spectrum on the Nyquist planes
-            (3, DataFamily(kind="gaussian", width=0.8, scalar=False), 3),
-            # complex data: one field per component
-            (2, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 2),
-            (3, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 3),
+            # three real components with a parity in every axis: one real
+            # plane each, on the block
+            (3, DataFamily(kind="gaussian", width=1.2, scalar=False), 0, 3),
+            # real data with 4e-3 of their spectrum on the Nyquist planes:
+            # no signature, and not packed either
+            (3, DataFamily(kind="gaussian", width=0.8, scalar=False), 3, 0),
+            # complex data with a carrier: one field per component
+            (2, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 2, 0),
+            (3, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 3, 0),
         ],
         ids=["3d-real", "3d-real-unresolved", "2d-complex", "3d-complex"],
     )
-    def test_elastic_time_pass_fields_per_node(self, monkeypatch, dim, family, fields):
+    def test_elastic_time_pass_fields_per_node(self, monkeypatch, dim, family, fields, planes):
         grid = GridSpec(dim, 32, 12.0, 17, 2.0)
         q = RegionQuery(1.5, 0.25, dim, SPATIAL_POWER)
         member = family.member(grid)
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
-        assert calls == {"spectrum": 9, "ifftn": 9, "fields": 9 * fields, "cosine": 0, "points": 0}
+        assert calls == {"spectrum": 9, "ifftn": 9 * (fields > 0), "fields": 9 * fields,
+                         "block": 9 * (planes > 0), "planes": 9 * planes,
+                         "points": 9 * 17**dim * (planes > 0)}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, then inf - inf
     def test_non_finite_result_is_an_accuracy_error(self):
-        # the time pass writes its spectra in complex64, which overflows near
-        # 3.4e38; radial data take the reduced pass, on the even block
+        # the full-lattice pass writes its spectra in complex64, which
+        # overflows near 3.4e38; the block pass of radial data runs in
+        # double, whose squares overflow near 1.3e154
         g = GridSpec(2, 32, 12.0, 17, 3.0)
-        probe = scalar_gaussian_member(g, 0.8)
-        member = Member("huge", 1e40 * probe.f, None, probe.support_radius, True)
-        assert halfwave_sampler(member.f, g, 1.0).even
         q = RegionQuery(1.0, 0.5, 2, SPATIAL_POWER)
-        with pytest.raises(AccuracyError, match="not finite"):
-            compute_ratio(member, q, 1.0, g)
+        for center, size, even in ((None, 1e160, True), ((4 * g.dx, 0.0), 1e40, False)):
+            probe = scalar_gaussian_member(g, 0.8, center=center)
+            member = Member("huge", size * probe.f, None, probe.support_radius, True)
+            assert halfwave_sampler(member.f, g, 1.0).even is even
+            with pytest.raises(AccuracyError, match="not finite"):
+                compute_ratio(member, q, 1.0, g)
+            assert np.isfinite(compute_ratio(probe, q, 1.0, g).ratio)
 
     def test_translation_invariance_unweighted(self):
         g = GridSpec(2, 32, 12.0, 17, 3.0)
@@ -323,19 +341,22 @@ class TestFrequencyScan:
         # at the 33 nodes with t >= 0 of its 65
         from morawetz_lab import elastic
 
-        seen, spectrum = [], elastic.WaveSampler.spectrum
+        seen, origin, spectrum = [], [], elastic.WaveSampler.spectrum
 
         def counted_spectrum(self, t, out=None):
-            seen.append(self)  # keeps each sampler, so its id stays its own
+            # keeps each sampler, so its id stays its own; a call without
+            # ``out`` reads the double-precision origin value at t = 0
+            (seen if out is not None else origin).append((self, t))
             return spectrum(self, t, out)
 
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
         g = GridSpec(2, 128, 20.0, 65, 8.0)
         res = frequency_constant_scan((0, 1, 2), RegionQuery(2.25, 0.625, 2, SPACETIME_POWER), g)
         assert len(res.per_probe) == 3 and all(len(v) == 2 for v in res.per_probe)
-        assert all(sampler.time_even for sampler in seen)
-        counts = collections.Counter(map(id, seen))
+        assert all(sampler.time_even for sampler, _ in seen)
+        counts = collections.Counter(id(sampler) for sampler, _ in seen)
         assert len(seen) == 198 and sorted(counts.values()) == [33] * 6
+        assert len(origin) == 6 and all(t == 0.0 for _, t in origin)
 
     def test_reference_exponent_reported_not_asserted(self):
         g = GridSpec(2, 64, 12.0, 17, 3.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morawetz_lab import (
     DomainError,
@@ -11,7 +13,12 @@ from morawetz_lab import (
     frequency_lattice,
 )
 from morawetz_lab.elastic import projection_matrices
-from morawetz_lab.spectral import cosine_transform, forward_values, inverse_values
+from morawetz_lab.spectral import (
+    block_matrices,
+    block_transform,
+    forward_values,
+    inverse_values,
+)
 
 from conftest import random_vector_field
 from spectral_oracle import apply_multiplier, zero_index
@@ -156,16 +163,33 @@ class TestInverseTransform:
         assert np.max(np.abs(f[0])) == 0.0
 
 
-class TestCosineTransform:
-    @pytest.mark.parametrize("dim,N", [(2, 32), (3, 16)])
-    def test_single_precision_input_sums_as_its_double_copy(self, dim, N, rng):
-        g = GridSpec(dim, N, 2.2)
-        block = (rng.standard_normal(g.even_shape)
-                 + 1j * rng.standard_normal(g.even_shape)).astype(np.complex64)
-        work = np.empty((2,) + g.even_shape, np.complex128)
-        single = cosine_transform(block, work, g).copy()
-        double = cosine_transform(block.astype(np.complex128), work, g)
-        assert np.array_equal(single, double)
+class TestBlockTransform:
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+           planes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_dft_for_every_signature(self, dim, n, planes, seed):
+        # random real arrays with a random parity per plane and axis: the
+        # block's transform is the block of the full unscaled inverse DFT,
+        # divided by i per odd axis; values on an odd axis's Nyquist plane
+        # do not enter it
+        g = GridSpec(dim, n, 2.2)
+        rng = np.random.default_rng(seed)
+        odd = rng.random((planes, dim)) < 0.5
+        full = rng.standard_normal((planes,) + g.shape)
+        for p in range(planes):
+            for axis in range(dim):
+                mirror = np.roll(np.flip(full[p], axis), 1, axis)
+                full[p] = full[p] - mirror if odd[p, axis] else full[p] + mirror
+        want = np.fft.ifftn(full, axes=tuple(range(1, dim + 1))) * g.mode_count
+        want = want[(slice(None),) + g.even_block] / 1j ** odd.sum(axis=1).reshape(
+            (-1,) + (1,) * dim)
+        block = np.ascontiguousarray(full[(slice(None),) + g.even_block])
+        nyquist = [(p,) + (slice(None),) * axis + (n // 2,) for p, axis in zip(*np.nonzero(odd))]
+        assert not any(np.any(block[plane]) for plane in nyquist)
+        for plane in nyquist:
+            block[plane] = rng.standard_normal()
+        got = block_transform(block, block_matrices(odd, g), np.empty((2,) + block.shape), g)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestApplyMultiplier:
