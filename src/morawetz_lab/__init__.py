@@ -20,7 +20,6 @@ from .elastic import (
     half_wave,
     helmholtz_split,
     pde_residual,
-    projection_matrices,
 )
 from .errors import (
     AccuracyError,
@@ -52,12 +51,7 @@ from .kernel import (
     decay_fit,
     kernel_value,
 )
-from .spectral import (
-    FrequencyLattice,
-    GridSpec,
-    VectorField,
-    frequency_lattice,
-)
+from .spectral import GridSpec, VectorField
 from .weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -87,7 +81,6 @@ __all__ = [
     "half_wave",
     "helmholtz_split",
     "pde_residual",
-    "projection_matrices",
     # errors
     "AccuracyError",
     "ConfigurationError",
@@ -116,10 +109,8 @@ __all__ = [
     "decay_fit",
     "kernel_value",
     # spectral
-    "FrequencyLattice",
     "GridSpec",
     "VectorField",
-    "frequency_lattice",
     # weights
     "SPACETIME_POWER",
     "SPATIAL_POWER",

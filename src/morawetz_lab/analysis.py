@@ -69,14 +69,12 @@ def _time_pass(u_sampler, grid: GridSpec):
     the density once.  ``density`` is overwritten at the next node; reduce
     it with ``_weighted_sum``.
 
-    An unsigned sampler's buffer is ``complex64``, which one unshifted,
-    unscaled ``ifftn`` transforms in place; its modulus goes into the
-    density and is squared there.  A real sampler packs its components two
-    per field, so a row then holds ``|Re u_0|^2 + |Re u_1|^2`` (see
-    ``elastic.WaveSampler``); otherwise a row is one component.  That
-    transform is u * dx^n, so the constant dx^{-2n} is folded into the
-    node's weight.  Only the buffer, the FFT and its modulus run in single
-    precision, which puts about 1e-7 relative on the norms.
+    An unsigned sampler's buffer is ``complex64``, one component per row,
+    which one unshifted, unscaled ``ifftn`` transforms in place; its modulus
+    goes into the density and is squared there.  That transform is
+    u * dx^n, so the constant dx^{-2n} is folded into the node's weight.
+    Only the buffer, the FFT and its modulus run in single precision, which
+    puts about 1e-7 relative on the norms.
 
     A signed sampler (``_on_block``) writes ``float64`` planes of the block
     ``grid.even_block`` (real parts, then imaginary ones), each with a
@@ -157,14 +155,11 @@ def _origin_density(u_sampler, t: float, grid: GridSpec) -> float:
     """The density of an unsigned sampler's ``_time_pass`` at x = 0 and the
     node t of its last call, summed over its rows, from the sampler's
     double-precision coefficients: ``N^-n sum_m uhat(m)`` per component, as
-    the pass's ``ifftn`` has it, or its real part when the sampler packs
-    ``Re u`` (``out_shape`` differs from ``shape``).  The state is at t
-    already; for a lone one-way term the coefficients are a view of it."""
+    the pass's ``ifftn`` has it.  The state is at t already; for a lone
+    one-way term the coefficients are a view of it."""
     coeffs = u_sampler.spectrum(t)
     values = coeffs.reshape(coeffs.shape[:coeffs.ndim - grid.dim] + (-1,)).sum(axis=-1)
     values /= grid.mode_count
-    if u_sampler.out_shape != u_sampler.shape:
-        values = values.real
     return float(np.sum(np.abs(values) ** 2))
 
 
@@ -236,11 +231,13 @@ def _hs_norm(F: np.ndarray, s: float, grid: GridSpec) -> float:
                 "excluded by policy and would make the norm infinite"
             )
 
+    G[zero] = 0.0  # the sum runs over xi != 0 only: overflowed data give inf, not inf * 0
     with np.errstate(divide="ignore"):
         w = np.where(xin > 0, xin ** (2 * s), 0.0)
     total = measure * float(np.sum(w * G))
     if s > 0 and g0 > 0.0:
-        total += g0 * _cusp_correction(grid, float(s))
+        correction = _cusp_correction(grid, float(s))
+        total += g0 * correction if correction > 0 else 0.0
     return float(np.sqrt(total))
 
 

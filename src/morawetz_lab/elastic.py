@@ -17,28 +17,15 @@ sine part ghat_*/(c|xi|) or None)``, the sine part None when ``ghat_* = 0``
 (data at rest), and reads cos and sin off the phase ``e^{itc|xi|}``.
 
 The multipliers depend on |xi| only, so a component that is even or odd in
-an axis stays so.  Each component of the Helmholtz parts of radial data
-has such a parity in every axis: component j of ``xi_i xi_j |xi|^-2 fhat``
+an axis stays so.  Component j of ``xi_i xi_j |xi|^-2 fhat`` of radial data
 is odd in axes i and j and even in the others.  ``WaveSampler`` decides
-this parity signature once, from its parts; a signed sampler keeps its
-state on the block ``[:N/2 + 1]^n`` of FFT storage order
-(``GridSpec.even_block``), one point per orbit of the axis reflections, and
-its ``spectrum(t, out=...)`` writes real ``float64`` planes of that block,
-which the time pass transforms with one real matmul per axis, cosine
-matrices on even axes and sine matrices on odd ones
-(``spectral.block_transform``; see ``analysis._time_pass``).  The sine
-matrix drops an odd axis's Nyquist plane ``m_i = N/2``: that mode has no
-``+N/2 dxi`` partner, so the lattice projector ``P(xi)`` is not odd there;
-for the Helmholtz parts of real radial data those planes are exactly the
-parts' anti-Hermitian part, which makes the displacement's imaginary part
-``Im u``.  The sampler is signed only when they hold at most ``_REAL_TOL``
-of its parts.  Data without a full signature (a carrier,
-white noise, or Nyquist planes above that bound) keep the full-lattice
-pass: ``out`` then takes single-precision coefficients, for real data the
-real parts of the components two per complex field,
-``Re u_0 + i Re u_1, Re u_2 (+ i Re u_3), ...``, whose modulus squared is
-``|Re u_0|^2 + |Re u_1|^2``, which again leaves out ``Im u``.  Without
-``out``, the sampler gives the full lattice, Nyquist planes included.
+this parity signature once, from its parts.  A signed sampler keeps its
+parts and state on the block ``[:N/2 + 1]^n`` of FFT storage order
+(``GridSpec.even_block``), one point per orbit of the axis reflections;
+the time pass transforms real ``float64`` planes of that block with one
+real matmul per axis (``spectral.block_transform``; see
+``analysis._time_pass``).  Any other sampler keeps the full lattice and
+hands the pass ``complex64`` coefficients.
 Convention at the zero mode:
 P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
 free-particle limit of the ODE).
@@ -63,7 +50,6 @@ from .spectral import (
 __all__ = [
     "LameParams",
     "ElasticState",
-    "projection_matrices",
     "helmholtz_split",
     "ElasticPropagator",
     "evolve",
@@ -134,20 +120,6 @@ class ElasticState:
         return self.f.grid
 
 
-def projection_matrices(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Longitudinal projector P = xi xi^t/|xi|^2 and transverse Q = I - P.
-
-    At xi = 0 returns P = 0, Q = I (declared convention).
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = xi.shape[0]
-    nsq = float(xi @ xi)
-    if nsq == 0.0:
-        return np.zeros((n, n)), np.eye(n)
-    P = np.outer(xi, xi) / nsq
-    return P, np.eye(n) - P
-
-
 def _split_spectrum(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode (potential, solenoidal) parts of spectral coefficients."""
     xi = grid.xi_open()
@@ -204,58 +176,35 @@ class WaveSampler:
     ``signature``, when not None, is a parity for every component (the
     leading axes flattened, one row each; one row for scalar terms) in every
     axis (columns): True where the component is odd, ``X(R_i m) = -X(m)``
-    for the reflection ``R_i: m_i -> -m_i mod N``, False where it is even.
-    It is decided once, from the parts X and the drift: per component, the
-    parts' odd (or even) parts, summed over the parts, within ``_EVEN_TOL``
-    of their summed norm (``_signature``); |xi| is even, so the flow keeps
-    it.  A part that is only rounding in a component fits both.
-    An odd component is 0 on the plane ``m_i = 0`` of its odd axes, but not
-    on ``m_i = N/2``: there the mode has no partner, and the lattice projector
-    ``xi_i xi_j / |xi|^2`` of an elastic part is not odd.  For the Helmholtz
-    parts of real radial data those Nyquist planes are exactly the parts'
-    anti-Hermitian part (``_nyquist_defect``), which makes ``Im u`` and which
-    a ``real`` pass drops too.  The sampler is signed only when they hold at
-    most ``_REAL_TOL`` of the parts (on the members of the benchmark's
-    elastic scan: 6.0e-14 at lambda = 1, 1.45e-4 at lambda = 2), and when
-    every component has a parity in every axis.  The Helmholtz parts of
-    radial data do: component j of ``xi_i xi_j |xi|^-2 fhat`` is odd in
-    axes i and j.  One-way terms are signed only when even in every axis.
-    A signed sampler keeps its state on the block ``grid.even_block``, one
-    point per orbit of the reflections, and ``spectrum``'s ``out`` takes
+    for the reflection ``R_i: m_i -> -m_i mod N``, False where it is even;
+    |xi| is even, so the flow keeps it.  ``_signature`` decides it once for
+    two-way terms; one-way terms are signed, and even, only when they come
+    as the block (below).  The lattice projector of an elastic part is not
+    odd on an odd axis's Nyquist plane ``m_i = N/2``, which has no
+    ``+N/2 dxi`` partner; for real radial data those planes make ``Im u``,
+    and the sampler is signed only when they hold at most ``_REAL_TOL`` of
+    the parts.  A signed sampler keeps its parts (those planes included)
+    and state on the block ``grid.even_block``, one point per orbit of the
+    reflections; the parts' remainder of the other parity, at most
+    ``_EVEN_TOL``, is dropped.  ``spectrum``'s ``out`` then takes
     ``float64`` planes of the block, of shape ``out_shape``: the real parts
     of the components, then, unless every part and the drift are real to
     ``_EVEN_TOL`` (their imaginary rounding is then dropped), their
-    imaginary parts.  The time pass transforms the planes with
-    ``spectral.block_transform``, cosine matrices on even axes and sine
-    matrices on odd ones, which drops the odd axes' Nyquist planes.
+    imaginary parts.  The time pass transforms them with
+    ``spectral.block_transform``, which drops the odd axes' Nyquist planes.
+    ``spectrum`` without ``out``, ``rate`` and ``__call__`` compute on the
+    block and unfold once (``GridSpec.unfold``), Nyquist planes included.
 
     ``even`` is true when the sampler is signed and even in every axis, such
-    as radial scalar data.  An even sampler keeps its parts on the block
-    too; their odd remainder, at most ``_EVEN_TOL``, is dropped, and radial
-    data on any grid carry only rounding there.  Terms whose spatial axes
-    have the shape ``grid.even_shape`` are taken as the block of even parts,
-    without a check: ``halfwave_sampler`` hands over the block of data it
-    has found even, and ``shape`` is still that of the full lattice.  A
-    signed sampler with an odd axis keeps its parts on the full lattice.
-    ``spectrum`` without ``out``, ``rate`` and ``__call__`` of any signed
-    sampler still give the full lattice, Nyquist planes included: from the
-    full-lattice parts and the state unfolded from the block
-    (``GridSpec.unfold``; E is even), or, for an even sampler, computed on
-    the block and unfolded once.
-
-    ``real`` is true when the constructor is told ``real_data`` (two-way
-    terms of real data, so every part X is Hermitian off the Nyquist planes
-    ``m_i = -N/2``) and the parts' anti-Hermitian part on those planes, which
-    is ``Im u``, is at most ``_REAL_TOL`` of them.  An unsigned real sampler
-    of k >= 2 components packs the real parts of its components two per
-    field in ``spectrum``'s ``out``, whose shape is ``out_shape`` (``shape``
-    when nothing is packed).  A pass over it measures ``|Re u|^2``, short of
-    ``|u|^2`` by ``|Im u|^2``, where ``|Im u(t)|_2 <= _REAL_TOL sum_X |X|_2``
-    (``_REAL_TOL^2`` is 6e-8); for resolved data ``Im u`` is rounding.
+    as radial scalar data.  Terms whose spatial axes have the shape
+    ``grid.even_shape`` are taken as the block of even parts, without a
+    check: ``halfwave_sampler`` hands over the block of data it has found
+    even, and ``shape`` is still that of the full lattice.  An unsigned
+    sampler keeps the full lattice, and its ``out_shape`` is ``shape``.
     """
 
     def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
-                 time_even: bool = False, real_data: bool = False):
+                 time_even: bool = False):
         self.grid = grid
         self.time_even = time_even
         # (c, A or P, Q, one-way?)
@@ -270,29 +219,21 @@ class WaveSampler:
         self._out = None  # the parts as ``out=`` takes them, built at the first such call
         shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
         lead = shape[:len(shape) - grid.dim]
-        on_block = shape[len(lead):] == grid.even_shape
-        self.shape = lead + grid.shape
+        self.shape = self.out_shape = lead + grid.shape
         parts = [X for _, P, Q, _ in self._terms for X in (P, Q) if X is not None]
-        self.real = real_data and not on_block and bool(
-            sum(_nyquist_defect(X, grid.dim) for X in parts)
-            <= _REAL_TOL * sum(np.sqrt(np.vdot(X, X).real) for X in parts))
         one_way = any(one_way for _, _, _, one_way in self._terms)
-        self.signature = (np.zeros((int(np.prod(lead)), grid.dim), bool) if on_block
-                          else _signature([np.broadcast_to(X, shape) for X in parts], drift,
-                                          grid.dim, even_only=one_way))
+        if shape[len(lead):] == grid.even_shape:
+            self.signature = np.zeros((int(np.prod(lead)), grid.dim), bool)
+        else:
+            self.signature = None if one_way else _signature(
+                [np.broadcast_to(X, shape) for X in parts], drift, grid.dim)
         self.even = self.signature is not None and not self.signature.any()
-        self.out_shape = self.shape
-        self._packing = (self.signature is None and self.real and len(lead) > 0
-                         and self.shape[0] > 1)
-        if self._packing:
-            self.out_shape = ((self.shape[0] + 1) // 2,) + self.shape[1:]
         if self.signature is not None:
             real_parts = not one_way and all(_is_real(X) for X in parts) and (
                 drift is None or _is_real(drift))
             # (planes: real parts[, imaginary parts]) + lead + block
             self._planes = (1 if real_parts else 2,) + lead + grid.even_shape
             self.out_shape = (int(np.prod(self._planes[:-grid.dim])),) + grid.even_shape
-        if self.even and not on_block:
             block = (Ellipsis,) + grid.even_block
             self._terms = [(c, np.ascontiguousarray(P[block]),
                             None if Q is None else np.ascontiguousarray(Q[block]), one_way)
@@ -317,45 +258,33 @@ class WaveSampler:
             self._index = j if j < len(nodes) and nodes[j] == t else None
         self._t = t
 
-    def _lattice_state(self):
-        """The state and |xi| on the lattice of the parts: the full lattice,
-        unfolded from the block for a signed sampler with an odd axis (its
-        state is E alone, which is even), else as they are."""
-        if self.signature is None or self.even:
-            return self._state, self._xin
-        return [self.grid.unfold(E) for E in self._state], self.grid.xi_norm()
-
     def _out_parts(self):
         """The cosine and sine parts and the drift as ``spectrum``'s ``out``
         takes them, a buffer for one cosine or sine, a field for one product,
         and a function that gives a one-way term's state in that form.
 
-        Unsigned: the parts in ``complex64`` (for a real sampler, those of
-        ``Re u``, packed), a ``complex64`` buffer (imaginary half zero) and
-        the state as it is.  Signed: the planes of the parts' block in
-        ``float64``, no buffer (the phases' real and imaginary views are
-        already ``float64``), and the state's real and imaginary parts as
-        two planes, a view.  A sampler of one-way terms only needs no parts
-        or buffers."""
+        Unsigned: the parts in ``complex64``, a ``complex64`` buffer
+        (imaginary half zero) and the state as it is.  Signed: the parts'
+        planes in ``float64``, no buffer (the phases' real and imaginary
+        views are already ``float64``), and the state's real and imaginary
+        parts as two planes, a view.  A sampler of one-way terms only needs
+        no parts or buffers."""
         if self._out is None:
-            grid, planes = self.grid, self.signature is not None
+            planes = self.signature is not None
 
             def as_out(X):
                 if X is None:
                     return None
                 if planes:
-                    X = np.broadcast_to(X[(Ellipsis,) + grid.even_block], self._planes[1:])
+                    X = np.broadcast_to(X, self._planes[1:])
                     return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
-                return (_packed(_hermitian_at_nyquist(X, grid.dim)) if self._packing
-                        else X).astype(np.complex64)
+                return X.astype(np.complex64)
 
             parts = [(None, None) if one_way else (as_out(P), as_out(Q))
                      for _, P, Q, one_way in self._terms]
             drift = self._drift
             if drift is not None and planes:
                 drift = np.stack([drift.real, drift.imag][:self._planes[0]])
-            elif drift is not None and self._packing:
-                drift = _packed(drift)  # the zero mode of real data is real
             if planes:
                 def split(state):  # (re, im) + the state's shape, a float64 view
                     return np.moveaxis(state.view(np.float64).reshape(state.shape + (2,)), -1, 0)
@@ -376,10 +305,8 @@ class WaveSampler:
         planes of the block (see the class docstring), in double precision:
         one product of ``Re E_k`` or ``Im E_k`` with each part's planes per
         cosine or sine, and a one-way term's state copied in as its real and
-        imaginary planes.  Otherwise it is ``complex64``; for a real sampler
-        it holds the packed coefficients of ``Re u_0 + i Re u_1, Re u_2
-        (+ i Re u_3), ...``, which cost half the multiplies.  A one-way term
-        is copied in under ``same_kind`` casting.  For a two-way term,
+        imaginary planes.  Otherwise it is ``complex64``: a one-way term is
+        copied in under ``same_kind`` casting; for a two-way term,
         ``cos = Re E_k`` and ``sin = Im E_k`` are each cast once into the
         real half of one reused ``complex64`` buffer and multiplied with
         ``complex64`` copies of its parts, built at the first such call; the
@@ -391,34 +318,32 @@ class WaveSampler:
         few single-precision roundings.  This is how the time pass
         (``analysis._time_pass``) fills its transform buffer; it reduces in
         ``float64``, so the norms of an unsigned sampler carry about 1e-7
-        relative rounding.  Without ``out``, a lone one-way term comes back
-        as a read-only view of the state, valid until the next call, and
-        anything else in a new ``complex128`` array, in double precision; a
-        signed sampler's come back on the full lattice, in a new array
-        either way.
+        relative rounding.  Without ``out``, the terms are summed in a new
+        ``complex128`` array, in double precision, a signed sampler's on the
+        block and unfolded; an unsigned lone one-way term comes back as a
+        read-only view of the state, valid until the next call.
         """
         self._advance(t)
         drift = self._drift
-        unfold = out is None and self.even
+        unfold = out is None and self.signature is not None
         if out is None:
-            states, xin = self._lattice_state()
             if drift is None and len(self._terms) == 1 and self._terms[0][3]:
                 if unfold:
-                    return self.grid.unfold(states[0])
-                view = states[0].view()
+                    return self.grid.unfold(self._state[0], self.signature)
+                view = self._state[0].view()
                 view.setflags(write=False)
                 return view
-            target = out = np.empty(self.shape[:-self.grid.dim] + xin.shape, np.complex128)
+            target = out = np.empty(self.shape[:-self.grid.dim] + self._xin.shape,
+                                    np.complex128)
             parts = [(P, Q) for _, P, Q, _ in self._terms]
             trig, product, split = None, np.empty_like(out), None
         else:
             if out.shape != self.out_shape:
                 raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
-            states = self._state
             parts, trig, product, drift, split = self._out_parts()
             target = out if split is None else out.reshape(self._planes)
         first = True
-        for (_, _, _, one_way), state, (P, Q) in zip(self._terms, states, parts):
+        for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
             if one_way:
                 value = state if split is None else split(state)
                 if first:
@@ -441,16 +366,15 @@ class WaveSampler:
                 first = False
         if drift is not None:
             target[self._zero] += t * drift
-        return self.grid.unfold(out) if unfold else out
+        return self.grid.unfold(out, self.signature) if unfold else out
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier:
         ``i c|xi| E A`` per one-way term, ``c|xi| (cos Q - sin P)`` per two-way term."""
         self._advance(t)
-        states, xin = self._lattice_state()
         out = 0.0
-        for (c, X, Q, one_way), state in zip(self._terms, states):
-            w = c * xin
+        for (c, X, Q, one_way), state in zip(self._terms, self._state):
+            w = c * self._xin
             if one_way:
                 out = out + 1j * w * state
                 continue
@@ -460,14 +384,14 @@ class WaveSampler:
             out = out + w * part
         if self._drift is not None:
             out[self._zero] += self._drift
-        return self.grid.unfold(out) if self.even else out
+        return out if self.signature is None else self.grid.unfold(out, self.signature)
 
     def __call__(self, t: float) -> np.ndarray:
         """u(t) on the physical grid."""
         return inverse_values(self.spectrum(t), self.grid)
 
 
-_REAL_TOL = 2.0**-12  # largest relative Nyquist-plane part a real or signed sampler drops
+_REAL_TOL = 2.0**-12  # largest relative odd-axis Nyquist-plane part a signed pass drops
 
 
 _EVEN_TOL = 1e-12  # largest relative odd (even) part of an even (odd) component
@@ -517,20 +441,16 @@ def _is_even(X: np.ndarray, dim: int) -> bool:
     return True
 
 
-def _signature(parts, drift: np.ndarray | None, dim: int,
-               even_only: bool = False) -> np.ndarray | None:
+def _signature(parts, drift: np.ndarray | None, dim: int) -> np.ndarray | None:
     """``WaveSampler.signature`` of the parts (arrays of one shape) and the
     drift.  Per component j and axis i, the parts' odd (even) parts there,
     summed over the parts, against ``_EVEN_TOL`` of their summed norm: even
     (False) where the odd parts are within it, else odd (True) where the
     even parts are.  None where some component is neither in some axis,
     when the odd axes' Nyquist planes ``m_i = N/2`` hold more than
-    ``_REAL_TOL`` of the parts, when an odd component has a drift beyond
-    ``_EVEN_TOL`` of its parts, and, for ``even_only``, when some component
-    is odd somewhere (then each part is tested on its own, by ``_is_even``)."""
-    if even_only:
-        even = all(_is_even(X, dim) for X in parts)
-        return np.zeros((int(np.prod(parts[0].shape[:-dim])), dim), bool) if even else None
+    ``_REAL_TOL`` of the parts (on the members of the benchmark's elastic
+    scan: 6.0e-14 at lambda = 1, 1.45e-4 at lambda = 2), and when an odd
+    component has a drift beyond ``_EVEN_TOL`` of its parts."""
     norm, odd_part, even_part = (sum(x) for x in zip(*(_parities(X, dim) for X in parts)))
     bound = _EVEN_TOL**2 * norm[:, None]
     even = odd_part <= bound
@@ -558,41 +478,6 @@ def _is_real(X: np.ndarray) -> bool:
     """Whether ``|Im X| <= _EVEN_TOL |X|``."""
     imag = X.imag.ravel()
     return bool(imag @ imag <= _EVEN_TOL**2 * np.vdot(X, X).real)
-
-
-def _nyquist_planes(X: np.ndarray, dim: int):
-    """Each lattice plane ``m_i = -N/2`` of X's last ``dim`` axes (a view; index
-    N/2 in FFT storage order) with its reflection ``conj X(-m)``, which maps
-    the plane onto itself."""
-    N = X.shape[-1]
-    axes = tuple(range(1 - dim, 0))
-    for i in range(dim):
-        plane = X[(Ellipsis, N // 2) + (slice(None),) * (dim - 1 - i)]
-        yield plane, np.roll(np.flip(plane, axes), 1, axes).conj()
-
-
-def _nyquist_defect(X: np.ndarray, dim: int) -> float:
-    """The norm of X's anti-Hermitian part on the Nyquist planes, counted once
-    per plane."""
-    return sum(float(np.linalg.norm(p - m)) for p, m in _nyquist_planes(X, dim)) / 2
-
-
-def _hermitian_at_nyquist(X: np.ndarray, dim: int) -> np.ndarray:
-    """X with its Nyquist planes made Hermitian: the coefficients of Re u when
-    X holds those of a u whose coefficients are Hermitian elsewhere."""
-    X = X.copy()
-    for plane, mirror in _nyquist_planes(X, dim):
-        plane += mirror
-        plane *= 0.5
-    return X
-
-
-def _packed(X: np.ndarray) -> np.ndarray:
-    """``X[0] + i X[1], X[2] + i X[3], ...``, an odd last component alone: the
-    coefficients of ``u_0 + i u_1, ...`` when X holds those of real u_j."""
-    out = X[0::2].astype(np.complex128)
-    out[: len(X) // 2] += 1j * X[1::2]
-    return out
 
 
 def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
@@ -678,11 +563,9 @@ class ElasticPropagator:
     propagator gives the displacement, and its ``spectrum`` gives the
     displacement's coefficients to the time accumulators; with zero velocity
     g it is even in t (cosine parts only, no drift), which it states as
-    ``time_even``, and g is then neither transformed nor split.  Data f and g
-    with no nonzero imaginary part are real data for ``WaveSampler``, which
-    works out ``real`` and ``signature`` from them; the imaginary rounding of,
-    say, a Helmholtz part from ``helmholtz_split`` makes data complex.
-    ``coeffs``, from a caller that has them already, are the coefficients
+    ``time_even``, and g is then neither transformed nor split.
+    ``WaveSampler`` works out ``signature`` from the parts.  ``coeffs``,
+    from a caller that has them already, are the coefficients
     ``forward_values`` of f and of g (None for g = 0), which the propagator
     then does not compute again.
     """
@@ -705,9 +588,7 @@ class ElasticPropagator:
             inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
             terms = [(c, f_k, g_k * (inv / c) if np.any(g_k) else None)  # g/(c|xi|), 0 at xi = 0
                      for (c, f_k, _), g_k in zip(terms, (gQ, gP))]
-        real_data = not (np.any(state.f.values.imag) or np.any(state.g.values.imag))
-        self._sampler = WaveSampler(grid, terms, drift, self.time_even, real_data)
-        self.real = self._sampler.real
+        self._sampler = WaveSampler(grid, terms, drift, self.time_even)
         self.even = self._sampler.even
         self.signature = self._sampler.signature
         self.shape = self._sampler.shape

@@ -19,7 +19,7 @@ records this margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,9 +28,7 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "GridSpec",
-    "FrequencyLattice",
     "VectorField",
-    "frequency_lattice",
     "block_matrices",
     "block_transform",
 ]
@@ -188,14 +186,25 @@ class GridSpec:
 
         return self._memo("orbit_sizes", build)
 
-    def unfold(self, block: np.ndarray) -> np.ndarray:
-        """The full lattice, in FFT storage order, of an array even in its last
-        ``dim`` axes, from its block: a new array, index m read at min(m, N - m)."""
-        def build():
-            m = np.arange(self.points_per_axis)
-            return np.minimum(m, self.points_per_axis - m)
+    def unfold(self, block: np.ndarray, odd: np.ndarray | None = None) -> np.ndarray:
+        """The full lattice, in FFT storage order, of an array with a parity
+        in each of its last ``dim`` axes, from its block: a new array, index m
+        read at min(m, N - m) and negated for m > N/2 along an axis where
+        ``odd`` (bool, one row per component, the leading axes flattened,
+        one column per axis) is True; even in every axis when None."""
+        N = self.points_per_axis
 
-        return block[(Ellipsis,) + np.ix_(*([self._memo("fold_axis", build)] * self.dim))]
+        def build():
+            m = np.arange(N)
+            return np.minimum(m, N - m)
+
+        out = block[(Ellipsis,) + np.ix_(*([self._memo("fold_axis", build)] * self.dim))]
+        if odd is not None:
+            lead = out.shape[:out.ndim - self.dim]
+            for j, i in zip(*np.nonzero(odd)):
+                out[np.unravel_index(j, lead) + (slice(None),) * i
+                    + (slice(N // 2 + 1, None),)] *= -1
+        return out
 
     def xi_grids(self) -> tuple[np.ndarray, ...]:
         def build():
@@ -252,29 +261,6 @@ class GridSpec:
     def wraparound_margin(self, support_radius: float, max_speed: float) -> float:
         """Distance to spare before the fastest front reaches the box edge."""
         return self.half_width - (self.time_horizon * max_speed + support_radius)
-
-
-@dataclass(frozen=True)
-class FrequencyLattice:
-    """All N^n frequency modes of a grid, enumerated once in FFT storage order."""
-
-    grid: GridSpec
-    modes: np.ndarray = field(init=False, repr=False)
-    xi: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        g = self.grid
-        mg = np.meshgrid(*([g.mode_axis] * g.dim), indexing="ij")
-        modes = np.stack([m.ravel() for m in mg], axis=-1)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "xi", modes.astype(float) * g.dxi)
-
-    def __len__(self) -> int:
-        return self.modes.shape[0]
-
-
-def frequency_lattice(grid: GridSpec) -> FrequencyLattice:
-    return FrequencyLattice(grid)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Reference implementations of the spectral fast paths, the test oracles of
-the per-mode multiplier and of the FFT-order time pass."""
+the per-mode multiplier and of the FFT-order time pass, and the mode-by-mode
+frequency lattice and Helmholtz projectors they are built from."""
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from morawetz_lab.errors import ShapeError
-from morawetz_lab.spectral import GridSpec, VectorField, frequency_lattice
+from morawetz_lab.spectral import GridSpec, VectorField
 from morawetz_lab.weights import (
     RING_RADIUS_FRACTION,
     SPATIAL_POWER,
@@ -16,6 +18,43 @@ from morawetz_lab.weights import (
     _ring_cells,
     _spacetime_ring_patch,
 )
+
+
+@dataclass(frozen=True)
+class FrequencyLattice:
+    """All N^n frequency modes of a grid, enumerated once in FFT storage order."""
+
+    grid: GridSpec
+    modes: np.ndarray = field(init=False, repr=False)
+    xi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        g = self.grid
+        mg = np.meshgrid(*([g.mode_axis] * g.dim), indexing="ij")
+        modes = np.stack([m.ravel() for m in mg], axis=-1)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "xi", modes.astype(float) * g.dxi)
+
+    def __len__(self) -> int:
+        return self.modes.shape[0]
+
+
+def frequency_lattice(grid: GridSpec) -> FrequencyLattice:
+    return FrequencyLattice(grid)
+
+
+def projection_matrices(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Longitudinal projector P = xi xi^t/|xi|^2 and transverse Q = I - P.
+
+    At xi = 0 returns P = 0, Q = I (declared convention).
+    """
+    xi = np.asarray(xi, dtype=float)
+    n = xi.shape[0]
+    nsq = float(xi @ xi)
+    if nsq == 0.0:
+        return np.zeros((n, n)), np.eye(n)
+    P = np.outer(xi, xi) / nsq
+    return P, np.eye(n) - P
 
 
 def apply_multiplier(

@@ -38,13 +38,13 @@ from morawetz_lab import (
 )
 from morawetz_lab.cli import main as cli_main
 from morawetz_lab.cutoff import default_cutoff
-from morawetz_lab.elastic import projection_matrices
 from morawetz_lab.kernel import OFF_CONE, ON_CONE
-from morawetz_lab.spectral import forward_values, frequency_lattice, inverse_values
+from morawetz_lab.spectral import forward_values, inverse_values
 from morawetz_lab.weights import SPACETIME_POWER, SPATIAL_POWER
 
 from conftest import random_vector_field, smooth_random_field
 from pyramid_oracle import cube_moment_oracle
+from spectral_oracle import frequency_lattice, projection_matrices
 from test_spectral import brute_force_forward
 
 

@@ -87,6 +87,16 @@ class TestHsNorm:
                 parts = hs_norm(f_P, s) ** 2 + hs_norm(f_S, s) ** 2
                 assert abs(parts - total) < 1e-12 * total
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |F|^2 overflows
+    @pytest.mark.parametrize("grid, s", [((2, 32, 12.0), 0.0), ((2, 32, 12.0), 0.5),
+                                         ((2, 32, 12.0), 1.0), ((2, 8, 5.0), 2.0)])
+    def test_overflowing_coefficients_give_inf_not_nan(self, grid, s):
+        # the squared coefficients of 1e160 * Gaussian overflow float64; the
+        # zero mode, weight 0 for s > 0, must not turn inf into inf * 0 = NaN,
+        # nor must the cusp correction, which is 0 on the coarse grid at s = 2
+        g = GridSpec(*grid)
+        assert hs_norm(1e160 * np.exp(-g.x_norm() ** 2 / 2), s, g) == np.inf
+
     def test_scalar_array_accepted(self, rng):
         g = GridSpec(2, 16, 1.0)
         f = rng.standard_normal(g.shape)

@@ -5,11 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from morawetz_lab.cli import main
+from morawetz_lab.cli import _SPECS, main
 
 
 def run(argv):
     return main(argv)
+
+
+# every float option at nan, inf and -inf, in the ``=`` form (argparse reads
+# a bare ``-inf`` as a flag); scan-ratio's required options come first
+NON_FINITE = [
+    [command] + (["--alpha", "1.5", "--s", "0.25"] if command == "scan-ratio" else [])
+    + [f"--{name}={value}"]
+    for command, spec in _SPECS.items()
+    for name, (kind, _) in spec.items() if kind is float
+    for value in ("nan", "inf", "-inf")
+]
 
 
 class TestScanRatio:
@@ -237,7 +248,7 @@ class TestExitCodes:
         ["evolve", "--grid", "16", "--samples", "5", "--width", "1e-200"],
         ["scan-ratio", "--alpha", "1", "--s", "0.3", "--width", "1e-200", "--grid", "16",
          "--samples", "5", "--horizon", "1", "--box", "20"],
-    ])
+    ] + NON_FINITE)
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option
         argv = [arg.format(tmp=tmp_path) for arg in argv]

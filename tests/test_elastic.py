@@ -16,11 +16,11 @@ from morawetz_lab import (
     half_wave,
     helmholtz_split,
     pde_residual,
-    projection_matrices,
 )
-from morawetz_lab.spectral import forward_values, frequency_lattice, inverse_values
+from morawetz_lab.spectral import forward_values, inverse_values
 
 from conftest import l2_norm, random_vector_field, smooth_random_field, spectral_divergence
+from spectral_oracle import frequency_lattice, projection_matrices
 
 
 def make_state(grid, fvals, gvals=None):

@@ -228,7 +228,7 @@ class TestComputeRatio:
             # plane each, on the block
             (3, DataFamily(kind="gaussian", width=1.2, scalar=False), 0, 3),
             # real data with 4e-3 of their spectrum on the Nyquist planes:
-            # no signature, and not packed either
+            # no signature: one field per component
             (3, DataFamily(kind="gaussian", width=0.8, scalar=False), 3, 0),
             # complex data with a carrier: one field per component
             (2, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 2, 0),

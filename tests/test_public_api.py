@@ -15,7 +15,6 @@ def test_public_names():
         "ElasticPropagator",
         "ElasticState",
         "EllipticityError",
-        "FrequencyLattice",
         "FrequencyScan",
         "GridSpec",
         "KernelQuery",
@@ -44,7 +43,6 @@ def test_public_names():
         "elastic_energy",
         "evolve",
         "frequency_constant_scan",
-        "frequency_lattice",
         "half_wave",
         "helmholtz_split",
         "hs_norm",
@@ -53,7 +51,6 @@ def test_public_names():
         "lp_level_range",
         "lp_project",
         "pde_residual",
-        "projection_matrices",
         "scale_covariance_test",
         "weighted_spacetime_norm",
     ]

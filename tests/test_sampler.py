@@ -19,8 +19,6 @@ from morawetz_lab import (
 from morawetz_lab.analysis import local_smoothing_functional
 from morawetz_lab.elastic import (
     WaveSampler,
-    _hermitian_at_nyquist,
-    _packed,
     _split_spectrum,
     elastic_energy,
     halfwave_sampler,
@@ -186,34 +184,37 @@ def test_single_precision_spectrum_matches_double(grid, ratio, mu, at_rest, real
     if at_rest and not real:
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
     single, double = ElasticPropagator(state, params), ElasticPropagator(state, params)
-    assert single.real is real
+    assert single.signature is None and single.out_shape == single.shape
     buf = np.empty(single.out_shape, np.complex64)
     for t in grid.time_nodes():
         got = single.spectrum(t, out=buf).astype(np.complex128)
         want = double.spectrum(t)
         u_direct, _ = _elastic_direct(state, params, t)
-        if real:  # Re u_0 + i Re u_1, Re u_2 (+ i Re u_3)
-            want = _packed(_hermitian_at_nyquist(want, grid.dim))
-            u_direct = _packed(u_direct.real)
         assert np.linalg.norm(got - want) <= SINGLE * np.linalg.norm(want), t
         got_u = inverse_values(got, grid)
         assert np.linalg.norm(got_u - u_direct) <= SINGLE * np.linalg.norm(u_direct), t
 
 
 def test_spectrum_rejects_a_buffer_of_the_wrong_shape():
+    # real data without a signature take one field per component; a signed
+    # sampler takes planes of the block, not the full lattice
     grid = GridSpec(2, 16, 6.0, 9, 2.0)
     prop = ElasticPropagator(_random_state(grid, np.random.default_rng(2), False), _lame(1.0, 1.0))
-    assert prop.out_shape == (1,) + grid.shape
+    assert prop.signature is None and prop.out_shape == prop.shape == (2,) + grid.shape
     with pytest.raises(ShapeError):
-        prop.spectrum(0.5, out=np.empty(prop.shape, np.complex64))
+        prop.spectrum(0.5, out=np.empty((1,) + grid.shape, np.complex64))
+    signed = halfwave_sampler(np.exp(-grid.x_norm() ** 2 / 2), grid, 1.0)
+    assert signed.out_shape == (2,) + grid.even_shape  # real and imaginary planes
+    with pytest.raises(ShapeError):
+        signed.spectrum(0.5, out=np.empty(signed.shape))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_real_data_with_nyquist_content_is_not_packed(dim):
+def test_real_data_with_nyquist_content_matches_the_oracle(dim):
     """On the planes m_i = -N/2 the projector P(xi) is not even in the mode
     index, so real white data give a displacement with an imaginary part of
-    several percent, which packing would drop: they are not ``real``, and
-    their pass matches the physical-order oracle."""
+    several percent: their pass takes one field per component, and its norm,
+    ``|Im u|^2`` included, matches the physical-order oracle."""
     grid = GridSpec(dim, 16, 6.0, 9, 2.0)
     weight = WeightSpec(SPATIAL_POWER, 1.0)
     for at_rest in (True, False):
@@ -221,7 +222,7 @@ def test_real_data_with_nyquist_content_is_not_packed(dim):
         prop = ElasticPropagator(state, _lame(1.0, 1.0))
         u = prop(0.7).values
         assert np.linalg.norm(u.imag) > 1e-2 * np.linalg.norm(u)
-        assert not prop.real and prop.out_shape == prop.shape
+        assert prop.signature is None and prop.out_shape == prop.shape
         got = weighted_spacetime_norm(prop, weight, grid)
         want = weighted_norm_oracle(ElasticPropagator(state, _lame(1.0, 1.0)), weight, grid)
         assert abs(got - want) <= 1e-6 * want, (got, want)
@@ -230,15 +231,16 @@ def test_real_data_with_nyquist_content_is_not_packed(dim):
 @pytest.mark.parametrize("grid", [GridSpec(2, 128, 20.0, 33, 6.0), GridSpec(3, 32, 8.0, 17, 4.0)],
                          ids=["2d", "3d"])
 def test_single_precision_spectrum_allocates_no_field(grid):
-    """A two-way pass writes into its buffers, packed (real data) or not:
-    after the first call, the traced peak stays below one ``complex128`` field."""
+    """A two-way pass writes into its buffers, for real data and complex
+    ones: after the first call, the traced peak stays below one
+    ``complex128`` field."""
     import tracemalloc
 
     rng = np.random.default_rng(5)
     for real, state in ((False, _elastic_state(grid, rng)),
                         (True, _random_state(grid, rng, False))):
         sampler = ElasticPropagator(state, _lame(1.0, 1.0))._sampler
-        assert sampler.real is real
+        assert sampler.out_shape == sampler.shape
         buf = np.empty(sampler.out_shape, np.complex64)
         nodes = grid.time_nodes()
         sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the single-precision copies
@@ -438,15 +440,14 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
     if even:
         f = f.real.astype(np.complex128)
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
-    # resolved elastic data: real ones, whose sampler packs two components
-    # per transform, and complex ones, which it must not pack; even at rest,
-    # odd with a velocity
+    # resolved elastic data, real and complex, one field per component;
+    # even at rest, odd with a velocity
     real = _random_state(grid, rng, at_rest=even)
     resolved = _random_state(grid, rng, at_rest=even, real=False)
-    samplers = ((lambda: halfwave_sampler(f, grid, c), False),
-                (lambda: ElasticPropagator(state, _lame(1.0, c)), False),
-                (lambda: ElasticPropagator(real, _lame(1.0, c)), True),
-                (lambda: ElasticPropagator(resolved, _lame(1.0, c)), False))
+    samplers = (lambda: halfwave_sampler(f, grid, c),
+                lambda: ElasticPropagator(state, _lame(1.0, c)),
+                lambda: ElasticPropagator(real, _lame(1.0, c)),
+                lambda: ElasticPropagator(resolved, _lame(1.0, c)))
     radii = [4.0, 8.0] if edge else [1.0, 2.0, 4.0, 8.0]
     if kind == "local_smoothing":
         def accumulate(v):
@@ -463,11 +464,11 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         def oracle(v):
             return weighted_norm_oracle(v, weight, grid)
 
-    for make, packed in samplers:
+    for make in samplers:
         want = oracle(make())
         sampler = make()
         assert sampler.time_even is even
-        assert sampler.real is packed
+        assert sampler.signature is None and sampler.out_shape == sampler.shape
         # the sampler's pass transforms in complex64; a plain callable's is all double
         got = accumulate(sampler)
         assert abs(got - want) <= 1e-6 * want, (got, want)
@@ -520,8 +521,10 @@ def test_even_fact_tells_even_data_apart():
         assert sampler.even is even, label
         assert (sampler.signature is not None) is signed, label
         grid = sampler.grid
-        block = grid.even_shape if signed else grid.shape
-        assert sampler.out_shape[-grid.dim:] == block, label
+        if signed:
+            assert sampler.out_shape[-grid.dim:] == grid.even_shape, label
+        else:
+            assert sampler.out_shape == sampler.shape, label
     elastic = dict((label, sampler) for label, sampler, _, _ in _even_cases())["elastic"]
     assert elastic.signature.tolist() == [[False, False, False], [True, True, False],
                                           [True, False, True]]
@@ -624,6 +627,18 @@ def _signatures(draw, dim: int):
     return np.array(flags).reshape(rows, dim)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_unfold_restores_signed_parts_from_their_block(data, dim, n, real, seed):
+    # each component read at min(m, N - m) and negated past N/2 in its odd
+    # axes gives back the whole array, bit for bit
+    signature = data.draw(_signatures(dim))
+    grid = GridSpec(dim, n, 8.0)
+    X = _signed_parts(grid, np.random.default_rng(seed), signature, real)
+    assert np.array_equal(grid.unfold(X[(Ellipsis,) + grid.even_block], signature), X)
+
+
 @pytest.mark.parametrize("kind", ACCUMULATORS)
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=8, deadline=None)
@@ -681,6 +696,9 @@ def test_signed_sampler_gives_the_full_lattice(data, dim, real, at_rest, seed):
         assert _close(sampler.spectrum(t), u), t
         assert _close(sampler.rate(t), v, rate_scale), t
         assert _close(sampler(t), inverse_values(u, grid)), t
+    # between calls the sampler holds its parts and state on the block alone
+    held = [X for _, P, Q, _ in sampler._terms for X in (P, Q) if X is not None]
+    assert all(X.shape[-dim:] == grid.even_shape for X in held + sampler._state)
 
 
 @settings(max_examples=8, deadline=None)

@@ -10,9 +10,7 @@ from morawetz_lab import (
     GridSpec,
     ShapeError,
     VectorField,
-    frequency_lattice,
 )
-from morawetz_lab.elastic import projection_matrices
 from morawetz_lab.spectral import (
     block_matrices,
     block_transform,
@@ -21,7 +19,7 @@ from morawetz_lab.spectral import (
 )
 
 from conftest import random_vector_field
-from spectral_oracle import apply_multiplier, zero_index
+from spectral_oracle import apply_multiplier, frequency_lattice, projection_matrices, zero_index
 
 
 def brute_force_forward(f: VectorField) -> np.ndarray:
