@@ -21,6 +21,7 @@ carries the zero mode.
 from __future__ import annotations
 
 import functools
+import math
 from math import gamma, pi
 
 import numpy as np
@@ -57,42 +58,42 @@ def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
     raise ShapeError(f"field shape {arr.shape} does not match grid {grid.shape}")
 
 
+# the most bytes of planes that the pass transforms at once: 7 nodes of the
+# frequency scan's 2 x 128 x 65 probe planes, 15 of the 2 x 65^2 elastic
+# ones, 1 of a 3-d radial 2 x 33^3 (a node always fits); each transform then
+# makes fewer calls per node, which the 2-thread frequency scan gains most from
+_BATCH_BYTES = 2**20
+
+
 def _time_pass(u_sampler, grid: GridSpec):
     """Yield (node index, t, weight, density) along one ascending pass.
 
     ``density`` is a (rows, points) float64 array in FFT storage order whose
-    rows sum to |u(t)|^2: grid index m sits at x = dx * m (m taken mod N
-    into [-N/2, N/2)), so the origin is index 0.  A sampler with a
-    ``spectrum`` and an ``out_shape`` (``elastic.WaveSampler``,
-    ``ElasticPropagator``) writes each node's spectrum into one buffer of
-    that shape, and the pass allocates it, the transform's work space and
-    the density once.  ``density`` is overwritten at the next node; reduce
-    it with ``_weighted_sum``.
+    rows sum to |u(t)|^2 on the block ``grid.block(u_sampler.free)``: grid
+    index m sits at x = dx * m (m taken mod N into [-N/2, N/2)), so the
+    origin is index 0.  It is overwritten by a later node; reduce it with
+    ``_weighted_sum`` before the next.
 
-    An unsigned sampler's buffer is ``complex64``, one component per row,
-    which one unshifted, unscaled ``ifftn`` transforms in place; its modulus
-    goes into the density and is squared there.  That transform is
-    u * dx^n, so the constant dx^{-2n} is folded into the node's weight.
-    Only the buffer, the FFT and its modulus run in single precision, which
-    puts about 1e-7 relative on the norms.
-
-    A signed sampler (``_on_block``) writes ``float64`` planes of the block
-    ``grid.even_block`` (real parts, then imaginary ones), each with a
-    parity in every axis, ``signature``.  The pass transforms them from the
-    block to the block with ``spectral.block_transform``, which gives each
-    plane's part of u * (N dx)^n up to a unimodular factor, so it folds
-    (N dx)^{-2n} into the weight and squares each plane into one row: the
-    real and imaginary planes of a component sum to its |u|^2.  All of it
-    runs in double precision.  Its density has ``grid.even_shape`` points
-    per row, and each point is multiplied by its orbit size
-    ``grid.orbit_sizes()``: |u|^2 is even in every axis, whatever the
-    parities.  That is the density contract of the block: a weight even in
-    every axis, read on the block, sums against it to the sum over the
-    whole lattice.  The lattice weights and masks of the consumers are all
-    even (see ``weights``).
+    A sampler with a ``spectrum``, an ``out_shape``, a ``signature`` and
+    ``free`` axes (``elastic.WaveSampler``, ``ElasticPropagator``) writes
+    each node's spectrum into ``float64`` planes of its block (real parts,
+    then imaginary ones), each with the parity ``signature`` in every axis.
+    The pass transforms the planes of as many nodes as ``_BATCH_BYTES``
+    holds at once, in place, from the block to the block, with
+    ``spectral.block_transform``: one real matmul per signed axis and, when
+    an axis is free, one ``complex128`` FFT of each component over the free
+    axes.  That gives each component's u * (N dx)^n up to a unimodular
+    factor, so the pass folds (N dx)^{-2n} into the weight and squares each
+    plane, or the modulus of each component, into one row; all of it runs
+    in double precision, in two buffers allocated once per pass.  Each
+    point is multiplied by its orbit size ``grid.orbit_sizes(free)``: |u|^2
+    is even in every signed axis, whatever the parities.  That is the
+    density contract of the block: a weight even in every axis, read on the
+    block, sums against it to the sum over the whole lattice.  The lattice
+    weights and masks of the consumers are all even (see ``weights``).
 
     A plain callable's physical-order samples are reordered by one
-    ``ifftshift`` instead, all in double.
+    ``ifftshift`` instead, all in double, on the full lattice.
 
     The sampler is called once per node, in ascending order, at every node,
     or only at the nodes with t >= 0 when it declares ``time_even``: the
@@ -110,57 +111,36 @@ def _time_pass(u_sampler, grid: GridSpec):
         weights = weights.copy()
         weights[len(nodes) - first:] += weights[:first][::-1]
     spectrum = getattr(u_sampler, "spectrum", None)
-    axes = tuple(range(-grid.dim, 0))
-    scale, orbit, points = 1.0, None, grid.mode_count
-    if spectrum is not None:
-        scale = grid.dx ** (-2 * grid.dim)
-        if _on_block(u_sampler):
-            buf = np.empty(u_sampler.out_shape)
-            signature = u_sampler.signature
-            matrices = block_matrices(np.tile(signature, (len(buf) // len(signature), 1)), grid)
-            work, orbit = np.empty((2,) + buf.shape), grid.orbit_sizes()
-            points = orbit.size
-            scale /= grid.mode_count**2
-
-            def square():
-                return np.square(block_transform(buf, matrices, work, grid), out=density)
-        else:
-            buf = np.empty(u_sampler.out_shape, np.complex64)
-
-            def square():
-                np.abs(np.fft.ifftn(buf, axes=axes, out=buf), out=density)
-                return np.square(density, out=density)
-        density = np.empty(buf.shape)
-    for i in range(first, len(nodes)):
-        if spectrum is None:
+    if spectrum is None:
+        axes = tuple(range(-grid.dim, 0))
+        for i in range(first, len(nodes)):
             # no sample outlives this statement, so the pass holds one field
             density = np.abs(np.fft.ifftshift(_field_values(u_sampler(nodes[i]), grid)[0],
                                               axes=axes))
-            np.square(density, out=density)
-        else:
-            spectrum(nodes[i], out=buf)
-            square()
-        if orbit is not None:
-            density *= orbit
-        yield i, nodes[i], weights[i] * scale, density.reshape(-1, points)
-
-
-def _on_block(u_sampler) -> bool:
-    """Whether ``_time_pass`` runs on the block ``grid.even_block``: the
-    sampler has a ``signature`` (see ``elastic.WaveSampler``)."""
-    return getattr(u_sampler, "signature", None) is not None
-
-
-def _origin_density(u_sampler, t: float, grid: GridSpec) -> float:
-    """The density of an unsigned sampler's ``_time_pass`` at x = 0 and the
-    node t of its last call, summed over its rows, from the sampler's
-    double-precision coefficients: ``N^-n sum_m uhat(m)`` per component, as
-    the pass's ``ifftn`` has it.  The state is at t already; for a lone
-    one-way term the coefficients are a view of it."""
-    coeffs = u_sampler.spectrum(t)
-    values = coeffs.reshape(coeffs.shape[:coeffs.ndim - grid.dim] + (-1,)).sum(axis=-1)
-    values /= grid.mode_count
-    return float(np.sum(np.abs(values) ** 2))
+            yield i, nodes[i], weights[i], np.square(density, out=density).reshape(
+                -1, grid.mode_count)
+        return
+    free, shape = u_sampler.free, u_sampler.out_shape
+    size = max(1, min(len(nodes) - first, _BATCH_BYTES // (8 * math.prod(shape))))
+    buf = np.empty((size,) + shape)
+    signature = u_sampler.signature
+    matrices = block_matrices(np.tile(signature, (shape[0] // len(signature), 1)), grid)
+    work, orbit = np.empty_like(buf), grid.orbit_sizes(free)
+    scale = grid.dx ** (-2 * grid.dim) / grid.mode_count**2
+    for start in range(first, len(nodes), size):
+        batch = range(start, min(start + size, len(nodes)))
+        for k, i in enumerate(batch):
+            spectrum(nodes[i], out=buf[k])
+        out = block_transform(buf[:len(batch)], matrices, work[:len(batch)], grid)
+        if out.dtype == np.float64:
+            dens = np.square(out, out=out)
+        else:  # |z|^2 of each component, into the planes that z leaves free
+            parts = np.square(out.view(np.float64), out=out.view(np.float64))  # re, im, ...
+            dens = (buf if np.may_share_memory(out, work) else work)[:len(batch), :len(out[0])]
+            np.add(parts[..., ::2], parts[..., 1::2], out=dens)
+        dens *= orbit
+        for k, i in enumerate(batch):
+            yield i, nodes[i], weights[i] * scale, dens[k].reshape(-1, orbit.size)
 
 
 def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:
@@ -209,13 +189,13 @@ def _hs_norm(F: np.ndarray, s: float, grid: GridSpec) -> float:
     ``forward_values`` gave F, or, for coefficients even in every axis, the
     block ``grid.even_block`` of them (trailing axes ``grid.even_shape``): a
     block point's ``|F|^2`` then counts ``grid.orbit_sizes()`` times, against
-    ``xi_norm(block=True)``."""
+    ``xi_norm(False)``."""
     n = grid.dim
     block = F.shape[1:] == grid.even_shape
     G = np.sum(np.abs(F) ** 2, axis=0) / (2 * pi) ** n
     if block:
         G *= grid.orbit_sizes()
-    xin = grid.xi_norm(block)
+    xin = grid.xi_norm(not block)
     zero = tuple(0 for _ in range(n))
     g0 = float(G[zero])
     measure = grid.dxi**n
@@ -249,11 +229,10 @@ def lp_project(field, k: int, grid: GridSpec | None = None):
     """
     values, g = _field_values(field, grid)
     F = forward_values(values, g)
-    xin = g.xi_norm()
-    mult = np.zeros_like(xin)
-    pos = xin > 0
-    mult[pos] = default_cutoff()(xin[pos] * 2.0 ** (-k))
-    out = inverse_values(mult * F, g)
+    levels, index = g.xi_levels()  # phi once per distinct |xi|, 0 at xi = 0
+    table = np.zeros_like(levels)
+    table[1:] = default_cutoff()(levels[1:] * 2.0 ** (-k))
+    out = inverse_values(table[index] * F, g)
     if isinstance(field, VectorField):
         return VectorField(g, out)
     return out if np.asarray(field).ndim > g.dim else out[0]
@@ -276,8 +255,8 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     ascending order, over all nodes, or over the nodes with t >= 0 if it is
     ``time_even`` (see ``elastic.WaveSampler``).  R runs over powers of two
     that fit in the box, down to a few grid cells; the ball masks are built
-    in FFT storage order, like the samples, and read on the block of an
-    ``even`` sampler's pass.
+    in FFT storage order, like the samples, and read on the block of the
+    sampler's pass.
     """
     if radii is None:
         m_lo = int(np.ceil(np.log2(2 * grid.dx)))
@@ -286,7 +265,7 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
             raise DomainError("box too small to hold any dyadic ball")
         radii = [2.0**m for m in range(m_lo, m_hi + 1)]
 
-    xnorm = np.sqrt(grid.x_sq_fft()[grid.even_block if _on_block(u_sampler) else ()]).ravel()
+    xnorm = np.sqrt(grid.x_sq_fft()[grid.block(getattr(u_sampler, "free", True))]).ravel()
     masks = [(xnorm < R).astype(np.float64) for R in radii]
     totals = np.zeros(len(radii))
     for _, _, tw, density in _time_pass(u_sampler, grid):

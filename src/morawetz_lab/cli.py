@@ -192,6 +192,14 @@ def _write_manifest(cfg: RunConfig, summary: dict, tolerances: dict, wall: float
     (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_finite(command: str, result) -> None:
+    """Exit 3 (``AccuracyError``) on a non-finite number in ``result``."""
+    try:
+        json.dumps(result, allow_nan=False)
+    except ValueError:
+        raise AccuracyError(f"{command}: a result is not finite (nan or inf)") from None
+
+
 def _weight_kind(name: str) -> str:
     table = {"spatial": SPATIAL_POWER, "spacetime": SPACETIME_POWER}
     if name not in table:
@@ -292,6 +300,7 @@ def _run_kernel_decay(cfg: RunConfig) -> dict:
         raise ConfigurationError("kernel-decay needs at least three points")
     distances = np.logspace(np.log10(o["dmin"]), np.log10(o["dmax"]), o["points"])
     fit = decay_fit(o["regime"], o["k"], o["n"], distances, tau=o["tau"], rtol=o["rtol"])
+    _check_finite("kernel-decay", [fit.slope, fit.intercept, fit.r2, list(fit.values)])
     rows = []
     for d, v in zip(fit.distances, fit.values):
         rows.append([fit.regime, o["n"], o["k"], d, v, o["rtol"]])
@@ -349,6 +358,7 @@ def _run_lp_check(cfg: RunConfig) -> dict:
     proj = lp_project(lp_project(f, 2, grid), 0, grid)
     annihilation = float(np.max(np.abs(proj)) / np.max(np.abs(f)))
 
+    _check_finite("lp-check", [deviation, recon_err, annihilation])
     rows = [
         ["partition_deviation", deviation, 1e-12, deviation < 1e-12],
         ["reconstruction_error", recon_err, 1e-10, recon_err < 1e-10],
@@ -425,6 +435,7 @@ def _run_report(cfg: RunConfig) -> dict:
     sub["frequency"] = _report_frequency_scan()
     sub["decomposition"] = _report_decomposition(cfg.seed)
     sub["local-smoothing"] = _report_local_smoothing()
+    _check_finite("report", sub)
     rows = [[name, json.dumps(val, sort_keys=True)] for name, val in sorted(sub.items())]
     _write_csv(cfg.out_dir / "results.csv", "report", ["experiment", "summary"], rows)
     return {"experiments": sorted(sub)}

@@ -18,14 +18,14 @@ sine part ghat_*/(c|xi|) or None)``, the sine part None when ``ghat_* = 0``
 
 The multipliers depend on |xi| only, so a component that is even or odd in
 an axis stays so.  Component j of ``xi_i xi_j |xi|^-2 fhat`` of radial data
-is odd in axes i and j and even in the others.  ``WaveSampler`` decides
-this parity signature once, from its parts.  A signed sampler keeps its
-parts and state on the block ``[:N/2 + 1]^n`` of FFT storage order
-(``GridSpec.even_block``), one point per orbit of the axis reflections;
-the time pass transforms real ``float64`` planes of that block with one
-real matmul per axis (``spectral.block_transform``; see
-``analysis._time_pass``).  Any other sampler keeps the full lattice and
-hands the pass ``complex64`` coefficients.
+is odd in axes i and j and even in the others; a carrier along an axis
+leaves that axis free, with neither parity.  ``WaveSampler`` decides this
+parity signature once, from its parts, and keeps its parts and state on
+the block of FFT storage order that it fixes (``GridSpec.block``): one
+point per orbit of the reflections of the signed axes, every point of a
+free one.  The time pass transforms real ``float64`` planes of that block
+with one real matmul per signed axis and one ``complex128`` FFT over the
+free ones (``spectral.block_transform``; see ``analysis._time_pass``).
 Convention at the zero mode:
 P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
 free-particle limit of the ODE).
@@ -33,12 +33,16 @@ free-particle limit of the ODE).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EllipticityError, ShapeError
 from .spectral import (
+    EVEN,
+    FREE,
+    ODD,
     GridSpec,
     VectorField,
     block_matrices,
@@ -173,34 +177,34 @@ class WaveSampler:
     reflected case is exact only against weights even in x: every weight
     and ball mask of the consumers is (see ``weights``).
 
-    ``signature``, when not None, is a parity for every component (the
-    leading axes flattened, one row each; one row for scalar terms) in every
-    axis (columns): True where the component is odd, ``X(R_i m) = -X(m)``
-    for the reflection ``R_i: m_i -> -m_i mod N``, False where it is even;
-    |xi| is even, so the flow keeps it.  ``_signature`` decides it once for
-    two-way terms; one-way terms are signed, and even, only when they come
-    as the block (below).  The lattice projector of an elastic part is not
-    odd on an odd axis's Nyquist plane ``m_i = N/2``, which has no
-    ``+N/2 dxi`` partner; for real radial data those planes make ``Im u``,
-    and the sampler is signed only when they hold at most ``_REAL_TOL`` of
-    the parts.  A signed sampler keeps its parts (those planes included)
-    and state on the block ``grid.even_block``, one point per orbit of the
-    reflections; the parts' remainder of the other parity, at most
-    ``_EVEN_TOL``, is dropped.  ``spectrum``'s ``out`` then takes
-    ``float64`` planes of the block, of shape ``out_shape``: the real parts
-    of the components, then, unless every part and the drift are real to
-    ``_EVEN_TOL`` (their imaginary rounding is then dropped), their
-    imaginary parts.  The time pass transforms them with
-    ``spectral.block_transform``, which drops the odd axes' Nyquist planes.
-    ``spectrum`` without ``out``, ``rate`` and ``__call__`` compute on the
-    block and unfold once (``GridSpec.unfold``), Nyquist planes included.
+    ``signature`` is a parity for every component (the leading axes
+    flattened, one row each; one row for scalar terms) in every axis
+    (columns): ``ODD`` where the component is odd, ``X(R_i m) = -X(m)`` for
+    the reflection ``R_i: m_i -> -m_i mod N``, ``EVEN`` where it is even, and
+    ``FREE``, for every component, on an axis where some component is
+    neither (``free``, one bool per axis); |xi| is even, so the flow keeps
+    it.  ``_signature`` decides it once from the parts, one-way terms
+    included; an odd axis whose Nyquist planes ``m_i = N/2`` hold more than
+    ``_REAL_TOL / dim`` of the parts is free too (the lattice projector of
+    an elastic part is not odd there, and for real radial data those planes
+    make ``Im u``).  The sampler keeps its parts, those planes included, and
+    state on ``grid.block(free)``, one point per orbit of the signed axes'
+    reflections, the lattice when every axis is free; the parts' remainder
+    of the other parity, at most ``_EVEN_TOL``, is dropped.  ``spectrum``'s
+    ``out`` takes ``float64`` planes of the block, of shape ``out_shape``:
+    the real parts of the components, then, unless no axis is free and every
+    part and the drift are real to ``_EVEN_TOL`` (their imaginary rounding
+    is then dropped), their imaginary parts.  The time pass transforms them
+    with ``spectral.block_transform``, which drops the odd axes' Nyquist
+    planes.  ``spectrum`` without ``out``, ``rate`` and ``__call__`` compute
+    on the block and unfold once (``GridSpec.unfold``), Nyquist planes
+    included.
 
-    ``even`` is true when the sampler is signed and even in every axis, such
-    as radial scalar data.  Terms whose spatial axes have the shape
+    ``even`` is true when the sampler is even in every axis, such as radial
+    scalar data.  Terms whose spatial axes have the shape
     ``grid.even_shape`` are taken as the block of even parts, without a
     check: ``halfwave_sampler`` hands over the block of data it has found
-    even, and ``shape`` is still that of the full lattice.  An unsigned
-    sampler keeps the full lattice, and its ``out_shape`` is ``shape``.
+    even, and ``shape`` is still that of the full lattice.
     """
 
     def __init__(self, grid: GridSpec, terms, drift: np.ndarray | None = None,
@@ -219,26 +223,25 @@ class WaveSampler:
         self._out = None  # the parts as ``out=`` takes them, built at the first such call
         shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
         lead = shape[:len(shape) - grid.dim]
-        self.shape = self.out_shape = lead + grid.shape
+        self.shape = lead + grid.shape
         parts = [X for _, P, Q, _ in self._terms for X in (P, Q) if X is not None]
-        one_way = any(one_way for _, _, _, one_way in self._terms)
         if shape[len(lead):] == grid.even_shape:
-            self.signature = np.zeros((int(np.prod(lead)), grid.dim), bool)
+            self.signature = np.full((int(np.prod(lead)), grid.dim), EVEN, np.int8)
         else:
-            self.signature = None if one_way else _signature(
-                [np.broadcast_to(X, shape) for X in parts], drift, grid.dim)
-        self.even = self.signature is not None and not self.signature.any()
-        if self.signature is not None:
-            real_parts = not one_way and all(_is_real(X) for X in parts) and (
-                drift is None or _is_real(drift))
-            # (planes: real parts[, imaginary parts]) + lead + block
-            self._planes = (1 if real_parts else 2,) + lead + grid.even_shape
-            self.out_shape = (int(np.prod(self._planes[:-grid.dim])),) + grid.even_shape
-            block = (Ellipsis,) + grid.even_block
-            self._terms = [(c, np.ascontiguousarray(P[block]),
-                            None if Q is None else np.ascontiguousarray(Q[block]), one_way)
-                           for c, P, Q, one_way in self._terms]
-        self._xin = grid.xi_norm(self.signature is not None)
+            self.signature = _signature([np.broadcast_to(X, shape) for X in parts], drift,
+                                        grid.dim)
+        self.even = not self.signature.any()
+        self.free = free = tuple((self.signature == FREE).any(axis=0).tolist())
+        real_parts = not any(free) and not any(one_way for *_, one_way in self._terms) and all(
+            _is_real(X) for X in parts) and (drift is None or _is_real(drift))
+        # (planes: real parts[, imaginary parts]) + lead + block
+        self._planes = (1 if real_parts else 2,) + lead + grid.block_shape(free)
+        self.out_shape = (int(np.prod(self._planes[:-grid.dim])),) + grid.block_shape(free)
+        block = (Ellipsis,) + grid.block(free)
+        self._terms = [(c, np.ascontiguousarray(P[block]),
+                        None if Q is None else np.ascontiguousarray(Q[block]), one_way)
+                       for c, P, Q, one_way in self._terms]
+        self._xin = grid.xi_norm(free)
 
     def _advance(self, t: float) -> None:
         """Bring the state to t: one step of the recurrence, or ``exp`` directly."""
@@ -246,8 +249,8 @@ class WaveSampler:
             return
         nodes, i = self._nodes, self._index
         if i is not None and i + 1 < len(nodes) and t == nodes[i + 1]:
-            for state, (c, _, _, _) in zip(self._state, self._terms):
-                state *= self.grid.phase_step(c, self.signature is not None)
+            for state, step in zip(self._state, self._steps):
+                state *= step
             self._index = i + 1
         else:
             self._state = []
@@ -258,74 +261,45 @@ class WaveSampler:
             self._index = j if j < len(nodes) and nodes[j] == t else None
         self._t = t
 
+    @functools.cached_property
+    def _steps(self) -> list[np.ndarray]:
+        return [self.grid.phase_step(c, self.free) for c, *_ in self._terms]
+
     def _out_parts(self):
-        """The cosine and sine parts and the drift as ``spectrum``'s ``out``
-        takes them, a buffer for one cosine or sine, a field for one product,
-        and a function that gives a one-way term's state in that form.
-
-        Unsigned: the parts in ``complex64``, a ``complex64`` buffer
-        (imaginary half zero) and the state as it is.  Signed: the parts'
-        planes in ``float64``, no buffer (the phases' real and imaginary
-        views are already ``float64``), and the state's real and imaginary
-        parts as two planes, a view.  A sampler of one-way terms only needs
-        no parts or buffers."""
+        """The two-way terms' parts and the drift as ``float64`` planes of
+        ``spectrum``'s ``out``, and a field for one product; built once."""
         if self._out is None:
-            planes = self.signature is not None
-
             def as_out(X):
                 if X is None:
                     return None
-                if planes:
-                    X = np.broadcast_to(X, self._planes[1:])
-                    return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
-                return X.astype(np.complex64)
+                X = np.broadcast_to(X, self._planes[1:])
+                return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
 
             parts = [(None, None) if one_way else (as_out(P), as_out(Q))
                      for _, P, Q, one_way in self._terms]
             drift = self._drift
-            if drift is not None and planes:
+            if drift is not None:
                 drift = np.stack([drift.real, drift.imag][:self._planes[0]])
-            if planes:
-                def split(state):  # (re, im) + the state's shape, a float64 view
-                    return np.moveaxis(state.view(np.float64).reshape(state.shape + (2,)), -1, 0)
-
-                self._out = (parts, None, np.empty(self._planes), drift, split)
-            elif all(one_way for _, _, _, one_way in self._terms):
-                self._out = (parts, None, None, drift, None)
-            else:
-                self._out = (parts, np.zeros(self._xin.shape, np.complex64),
-                             np.empty(self.out_shape, np.complex64), drift, None)
+            self._out = (parts, np.empty(self._planes), drift)
         return self._out
 
     def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """uhat(t), in FFT storage order, of shape ``self.shape``.
 
-        ``out``, of shape ``out_shape``, takes the terms in place, whichever
-        their kind.  For a signed sampler it is ``float64`` and takes the
-        planes of the block (see the class docstring), in double precision:
-        one product of ``Re E_k`` or ``Im E_k`` with each part's planes per
-        cosine or sine, and a one-way term's state copied in as its real and
-        imaginary planes.  Otherwise it is ``complex64``: a one-way term is
-        copied in under ``same_kind`` casting; for a two-way term,
-        ``cos = Re E_k`` and ``sin = Im E_k`` are each cast once into the
-        real half of one reused ``complex64`` buffer and multiplied with
-        ``complex64`` copies of its parts, built at the first such call; the
-        first product goes into ``out``, the others into one reused field
-        that is added to it.  (A ``float32`` buffer would give the same
-        values, but numpy has no mixed ``float32 * complex64`` loop and
-        buffers the cast, three times slower.)  No field-sized temporary is
-        allocated.  The phases stay ``complex128``, so each part carries a
-        few single-precision roundings.  This is how the time pass
-        (``analysis._time_pass``) fills its transform buffer; it reduces in
-        ``float64``, so the norms of an unsigned sampler carry about 1e-7
-        relative rounding.  Without ``out``, the terms are summed in a new
-        ``complex128`` array, in double precision, a signed sampler's on the
-        block and unfolded; an unsigned lone one-way term comes back as a
+        ``out``, ``float64`` of shape ``out_shape``, takes the planes of the
+        block instead (see the class docstring), as the time pass
+        (``analysis._time_pass``) fills its buffer: one product of ``Re E_k``
+        or ``Im E_k`` with each part's planes per cosine or sine, the first
+        into ``out`` and the others into one reused field added to it, and a
+        one-way term's state copied in as its real and imaginary planes; no
+        field-sized temporary after the first call.  Without ``out``, the
+        terms are summed in a new ``complex128`` array on the block and
+        unfolded; with every axis free, a lone one-way term comes back as a
         read-only view of the state, valid until the next call.
         """
         self._advance(t)
-        drift = self._drift
-        unfold = out is None and self.signature is not None
+        drift, planes = self._drift, out is not None
+        unfold = not planes and not all(self.free)
         if out is None:
             if drift is None and len(self._terms) == 1 and self._terms[0][3]:
                 if unfold:
@@ -336,28 +310,26 @@ class WaveSampler:
             target = out = np.empty(self.shape[:-self.grid.dim] + self._xin.shape,
                                     np.complex128)
             parts = [(P, Q) for _, P, Q, _ in self._terms]
-            trig, product, split = None, np.empty_like(out), None
+            product = np.empty_like(out)
         else:
             if out.shape != self.out_shape:
                 raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
-            parts, trig, product, drift, split = self._out_parts()
-            target = out if split is None else out.reshape(self._planes)
+            parts, product, drift = self._out_parts()
+            target = out.reshape(self._planes)
         first = True
         for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
             if one_way:
-                value = state if split is None else split(state)
-                if first:
-                    np.copyto(target, value, casting="same_kind")
-                else:
-                    target += value
+                pairs = zip(target, (state.real, state.imag)) if planes else [(target, state)]
+                for dst, value in pairs:
+                    if first:
+                        np.copyto(dst, value)
+                    else:
+                        dst += value
                 first = False
                 continue
             for value, part in ((state.real, P), (state.imag, Q)):
                 if part is None:
                     continue
-                if trig is not None:
-                    np.copyto(trig.real, value, casting="same_kind")
-                    value = trig
                 if first:
                     np.multiply(value, part, out=target)
                 else:
@@ -384,7 +356,7 @@ class WaveSampler:
             out = out + w * part
         if self._drift is not None:
             out[self._zero] += self._drift
-        return out if self.signature is None else self.grid.unfold(out, self.signature)
+        return out if all(self.free) else self.grid.unfold(out, self.signature)
 
     def __call__(self, t: float) -> np.ndarray:
         """u(t) on the physical grid."""
@@ -397,40 +369,17 @@ _REAL_TOL = 2.0**-12  # largest relative odd-axis Nyquist-plane part a signed pa
 _EVEN_TOL = 1e-12  # largest relative odd (even) part of an even (odd) component
 
 
-def _parities(X: np.ndarray, dim: int):
-    """The squared norm of each component of X (its leading axes flattened),
-    and its squared odd and even parts in each of X's last ``dim`` axes (FFT
-    storage order), as (components,) and (components, dim) arrays:
-    ``|X_j -+ R_i X_j|^2`` for the reflection ``R_i: m_i -> -m_i mod N``, the
-    even part taken off the plane ``m_i = N/2``.  R_i fixes the indices 0 and
-    N/2 and swaps m with N - m, so the odd part is twice the squared
-    difference of the views ``X[..., 1:N/2]`` and ``X[..., N-1:N/2:-1]``
-    along the axis, and the even part twice their squared sum plus four
-    times the squared plane ``m_i = 0``; nothing is copied but those."""
-    h = X.shape[-1] // 2
-    X = X.reshape((-1,) + X.shape[X.ndim - dim:])
-
-    def sq(a):  # squared norm per component
-        a = np.ascontiguousarray(a).reshape(len(X), -1)
-        a = a.view(np.float64) if np.iscomplexobj(a) else a
-        return np.array([np.dot(row, row) for row in a])
-
-    odd_part, even_part = np.empty((2, len(X), dim))
-    for i in range(dim):
-        head = (slice(None),) * (i + 1)
-        lo, hi = X[head + (slice(1, h),)], X[head + (slice(None, h, -1),)]
-        odd_part[:, i] = 2 * sq(lo - hi)
-        even_part[:, i] = 2 * sq(lo + hi) + 4 * sq(X[head + (0,)])
-    return sq(X), odd_part, even_part
+def _sq(a: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a, its axes after the first flattened."""
+    a = np.ascontiguousarray(a).reshape(len(a), -1)
+    a = a.view(np.float64) if np.iscomplexobj(a) else a
+    return np.array([np.dot(row, row) for row in a])
 
 
 def _is_even(X: np.ndarray, dim: int) -> bool:
     """Whether ``|X - R_i X| <= _EVEN_TOL |X|`` for each reflection
-    ``R_i: m_i -> -m_i mod N`` of X's last ``dim`` axes (FFT storage order).
-    R_i fixes the indices 0 and N/2 and swaps m with N - m, so
-    ``|X - R_i X|^2`` is twice the squared difference of the views
-    ``X[..., 1:N/2]`` and ``X[..., N-1:N/2:-1]`` along the axis; nothing is
-    copied but that difference.  Stops at the first failing axis."""
+    ``R_i: m_i -> -m_i mod N`` of X's last ``dim`` axes (FFT storage order),
+    from the views of ``_signature``; stops at the first failing axis."""
     h = X.shape[-1] // 2
     bound = 0.5 * _EVEN_TOL**2 * np.vdot(X, X).real
     for axis in range(X.ndim - dim, X.ndim):
@@ -441,37 +390,48 @@ def _is_even(X: np.ndarray, dim: int) -> bool:
     return True
 
 
-def _signature(parts, drift: np.ndarray | None, dim: int) -> np.ndarray | None:
-    """``WaveSampler.signature`` of the parts (arrays of one shape) and the
-    drift.  Per component j and axis i, the parts' odd (even) parts there,
-    summed over the parts, against ``_EVEN_TOL`` of their summed norm: even
-    (False) where the odd parts are within it, else odd (True) where the
-    even parts are.  None where some component is neither in some axis,
-    when the odd axes' Nyquist planes ``m_i = N/2`` hold more than
-    ``_REAL_TOL`` of the parts (on the members of the benchmark's elastic
-    scan: 6.0e-14 at lambda = 1, 1.45e-4 at lambda = 2), and when an odd
-    component has a drift beyond ``_EVEN_TOL`` of its parts."""
-    norm, odd_part, even_part = (sum(x) for x in zip(*(_parities(X, dim) for X in parts)))
-    bound = _EVEN_TOL**2 * norm[:, None]
-    even = odd_part <= bound
-    signature = ~even
-    if not np.all(even | (even_part <= bound)):
-        return None
-    if not signature.any():
-        return signature
+def _signature(parts, drift: np.ndarray | None, dim: int) -> np.ndarray:
+    """``WaveSampler.signature`` of the parts (arrays of one shape, the
+    leading axes flattened into components) and the drift.  Per component j
+    and axis i, the parts' squared odd parts ``|X_j - R_i X_j|^2`` (for
+    ``R_i: m_i -> -m_i mod N``, which fixes the indices 0 and N/2 and swaps
+    m with N - m: twice the squared difference of the views
+    ``X[..., 1:N/2]`` and ``X[..., N-1:N/2:-1]``), summed over the parts,
+    against ``_EVEN_TOL`` of their summed squared norm: ``EVEN`` within it,
+    else ``ODD`` where the even parts, twice the squared sum of those views
+    plus four times the squared plane ``m_i = 0``, are; only those views are
+    copied, and the even parts only on an axis with an odd component.  An
+    axis is ``FREE`` where some component is neither, where the Nyquist
+    planes ``m_i = N/2`` of the components odd there hold more than
+    ``_REAL_TOL / dim`` of the parts, so that the signed axes drop at most
+    ``_REAL_TOL`` of them (on the benchmark's elastic scan: 6.0e-14 at
+    lambda = 1, 1.45e-4 at lambda = 2, summed over the axes), and where a
+    component with a drift beyond ``_EVEN_TOL`` of its parts is odd."""
     h = parts[0].shape[-1] // 2
-    nyquist, scale = 0.0, 0.0
-    for X in parts:
-        X = X.reshape((-1,) + X.shape[X.ndim - dim:])
-        scale += float(np.sqrt(np.vdot(X, X).real))
-        for j, i in zip(*np.nonzero(signature)):
-            nyquist += float(np.linalg.norm(X[(j,) + (slice(None),) * i + (h,)]))
-    rows = signature.any(axis=1)
-    if nyquist > _REAL_TOL * scale or (
-            drift is not None and np.any(np.abs(np.ravel(drift))[rows]
-                                         > _EVEN_TOL * np.sqrt(norm[rows]))):
-        return None
-    return signature
+    parts = [X.reshape((-1,) + X.shape[X.ndim - dim:]) for X in parts]
+    norm = sum(_sq(X) for X in parts)
+    bound = _EVEN_TOL**2 * norm
+    odd, free = np.zeros((len(norm), dim), bool), np.zeros(dim, bool)
+    for i in range(dim):
+        head = (slice(None),) * (i + 1)
+        halves = [(X[head + (slice(1, h),)], X[head + (slice(None, h, -1),)]) for X in parts]
+        odd[:, i] = sum(2 * _sq(lo - hi) for lo, hi in halves) > bound
+        if odd[:, i].any():
+            even = sum(2 * _sq(lo + hi) + 4 * _sq(X[head + (0,)])
+                       for (lo, hi), X in zip(halves, parts)) <= bound
+            free[i] = not np.all(even[odd[:, i]])
+    odd &= ~free
+    if odd.any():
+        nyquist, scale = np.zeros(dim), 0.0
+        for X in parts:
+            scale += float(np.sqrt(np.vdot(X, X).real))
+            for j, i in zip(*np.nonzero(odd)):
+                nyquist[i] += float(np.linalg.norm(X[(j,) + (slice(None),) * i + (h,)]))
+        free |= nyquist > _REAL_TOL / dim * scale
+        if drift is not None:
+            moving = np.abs(np.ravel(drift)) > _EVEN_TOL * np.sqrt(norm)
+            free |= np.any(odd & moving[:, None], axis=0)
+    return np.where(free, FREE, np.where(odd, ODD, EVEN)).astype(np.int8)
 
 
 def _is_real(X: np.ndarray) -> bool:
@@ -528,9 +488,8 @@ def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     block = f[np.ix_(*([index] * grid.dim))]
     planes = np.stack([block.real, block.imag] if np.iscomplexobj(block) else [block])
     planes = planes.astype(np.float64, copy=False)
-    work = np.empty((2,) + planes.shape)
     F = block_transform(planes, block_matrices(np.zeros((len(planes), grid.dim), bool), grid),
-                        work, grid)
+                        np.empty_like(planes), grid)
     F = F[0] + 1j * F[1] if len(F) == 2 else F[0].astype(np.complex128)
     F *= grid.dx**grid.dim
     return F
@@ -590,7 +549,7 @@ class ElasticPropagator:
                      for (c, f_k, _), g_k in zip(terms, (gQ, gP))]
         self._sampler = WaveSampler(grid, terms, drift, self.time_even)
         self.even = self._sampler.even
-        self.signature = self._sampler.signature
+        self.signature, self.free = self._sampler.signature, self._sampler.free
         self.shape = self._sampler.shape
         self.out_shape = self._sampler.out_shape
 

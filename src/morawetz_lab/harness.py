@@ -272,10 +272,7 @@ def compute_ratio(
     ------
     AccuracyError
         If the numerator, the denominator or the ratio is not finite: the
-        full-lattice time pass transforms in ``complex64``, which overflows
-        near 3.4e38, and the block pass of signed samplers (radial data, see
-        ``elastic.WaveSampler``) squares ``float64`` values, which overflow
-        near 1.3e154.
+        time pass squares ``float64`` values, which overflow near 1.3e154.
     """
     quad = quad or QuadratureConfig()
     weight = WeightSpec(kind=query.weight_kind, alpha=query.alpha)

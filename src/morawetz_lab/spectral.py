@@ -19,6 +19,7 @@ records this margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,11 +28,18 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 __all__ = [
+    "EVEN",
+    "ODD",
+    "FREE",
     "GridSpec",
     "VectorField",
     "block_matrices",
     "block_transform",
 ]
+
+# the parities of an array in one axis (see ``GridSpec.block``): even, odd,
+# or free, neither
+EVEN, ODD, FREE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class GridSpec:
     def mode_count(self) -> int:
         return self.points_per_axis**self.dim
 
-    def _memo(self, key: str, build: Callable[[], np.ndarray]) -> np.ndarray:
+    def _memo(self, key: str | tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
         cache = self.__dict__["_cache"]
         if key not in cache:
             cache[key] = build()
@@ -132,78 +140,101 @@ class GridSpec:
         dense grids without their memory."""
         return np.meshgrid(*([axis] * self.dim), indexing="ij", sparse=True)
 
-    def _x_sq(self, block: bool = False) -> np.ndarray:
-        m = np.arange(self.points_per_axis // 2 + 1) if block else self.mode_axis
-        return sum(self._open((self.dx * m) ** 2))
+    def _x_sq(self, free=True) -> np.ndarray:
+        return sum(np.ix_(*((self.dx * m) ** 2 for m in self._block_axes(free))))
 
     def x_sq_fft(self) -> np.ndarray:
         """|x|^2 in FFT storage order: index m sits at x = dx * m (m taken mod N
         into [-N/2, N/2)), so the origin is index 0."""
         return self._memo("x_sq_fft", self._x_sq)
 
-    def x_sq_levels(self, block: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct values of ``x_sq_fft()``, ascending, and the index of
-        each grid point's value among them (``intp``, of shape ``shape``, or
-        of ``even_shape`` for the points of the block), so a radial function
-        of |x|^2 can be evaluated once per value.  |x|^2 is even in every
-        axis, so the block holds every value.  Neither keeps ``x_sq_fft()``
-        alive."""
+    def x_sq_levels(self, free=True) -> tuple[np.ndarray, np.ndarray]:
+        """``_levels`` of ``x_sq_fft()`` on ``block(free)``."""
+        return self._levels("x_sq", self._x_sq, free)
+
+    def xi_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_levels`` of ``xi_norm()`` on the lattice."""
+        return self._levels("xi_norm", self.xi_norm, True)
+
+    def _levels(self, name: str, values: Callable, free) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of a radial array, ascending, and the index
+        (``intp``) of each point's value among them on the block
+        ``values(free)``, so a function of it can be evaluated once per
+        value.  It is even in every axis, so the even block holds every
+        value; neither keeps the array alive."""
         def build():  # np.unique would import numpy.ma, about 1 MB
-            ordered = np.sort(self._x_sq(block=True), axis=None)
+            ordered = np.sort(values(False), axis=None)
             return ordered[np.diff(ordered, prepend=-1.0) > 0]
 
-        levels = self._memo("x_sq_levels", build)
-        return levels, self._memo(f"x_sq_index {block}",
-                                  lambda: np.searchsorted(levels, self._x_sq(block)))
+        levels, free = self._memo(f"{name} levels", build), self._free(free)
+        return levels, self._memo((name, free), lambda: np.searchsorted(levels, values(free)))
 
-    # -- the even block ------------------------------------------------------
-    # An array even in every axis, X(R_i m) = X(m) for each reflection
+    # -- blocks ---------------------------------------------------------------
+    # An array even or odd in axis i, X(R_i m) = +-X(m) for the reflection
     # R_i: m_i -> -m_i mod N, is fixed by its values on one representative of
-    # every orbit of those reflections, m_i in [0, N/2]: the block
-    # [:N/2 + 1]^n of FFT storage order.  A point's orbit has
-    # prod_i (1 if m_i in {0, N/2} else 2) points.
+    # every orbit of R_i, m_i in [0, N/2]; an axis with neither parity is
+    # free and keeps all N.  The block of an array is [:N/2 + 1] of FFT
+    # storage order on its signed axes and all of it on its free ones, so
+    # the block with every axis free is the lattice.  A block point's orbit
+    # has prod_i (1 if m_i in {0, N/2} or axis i is free else 2) points.
+    # ``free`` is one bool per axis, or one for every axis.
+
+    def _free(self, free) -> tuple[bool, ...]:
+        return (bool(free),) * self.dim if isinstance(free, (bool, np.bool_)) else tuple(
+            map(bool, free))
+
+    def _block_axes(self, free) -> list[np.ndarray]:
+        """The modes of each axis of the block: 0..N/2, or ``mode_axis`` on a free axis."""
+        return [self.mode_axis if f else np.arange(self.points_per_axis // 2 + 1)
+                for f in self._free(free)]
+
+    def block(self, free) -> tuple[slice, ...]:
+        """Index of the block with the free axes ``free`` in FFT storage order."""
+        h = self.points_per_axis // 2 + 1
+        return tuple(slice(None) if f else slice(0, h) for f in self._free(free))
+
+    def block_shape(self, free) -> tuple[int, ...]:
+        return tuple(len(m) for m in self._block_axes(free))
 
     @property
     def even_block(self) -> tuple[slice, ...]:
-        """Index of the block ``[:N/2 + 1]^n`` in FFT storage order."""
-        return (slice(0, self.points_per_axis // 2 + 1),) * self.dim
+        """Index of the block ``[:N/2 + 1]^n``, no axis free."""
+        return self.block(False)
 
     @property
     def even_shape(self) -> tuple[int, ...]:
-        return (self.points_per_axis // 2 + 1,) * self.dim
+        return self.block_shape(False)
 
-    def orbit_sizes(self) -> np.ndarray:
-        """The number of lattice points in the orbit of each block point, of
-        shape ``even_shape``: a sum over the lattice of an even array is the
-        sum over the block of the array times these."""
+    def orbit_sizes(self, free=False) -> np.ndarray:
+        """The lattice points in the orbit of each point of ``block(free)``:
+        a lattice sum of an array even in every signed axis is its block sum
+        times these."""
+        free, h = self._free(free), self.points_per_axis // 2
+
         def build():
-            axis = np.full(self.points_per_axis // 2 + 1, 2.0)
-            axis[[0, -1]] = 1.0
-            sizes = axis
-            for _ in range(self.dim - 1):
-                sizes = np.multiply.outer(sizes, axis)
+            sizes = np.ones(())
+            for f in free:
+                sizes = np.multiply.outer(sizes, np.ones(2 * h) if f
+                                          else np.r_[1.0, np.full(h - 1, 2.0), 1.0])
             return sizes
 
-        return self._memo("orbit_sizes", build)
+        return self._memo(f"orbit_sizes {free}", build)
 
-    def unfold(self, block: np.ndarray, odd: np.ndarray | None = None) -> np.ndarray:
-        """The full lattice, in FFT storage order, of an array with a parity
-        in each of its last ``dim`` axes, from its block: a new array, index m
-        read at min(m, N - m) and negated for m > N/2 along an axis where
-        ``odd`` (bool, one row per component, the leading axes flattened,
-        one column per axis) is True; even in every axis when None."""
+    def unfold(self, block: np.ndarray, signature: np.ndarray | None = None) -> np.ndarray:
+        """The full lattice, in FFT storage order, of an array with the
+        parities ``signature`` (``EVEN``, ``ODD`` or ``FREE``, one row per
+        component, the leading axes flattened, one column per axis; even in
+        every axis when None) in its last ``dim`` axes, from its block: a new
+        array, index m read at min(m, N - m) on a signed axis and negated for
+        m > N/2 on an odd one."""
         N = self.points_per_axis
-
-        def build():
-            m = np.arange(N)
-            return np.minimum(m, N - m)
-
-        out = block[(Ellipsis,) + np.ix_(*([self._memo("fold_axis", build)] * self.dim))]
-        if odd is not None:
-            lead = out.shape[:out.ndim - self.dim]
-            for j, i in zip(*np.nonzero(odd)):
-                out[np.unravel_index(j, lead) + (slice(None),) * i
-                    + (slice(N // 2 + 1, None),)] *= -1
+        signature = np.zeros((1, self.dim), int) if signature is None else np.asarray(signature)
+        m = np.arange(N)
+        fold = [m if f else np.minimum(m, N - m) for f in (signature == FREE).any(axis=0)]
+        out = block[(Ellipsis,) + np.ix_(*fold)]
+        lead = out.shape[:out.ndim - self.dim]
+        for j, i in zip(*np.nonzero(signature == ODD)):
+            out[np.unravel_index(j, lead) + (slice(None),) * i + (slice(N // 2 + 1, None),)] *= -1
         return out
 
     def xi_grids(self) -> tuple[np.ndarray, ...]:
@@ -213,27 +244,31 @@ class GridSpec:
         g = self._memo("xi_grids", build)
         return tuple(g)
 
-    def xi_norm(self, block: bool = False) -> np.ndarray:
-        """|xi| in FFT storage order, on the full lattice or on its even block."""
-        if block:
-            return self._memo("xi_norm block",
-                              lambda: np.ascontiguousarray(self.xi_norm()[self.even_block]))
-        return self._memo("xi_norm", lambda: np.sqrt(sum(x**2 for x in self.xi_open())))
+    def xi_norm(self, free=True) -> np.ndarray:
+        """|xi| in FFT storage order, on the block with the free axes ``free``
+        (by default the full lattice)."""
+        free = self._free(free)
+        if all(free):
+            return self._memo("xi_norm", lambda: np.sqrt(sum(x**2 for x in self.xi_open())))
+        return self._memo(f"xi_norm {free}",
+                          lambda: np.ascontiguousarray(self.xi_norm()[self.block(free)]))
 
     def xi_open(self) -> list[np.ndarray]:
         """The xi grids as an open mesh, one broadcasting axis per dimension."""
         return self._open(self.xi_axis)
 
-    def phase_step(self, c: float, block: bool = False) -> np.ndarray:
+    def phase_step(self, c: float, free=True) -> np.ndarray:
         """``e^{i dt c |xi|}``, the phase a wave of speed c gains from one time
-        node to the next, on the lattice ``xi_norm(block)``; built once per
-        grid, speed and lattice and shared by every sampler on them."""
+        node to the next, on ``xi_norm(free)``; built once per grid, speed and
+        block and shared by every sampler on them."""
+        free = self._free(free)
+
         def build():
             nodes = self.time_nodes()
             dt = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
-            return np.exp(1j * dt * c * self.xi_norm(block))
+            return np.exp(1j * dt * c * self.xi_norm(free))
 
-        return self._memo(f"phase_step {c!r} {block}", build)
+        return self._memo(f"phase_step {c!r} {free}", build)
 
     @property
     def xi_max(self) -> float:
@@ -301,13 +336,13 @@ def inverse_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def block_matrices(odd: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+def block_matrices(signature: np.ndarray, grid: GridSpec) -> list:
     """The matrices ``block_transform`` applies along each axis to planes
-    with the parities ``odd`` (bool, ``(planes, dim)``, True where a plane
-    is odd in an axis): per axis, the cosine matrix C or the sine matrix S
-    when every plane shares its parity there, else a ``(planes, 1, K, K)``
-    stack of them, transposed for the last axis, which they multiply from
-    the right.  C and S are built once per grid."""
+    with the parities ``signature`` (``(planes, dim)``): per axis, None where
+    it is ``FREE``, else the cosine matrix C or the sine matrix S when every
+    plane shares its parity there, else a ``(planes, 1, K, K)`` stack of
+    them; the last axis's transposed, which it multiplies from the right.
+    C and S are built once per grid."""
     N = grid.points_per_axis
 
     def matrix(is_odd: bool) -> np.ndarray:
@@ -322,51 +357,71 @@ def block_matrices(odd: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
         return grid._memo(f"block_matrix {is_odd}", build)
 
     matrices = []
-    for column in np.asarray(odd, bool).T.tolist():
-        if len(set(column)) == 1:
-            matrices.append(matrix(column[0]))
+    for column in np.asarray(signature).T.tolist():
+        if FREE in column:
+            matrices.append(None)
+        elif len(set(column)) == 1:
+            matrices.append(matrix(column[0] == ODD))
         else:
-            matrices.append(np.stack([matrix(c) for c in column])[:, None])
-    # the last axis multiplies from the right, by a contiguous transpose
-    matrices[-1] = np.ascontiguousarray(matrices[-1].swapaxes(-1, -2))
+            matrices.append(np.stack([matrix(c == ODD) for c in column])[:, None])
+    if matrices[-1] is not None:  # multiplies from the right, by a contiguous transpose
+        matrices[-1] = np.ascontiguousarray(matrices[-1].swapaxes(-1, -2))
     return matrices
 
 
-def block_transform(planes: np.ndarray, matrices: list[np.ndarray], work: np.ndarray,
+def block_transform(planes: np.ndarray, matrices: list, work: np.ndarray,
                     grid: GridSpec) -> np.ndarray:
-    """The unscaled DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of real arrays with a
-    parity in every spatial axis, from the block to the block, up to a sign
-    and a factor i per odd axis.
+    """The unscaled DFT ``sum_m a(m) e^{2 pi i j.m/N}`` of arrays with a
+    parity or none in every spatial axis, from their block to their block,
+    up to a sign and a factor i per odd axis.
 
-    ``planes`` (``float64``, shape ``(p,) + grid.even_shape``) holds p real
-    arrays a on the block ``[:N/2 + 1]^n`` of FFT storage order, each even
-    or odd in every axis, ``a(R_i m) = +-a(m)`` for the reflection
-    ``R_i: m_i -> -m_i mod N``, which fixes ``m_i = 0`` and ``N/2``.
-    ``matrices`` are ``block_matrices`` of those parities.  Along an even
-    axis the sum over m's orbit is ``mult_m cos(2 pi j m/N)``, ``mult_m`` 1
-    at m = 0 and N/2 and 2 otherwise: the cosine transform (DCT-I)
-    ``C[j, m]``.  Along an odd axis it is ``2i sin(2 pi j m/N)``:
-    ``S[j, m] = 2 sin(2 pi j m/N)``, which is exactly 0 at ``m, j in {0, N/2}``,
-    so an odd axis's values on its Nyquist plane m_i = N/2 drop out, and the
-    result, odd in that axis, is 0 there too.  So each plane takes one real
-    matmul per axis, by C or S, summed in double, and comes out as the DFT
-    divided by ``i^(number of odd axes)``: a unimodular constant, which no
-    squared modulus sees.  The orbit sum of ``e^{-2 pi i j.m/N}`` is the same
-    matrix (for odd axes, up to sign), so this is also the forward DFT of
-    such data.  Complex data enter as two planes, their real and imaginary
-    parts.  ``work``, a ``float64`` array of shape ``(2,) + planes.shape``, is
-    overwritten; returns the half of it that holds the result.
+    ``planes`` (``float64``, shape ``(..., p) + block shape``) holds p real
+    arrays a on the block (``GridSpec.block``) of FFT storage order, per
+    index of its leading axes; each is even or odd in every signed axis,
+    ``a(R_i m) = +-a(m)`` for the reflection ``R_i: m_i -> -m_i mod N``,
+    which fixes ``m_i = 0`` and ``N/2``.  ``matrices`` are ``block_matrices``
+    of those parities.  Along an even axis the sum over m's orbit is
+    ``mult_m cos(2 pi j m/N)``, ``mult_m`` 1 at m = 0 and N/2 and 2
+    otherwise: the cosine transform (DCT-I) ``C[j, m]``.  Along an odd axis
+    it is ``2i sin(2 pi j m/N)``: ``S[j, m] = 2 sin(2 pi j m/N)``, exactly 0
+    at ``m, j in {0, N/2}``, so an odd axis's values on its Nyquist plane
+    drop out, and the result, odd in that axis, is 0 there too.  So each
+    plane takes one real matmul per signed axis, summed in double, and comes
+    out as the DFT along those axes divided by ``i^(number of odd axes)``, a
+    unimodular constant that no squared modulus sees; the orbit sum of
+    ``e^{-2 pi i j.m/N}`` is the same matrix (up to sign), so this is also
+    the forward DFT.  Complex data enter as two planes, their real and
+    imaginary parts.  On a free axis (None) the first half of the planes are
+    the real parts and the second half the imaginary parts of ``p/2``
+    complex arrays, which after the matmuls (they commute with the FFT) are
+    combined and take one unscaled ``complex128`` inverse FFT per free axis.
+    ``planes`` and ``work``, contiguous ``float64`` of one shape, are
+    overwritten; returns the one that holds the result: ``float64`` planes,
+    or with a free axis ``p/2`` ``complex128`` arrays.
     """
-    K = grid.points_per_axis // 2 + 1
-    p, dim = len(planes), grid.dim
-    src = planes
+    dim = grid.dim
+    lead, p, shape = planes.shape[:-dim - 1], planes.shape[-dim - 1], planes.shape[-dim:]
+    src, done = planes, 0
     for i, M in enumerate(matrices):
-        dst = work[i % 2]
+        if M is None:
+            continue
+        done += 1
+        dst = (planes, work)[done % 2]
+        rows, K = math.prod(shape[:i]), shape[i]
         if i < dim - 1:  # M @ (planes, rows, K, columns) sums over the K axis
-            shape = (p, K**i, K, K ** (dim - 1 - i))
-            np.matmul(M, src.reshape(shape), out=dst.reshape(shape))
+            view = lead + (p, rows, K, -1)
+            np.matmul(M, src.reshape(view), out=dst.reshape(view))
         else:
-            shape = (p, 1, -1, K)
-            np.matmul(src.reshape(shape), M, out=dst.reshape(shape))
+            view = lead + (p, 1, rows, K)
+            np.matmul(src.reshape(view), M, out=dst.reshape(view))
         src = dst
-    return src
+    if done == dim:
+        return src
+    z = (work, planes)[done % 2].reshape(-1).view(np.complex128).reshape(lead + (p // 2,) + shape)
+    tail = (slice(None),) * dim
+    np.copyto(z.real, src[(Ellipsis, slice(None, p // 2)) + tail])
+    np.copyto(z.imag, src[(Ellipsis, slice(p // 2, None)) + tail])
+    for i, M in enumerate(matrices):
+        if M is None:
+            np.fft.ifft(z, axis=i - dim, norm="forward", out=z)
+    return z

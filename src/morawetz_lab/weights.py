@@ -48,17 +48,17 @@ Storage order: the lattice weights are built in FFT storage order, the order
 of ``analysis._time_pass``'s samples, in which grid index m sits at
 x = dx * m (m taken mod N into [-N/2, N/2)) and the origin is index 0; the
 averaged cells around it are the wrapped indices ``arange(-r, r + 1) % N``.
-The time pass hands over squared moduli of the raw inverse FFT, u * dx^n,
-and folds the constant dx^{-2n} into its node weights, so the norms here
-need no per-node rescaling or shift.  Every weight here, and every ball
-mask of ``analysis.local_smoothing_functional``, is even in each axis
-(``m_i -> -m_i mod N``).  So for a signed sampler (``WaveSampler.signature``:
-every component even or odd in every axis, so |u|^2 even), whose pass hands
-over the block ``[:N/2 + 1]^n`` of the lattice with each point's density
-multiplied by its orbit size, the weights are read on that block: the
-spatial array as a slice, the space-time fill from the block's |x|^2
-levels, and the averaged patch through its nonnegative orthant, which sits
-at the indices ``arange(r + 1)``.
+The time pass hands over squared moduli of the raw inverse transform and
+folds its constant into its node weights, so the norms here need no
+per-node rescaling or shift.  Every weight here, and every ball mask of
+``analysis.local_smoothing_functional``, is even in each axis
+(``m_i -> -m_i mod N``).  So for a sampler's pass, which hands over the
+block of its free axes (``GridSpec.block``: ``[:N/2 + 1]`` on each axis
+where every component is even or odd, so |u|^2 even, all N on a free one)
+with each point's density multiplied by its orbit size, the weights are
+read on that block: the spatial array as a slice, the space-time fill from
+the block's |x|^2 levels, and the averaged patch through its nonnegative
+half, at the indices ``arange(r + 1)``, on each signed axis.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _on_block, _origin_density, _time_pass, _weighted_sum
+from .analysis import _time_pass, _weighted_sum
 from .errors import AccuracyError, DomainError
 from .spectral import GridSpec
 
@@ -304,15 +304,16 @@ def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[in
 # -- effective lattice weights ------------------------------------------------
 
 
-def _ring_index(ring: int, grid: GridSpec, block: bool = False):
-    """Where the cells within ``ring`` of x = 0 on every axis sit in FFT storage
-    order, and which part of an ``_origin_patch`` (its last ``dim`` axes) goes
-    there: all of it at the wrapped indices on the full lattice, its
-    nonnegative orthant at the first ``ring + 1`` indices on the block."""
-    if block:
-        return (slice(0, ring + 1),) * grid.dim, (Ellipsis,) + (slice(ring, None),) * grid.dim
+def _ring_index(ring: int, grid: GridSpec, free=True):
+    """Where the cells within ``ring`` of x = 0 on every axis sit on the block
+    with the free axes ``free`` (``GridSpec.block``), and which part of an
+    ``_origin_patch`` (its last ``dim`` axes) goes there: all of it at the
+    wrapped indices on a free axis, its nonnegative half at the first
+    ``ring + 1`` indices on a signed one."""
+    free = np.broadcast_to(free, grid.dim).tolist()
     wrapped = np.arange(-ring, ring + 1) % grid.points_per_axis
-    return np.ix_(*([wrapped] * grid.dim)), ()
+    index = [wrapped if f else np.arange(ring + 1) for f in free]
+    return np.ix_(*index), (Ellipsis,) + tuple(slice(None if f else ring, None) for f in free)
 
 
 @functools.lru_cache(maxsize=32)
@@ -364,17 +365,18 @@ def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) 
 
 
 def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray,
-                         block: bool = False) -> np.ndarray:
+                         free=True) -> np.ndarray:
     """Fill ``out`` with |(x,t)|^-alpha in FFT storage order, 0 at the space-time
-    origin, on the full lattice or on the block ``grid.even_block``.
+    origin, on the block with the free axes ``free`` (``GridSpec.block``; by
+    default the full lattice).
 
     The power is taken once per distinct |x|^2 (``GridSpec.x_sq_levels``) and
     spread over the grid by one ``take``, with the same values as pointwise.
     """
-    levels, index = grid.x_sq_levels(block)
+    levels, index = grid.x_sq_levels(free)
     with np.errstate(divide="ignore"):
         table = np.power(levels + t * t, -0.5 * alpha)
-    np.take(table, index, out=out, mode="clip")  # "raise" would buffer the output
+    table.take(index, out=out, mode="clip")  # "raise" would buffer the output
     if t == 0:
         out[(0,) * grid.dim] = 0.0
     return out
@@ -396,21 +398,18 @@ def weighted_spacetime_norm(
     node in ascending order, over all nodes, or over the nodes with t >= 0 if
     it is ``time_even`` (see ``elastic.WaveSampler``): every weight here is
     even in t and in x, so each such node then also stands for its mirror
-    node.  The sums run in FFT storage order against one weight array, which
-    the space-time weight refills in place at every node.  The origin cell
-    at t = 0 carries the largest weight of all (about 1.6e7 of a 3-d grid
-    4e-5 inside the boundary exponent), so there the density of an unsigned
-    sampler, whose pass runs in single precision, is taken from its
-    double-precision coefficients instead (``analysis._origin_density``).
+    node.  The sums run in FFT storage order on the block of the pass
+    (``grid.block(free)``) against one weight array, which the space-time
+    weight refills in place at every node, its cell averages around the
+    space-time origin included.
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
     measure = grid.dx**grid.dim
-    block = _on_block(u_sampler)
+    free = getattr(u_sampler, "free", True)  # a plain callable's pass has the lattice
 
     if weight.kind == SPATIAL_POWER:
-        w = _spatial_weight_array(grid, weight, quad)[0]
-        w = (w[grid.even_block] if block else w).ravel()
+        w = _spatial_weight_array(grid, weight, quad)[0][grid.block(free)].ravel()
         total = 0.0
         for _, _, tw, density in _time_pass(u_sampler, grid):
             total += tw * measure * _weighted_sum(w, density)
@@ -419,22 +418,18 @@ def weighted_spacetime_norm(
     # spacetime power: pointwise except near the (0,0) cell
     patch, _ = _spacetime_ring_patch(grid, weight, quad)
     ring_t, ring = patch.shape[0] // 2, patch.shape[1] // 2
-    cells, part = _ring_index(ring, grid, block)
+    cells, part = _ring_index(ring, grid, free)
     tnodes = grid.time_nodes()
     dt = tnodes[1] - tnodes[0]
     i0 = int(np.argmin(np.abs(tnodes)))
     has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
-    w = np.empty(grid.even_shape if block else grid.shape)
-    exact_origin = has_zero_node and not block and hasattr(u_sampler, "spectrum")
+    w = np.empty(grid.block_shape(free))
     total = 0.0
     for i, t, tw, density in _time_pass(u_sampler, grid):
-        _spacetime_pointwise(grid, weight.alpha, t, w, block)
+        _spacetime_pointwise(grid, weight.alpha, t, w, free)
         dti = i - i0
         if has_zero_node and abs(dti) <= ring_t:
             w[cells] = patch[ring_t + dti][part]
-        if exact_origin and dti == 0:
-            density[:, 0] = 0.0
-            density[0, 0] = _origin_density(u_sampler, t, grid)
         total += tw * measure * _weighted_sum(w.ravel(), density)
     return float(np.sqrt(total))
 

@@ -15,6 +15,7 @@ from morawetz_lab import (
     lp_level_range,
     lp_project,
 )
+from morawetz_lab.cutoff import default_cutoff
 from morawetz_lab.spectral import forward_values, inverse_values
 
 from conftest import l2_norm, random_vector_field, smooth_random_field
@@ -106,6 +107,19 @@ class TestHsNorm:
 
 
 class TestLpProject:
+    @pytest.mark.parametrize("grid", [GridSpec(2, 128, 20.0), GridSpec(3, 16, 7.3)],
+                             ids=["2d", "3d"])
+    def test_multiplier_matches_direct_evaluation(self, grid, rng):
+        # phi is evaluated once per distinct |xi|, and the multiplier is the
+        # pointwise one bit for bit, so the projection is too
+        f = random_vector_field(grid, rng)
+        F = forward_values(f.values, grid)
+        xin = grid.xi_norm()
+        for k in range(-1, 4):
+            mult = np.zeros_like(xin)
+            mult[xin > 0] = default_cutoff()(xin[xin > 0] * 2.0 ** (-k))
+            assert np.array_equal(lp_project(f, k).values, inverse_values(mult * F, grid)), k
+
     def test_out_of_band_spectrum_annihilated(self, rng):
         g = GridSpec(2, 32, np.pi)  # dxi = 1
         coeffs = np.zeros((2,) + g.shape, dtype=complex)

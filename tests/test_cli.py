@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, provenance, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -213,6 +214,28 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(["evolve", "--grid", "16", "--samples", "3", "--horizon", "1e-160",
                         "--lame-mu", "1e307", "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "accuracy" in err and "not finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x" / "results.csv").exists()
+
+    @pytest.mark.parametrize("command, target, result", [
+        # a fit, a projection and a frequency constant that come back
+        # non-finite, from the function each command calls
+        ("kernel-decay", "decay_fit", lambda fit: dataclasses.replace(fit, slope=float("nan"))),
+        ("lp-check", "lp_project", lambda f: f * np.inf),
+        ("report", "frequency_constant_scan",
+         lambda scan: dataclasses.replace(scan, constants=(1.0, float("inf")))),
+    ])
+    def test_non_finite_result_exits_3(self, command, target, result, tmp_path, monkeypatch,
+                                       capsys):
+        from morawetz_lab import cli
+
+        original = getattr(cli, target)
+        monkeypatch.setattr(cli, target, lambda *args, **kwargs: result(original(*args,
+                                                                              **kwargs)))
+        with np.errstate(invalid="ignore"):
+            code = run([command, "--out", str(tmp_path / "x")])
         assert code == 3
         err = capsys.readouterr().err
         assert "accuracy" in err and "not finite" in err and "Traceback" not in err

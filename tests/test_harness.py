@@ -1,6 +1,7 @@
 """Region classification, ratio records, dilation fits, and decomposition checks."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from morawetz_lab import (
     helmholtz_split,
     scale_covariance_test,
 )
+from morawetz_lab.analysis import _BATCH_BYTES
 from morawetz_lab.elastic import halfwave_sampler
 from morawetz_lab.harness import worker_count
-from morawetz_lab.spectral import forward_values, inverse_values
+from morawetz_lab.spectral import EVEN, FREE, forward_values, inverse_values
 from morawetz_lab.weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -137,19 +139,20 @@ class TestComputeRatio:
             stacked_sampler, WeightSpec(SPATIAL_POWER, 1.0), g, quadc
         )
         den = hs_norm(f_vec_S, 0.5) + hs_norm(member_e.g, -0.5)
-        # the sampler's complex64 pass against the all-double plain-callable one
-        assert rec_e.ratio == pytest.approx(num / den, rel=1e-6)
+        # the sampler's block pass against the plain-callable one, both in double
+        assert rec_e.ratio == pytest.approx(num / den, rel=1e-12)
 
     @staticmethod
     def _count_time_pass(monkeypatch, member, query, propagation, grid, lam=1.0):
-        """compute_ratio's ``spectrum`` calls, inverse FFTs and the fields they
-        transform, and its block transforms, the planes they transform and
-        the points of one plane; every inverse transform of a ratio of data
-        at rest is the time pass's."""
+        """compute_ratio's ``spectrum`` calls, n-d inverse FFTs and the fields
+        they transform, 1-d inverse FFTs, and its block transforms, the
+        planes they transform and the points of those planes; every inverse
+        transform of a ratio of data at rest is the time pass's."""
         from morawetz_lab import analysis, elastic
 
-        calls = {"spectrum": 0, "ifftn": 0, "fields": 0, "block": 0, "planes": 0, "points": 0}
-        spectrum, ifftn = elastic.WaveSampler.spectrum, np.fft.ifftn
+        calls = {"spectrum": 0, "ifftn": 0, "fields": 0, "ifft": 0, "block": 0, "planes": 0,
+                 "points": 0}
+        spectrum, ifftn, ifft = elastic.WaveSampler.spectrum, np.fft.ifftn, np.fft.ifft
         block = analysis.block_transform
 
         def counted_spectrum(self, t, out=None):
@@ -161,14 +164,19 @@ class TestComputeRatio:
             calls["fields"] += a.size // grid.mode_count
             return ifftn(a, *args, **kwargs)
 
+        def counted_ifft(a, *args, **kwargs):
+            calls["ifft"] += 1
+            return ifft(a, *args, **kwargs)
+
         def counted_block(planes, matrices, work, g):
             calls["block"] += 1
-            calls["planes"] += len(planes)
-            calls["points"] += planes[0].size
+            calls["planes"] += planes.size // math.prod(planes.shape[-g.dim:])
+            calls["points"] += planes.size
             return block(planes, matrices, work, g)
 
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
         monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
+        monkeypatch.setattr(np.fft, "ifft", counted_ifft)
         monkeypatch.setattr(analysis, "block_transform", counted_block)
         rec = compute_ratio(member, query, propagation, grid, lam=lam)
         assert rec.numerator > 0
@@ -201,8 +209,9 @@ class TestComputeRatio:
         monkeypatch.setattr(np.fft, "fftn", counted_fftn)
         monkeypatch.setattr(elastic, "_is_even", counted_is_even)
         calls = self._count_time_pass(monkeypatch, member, q, 1.0, grid, lam=2.0)
-        assert calls == {"spectrum": 27, "ifftn": 0, "fields": 0,
-                         "block": 27, "planes": 54, "points": 27 * 33**3}
+        # one node's planes fill the pass's batch, so each node is one transform
+        assert calls == {"spectrum": 27, "ifftn": 0, "fields": 0, "ifft": 0,
+                         "block": 27, "planes": 54, "points": 54 * 33**3}
         assert seen == {"fftn": 0, "is_even": 1}
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -218,47 +227,59 @@ class TestComputeRatio:
         assert prop.out_shape == (2, 65, 65)
         q = RegionQuery(1.6, 0.3, 2, SPATIAL_POWER)
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid, lam)
-        assert calls == {"spectrum": 49, "ifftn": 0, "fields": 0,
-                         "block": 49, "planes": 98, "points": 49 * 65**2}
+        # the pass transforms as many nodes at once as its batch holds
+        transforms = math.ceil(49 / (_BATCH_BYTES // (8 * 2 * 65**2)))
+        assert calls == {"spectrum": 49, "ifftn": 0, "fields": 0, "ifft": 0,
+                         "block": transforms, "planes": 98, "points": 98 * 65**2}
 
     @pytest.mark.parametrize(
-        "dim, family, fields, planes",
+        "dim, family, free, planes",
         [
             # three real components with a parity in every axis: one real
-            # plane each, on the block
-            (3, DataFamily(kind="gaussian", width=1.2, scalar=False), 0, 3),
+            # plane each, on the even block
+            (3, DataFamily(kind="gaussian", width=1.2, scalar=False), (), 3),
             # real data with 4e-3 of their spectrum on the Nyquist planes:
-            # no signature: one field per component
-            (3, DataFamily(kind="gaussian", width=0.8, scalar=False), 3, 0),
-            # complex data with a carrier: one field per component
-            (2, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 2, 0),
-            (3, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), 3, 0),
+            # every axis free, real and imaginary planes of the lattice
+            (3, DataFamily(kind="gaussian", width=0.8, scalar=False), (0, 1, 2), 6),
+            # complex data with a carrier along the first axis: that axis
+            # free, real and imaginary planes; at width 0.8 the odd
+            # components' Nyquist planes free the other axis too
+            (2, DataFamily(kind="modulated", width=0.8, carrier=1.0, scalar=False), (0, 1), 4),
+            (3, DataFamily(kind="modulated", width=1.2, carrier=1.0, scalar=False), (0,), 6),
         ],
         ids=["3d-real", "3d-real-unresolved", "2d-complex", "3d-complex"],
     )
-    def test_elastic_time_pass_fields_per_node(self, monkeypatch, dim, family, fields, planes):
+    def test_elastic_time_pass_fields_per_node(self, monkeypatch, dim, family, free, planes):
+        # every node's planes are transformed on the block of the free axes
+        # (32 points there, 17 on a signed axis), as many nodes at once as
+        # the batch holds, with one 1-d FFT per free axis and no n-d FFT
         grid = GridSpec(dim, 32, 12.0, 17, 2.0)
         q = RegionQuery(1.5, 0.25, dim, SPATIAL_POWER)
         member = family.member(grid)
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
-        assert calls == {"spectrum": 9, "ifftn": 9 * (fields > 0), "fields": 9 * fields,
-                         "block": 9 * (planes > 0), "planes": 9 * planes,
-                         "points": 9 * 17**dim * (planes > 0)}
+        points = math.prod(32 if i in free else 17 for i in range(dim))
+        transforms = math.ceil(9 / min(9, max(1, _BATCH_BYTES // (8 * planes * points))))
+        assert calls == {"spectrum": 9, "ifftn": 0, "fields": 0,
+                         "ifft": transforms * len(free), "block": transforms,
+                         "planes": 9 * planes, "points": 9 * planes * points}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, then inf - inf
     def test_non_finite_result_is_an_accuracy_error(self):
-        # the full-lattice pass writes its spectra in complex64, which
-        # overflows near 3.4e38; the block pass of radial data runs in
-        # double, whose squares overflow near 1.3e154
+        # the pass runs in double for even data (the even block) and for
+        # shifted data (every axis free): data of size 1e160 overflow its
+        # squares, data of size 1e40 keep the probe's ratio
         g = GridSpec(2, 32, 12.0, 17, 3.0)
         q = RegionQuery(1.0, 0.5, 2, SPATIAL_POWER)
-        for center, size, even in ((None, 1e160, True), ((4 * g.dx, 0.0), 1e40, False)):
+        for center, even in ((None, True), ((4 * g.dx, 0.0), False)):
             probe = scalar_gaussian_member(g, 0.8, center=center)
-            member = Member("huge", size * probe.f, None, probe.support_radius, True)
-            assert halfwave_sampler(member.f, g, 1.0).even is even
+            base = compute_ratio(probe, q, 1.0, g).ratio
+            assert np.isfinite(base)
+            member = Member("huge", 1e160 * probe.f, None, probe.support_radius, True)
             with pytest.raises(AccuracyError, match="not finite"):
                 compute_ratio(member, q, 1.0, g)
-            assert np.isfinite(compute_ratio(probe, q, 1.0, g).ratio)
+            member = Member("large", 1e40 * probe.f, None, probe.support_radius, True)
+            assert halfwave_sampler(member.f, g, 1.0).even is even
+            assert compute_ratio(member, q, 1.0, g).ratio == pytest.approx(base, rel=1e-12)
 
     def test_translation_invariance_unweighted(self):
         g = GridSpec(2, 32, 12.0, 17, 3.0)
@@ -268,7 +289,7 @@ class TestComputeRatio:
         moved = compute_ratio(
             scalar_gaussian_member(g, 0.8, center=(shift, 0.0)), q, 1.0, g
         )
-        assert moved.ratio == pytest.approx(base.ratio, rel=1e-6)  # complex64 transforms
+        assert moved.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_translation_decreases_singular_numerator(self):
         g = GridSpec(2, 64, 14.0, 17, 2.0)
@@ -338,15 +359,14 @@ class TestFrequencyScan:
     def test_each_probe_folds_its_time_pass(self, monkeypatch):
         # the probes' coefficients are real to rounding, so each of the six
         # (level, probe) passes on the freq_scan_2t grid takes the spectrum
-        # at the 33 nodes with t >= 0 of its 65
+        # at the 33 nodes with t >= 0 of its 65, on the block of its parities
         from morawetz_lab import elastic
 
-        seen, origin, spectrum = [], [], elastic.WaveSampler.spectrum
+        seen, other, spectrum = [], [], elastic.WaveSampler.spectrum
 
         def counted_spectrum(self, t, out=None):
-            # keeps each sampler, so its id stays its own; a call without
-            # ``out`` reads the double-precision origin value at t = 0
-            (seen if out is not None else origin).append((self, t))
+            # keeps each sampler, so its id stays its own
+            (seen if out is not None else other).append((self, t))
             return spectrum(self, t, out)
 
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
@@ -355,8 +375,24 @@ class TestFrequencyScan:
         assert len(res.per_probe) == 3 and all(len(v) == 2 for v in res.per_probe)
         assert all(sampler.time_even for sampler, _ in seen)
         counts = collections.Counter(id(sampler) for sampler, _ in seen)
-        assert len(seen) == 198 and sorted(counts.values()) == [33] * 6
-        assert len(origin) == 6 and all(t == 0.0 for _, t in origin)
+        assert len(seen) == 198 and sorted(counts.values()) == [33] * 6 and not other
+        # even in the second axis, free in the carrier's: a 128 x 65 block
+        assert all(s.signature.tolist() == [[FREE, EVEN]] and s.out_shape == (2, 128, 65)
+                   for s, _ in seen)
+
+    @pytest.mark.parametrize("grid, levels, alpha, constants", [
+        (GridSpec(2, 64, 14.0, 33, 5.0), (0, 1), 2.0,
+         (1.2325262178112215, 1.7995465626218972)),
+        (GridSpec(2, 128, 20.0, 65, 8.0), (0, 1, 2), 2.25,
+         (1.251622187548466, 1.9501541132138123, 3.008874717498231)),
+    ], ids=["report", "freq_scan_2t"])
+    def test_constants_are_pinned(self, grid, levels, alpha, constants):
+        # the constants of ``report`` and of the benchmark's scan at one
+        # exponent, as the double-precision pass gives them; the plain
+        # physical-order pass agrees with each probe's ratio to 6e-16
+        query = RegionQuery(alpha, (alpha - 1.0) / 2.0, 2, SPACETIME_POWER)
+        res = frequency_constant_scan(levels, query, grid)
+        assert res.constants == pytest.approx(constants, rel=1e-12, abs=0.0)
 
     def test_reference_exponent_reported_not_asserted(self):
         g = GridSpec(2, 64, 12.0, 17, 3.0)

@@ -24,7 +24,7 @@ from morawetz_lab.elastic import (
     halfwave_sampler,
 )
 from morawetz_lab.errors import ShapeError
-from morawetz_lab.spectral import forward_values, inverse_values
+from morawetz_lab.spectral import EVEN, FREE, ODD, forward_values, inverse_values
 from morawetz_lab.weights import (
     SPACETIME_POWER,
     SPATIAL_POWER,
@@ -171,38 +171,44 @@ def test_elastic_energy_conserved_over_a_pass(grid, ratio, mu, seed):
         assert abs(elastic_energy(*prop.pair(t), params) - e0) <= REL * e0
 
 
-SINGLE = 1e-6  # one float32 rounding of cos or sin and of each part, well inside
+def _lattice_spectrum(buf: np.ndarray, components: int) -> np.ndarray:
+    """The complex spectrum held in the planes of a sampler whose every axis
+    is free: real parts, then imaginary parts."""
+    return buf[:components] + 1j * buf[components:]
 
 
 @settings(max_examples=20, deadline=None)
 @given(_grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0), st.booleans(), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_single_precision_spectrum_matches_double(grid, ratio, mu, at_rest, real, seed):
+def test_spectrum_planes_match_double(grid, ratio, mu, at_rest, real, seed):
+    # data with no parity: every axis free, the planes of the whole lattice,
+    # filled in double precision
     params = _lame(ratio, mu)
     rng = np.random.default_rng(seed)
     state = _random_state(grid, rng, at_rest) if real else _elastic_state(grid, rng)
     if at_rest and not real:
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
-    single, double = ElasticPropagator(state, params), ElasticPropagator(state, params)
-    assert single.signature is None and single.out_shape == single.shape
-    buf = np.empty(single.out_shape, np.complex64)
+    planes, double = ElasticPropagator(state, params), ElasticPropagator(state, params)
+    assert np.all(planes.signature == FREE)
+    assert planes.out_shape == (2 * grid.dim,) + grid.shape
+    buf = np.empty(planes.out_shape)
     for t in grid.time_nodes():
-        got = single.spectrum(t, out=buf).astype(np.complex128)
+        got = _lattice_spectrum(planes.spectrum(t, out=buf), grid.dim)
         want = double.spectrum(t)
         u_direct, _ = _elastic_direct(state, params, t)
-        assert np.linalg.norm(got - want) <= SINGLE * np.linalg.norm(want), t
-        got_u = inverse_values(got, grid)
-        assert np.linalg.norm(got_u - u_direct) <= SINGLE * np.linalg.norm(u_direct), t
+        assert _close(got, want), t
+        assert _close(inverse_values(got, grid), u_direct), t
 
 
 def test_spectrum_rejects_a_buffer_of_the_wrong_shape():
-    # real data without a signature take one field per component; a signed
-    # sampler takes planes of the block, not the full lattice
+    # real data without a parity take the real and imaginary planes of the
+    # whole lattice per component; a signed sampler takes planes of the
+    # block, not the full lattice
     grid = GridSpec(2, 16, 6.0, 9, 2.0)
     prop = ElasticPropagator(_random_state(grid, np.random.default_rng(2), False), _lame(1.0, 1.0))
-    assert prop.signature is None and prop.out_shape == prop.shape == (2,) + grid.shape
+    assert np.all(prop.signature == FREE) and prop.out_shape == (4,) + grid.shape
     with pytest.raises(ShapeError):
-        prop.spectrum(0.5, out=np.empty((1,) + grid.shape, np.complex64))
+        prop.spectrum(0.5, out=np.empty((2,) + grid.shape))
     signed = halfwave_sampler(np.exp(-grid.x_norm() ** 2 / 2), grid, 1.0)
     assert signed.out_shape == (2,) + grid.even_shape  # real and imaginary planes
     with pytest.raises(ShapeError):
@@ -213,7 +219,7 @@ def test_spectrum_rejects_a_buffer_of_the_wrong_shape():
 def test_real_data_with_nyquist_content_matches_the_oracle(dim):
     """On the planes m_i = -N/2 the projector P(xi) is not even in the mode
     index, so real white data give a displacement with an imaginary part of
-    several percent: their pass takes one field per component, and its norm,
+    several percent: every axis is free, and the norm of the pass,
     ``|Im u|^2`` included, matches the physical-order oracle."""
     grid = GridSpec(dim, 16, 6.0, 9, 2.0)
     weight = WeightSpec(SPATIAL_POWER, 1.0)
@@ -222,28 +228,28 @@ def test_real_data_with_nyquist_content_matches_the_oracle(dim):
         prop = ElasticPropagator(state, _lame(1.0, 1.0))
         u = prop(0.7).values
         assert np.linalg.norm(u.imag) > 1e-2 * np.linalg.norm(u)
-        assert prop.signature is None and prop.out_shape == prop.shape
+        assert np.all(prop.signature == FREE) and prop.out_shape == (2 * dim,) + grid.shape
         got = weighted_spacetime_norm(prop, weight, grid)
         want = weighted_norm_oracle(ElasticPropagator(state, _lame(1.0, 1.0)), weight, grid)
-        assert abs(got - want) <= 1e-6 * want, (got, want)
+        assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 128, 20.0, 33, 6.0), GridSpec(3, 32, 8.0, 17, 4.0)],
                          ids=["2d", "3d"])
-def test_single_precision_spectrum_allocates_no_field(grid):
-    """A two-way pass writes into its buffers, for real data and complex
-    ones: after the first call, the traced peak stays below one
-    ``complex128`` field."""
+def test_free_spectrum_allocates_no_field(grid):
+    """A two-way pass with every axis free writes into its buffers, for real
+    data and complex ones: after the first call, the traced peak stays below
+    one ``complex128`` field."""
     import tracemalloc
 
     rng = np.random.default_rng(5)
     for real, state in ((False, _elastic_state(grid, rng)),
                         (True, _random_state(grid, rng, False))):
         sampler = ElasticPropagator(state, _lame(1.0, 1.0))._sampler
-        assert sampler.out_shape == sampler.shape
-        buf = np.empty(sampler.out_shape, np.complex64)
+        assert sampler.out_shape == (2 * grid.dim,) + grid.shape
+        buf = np.empty(sampler.out_shape)
         nodes = grid.time_nodes()
-        sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the single-precision copies
+        sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the planes of the parts
         sampler.spectrum(nodes[1], out=buf)  # builds the recurrence steps
         field = np.empty(sampler.shape, np.complex128).nbytes
         tracemalloc.start()
@@ -426,7 +432,7 @@ def test_elastic_fold_matches_full_pass(kind, dim, data, u, ratio, mu, at_rest, 
 @given(edge=st.booleans(), odd=st.booleans(), u=st.floats(0.05, 1.0), c=st.floats(0.5, 2.0),
        even=st.booleans(), seed=st.integers(0, 2**32 - 1))
 # 4e-5 inside the space-time boundary the origin cell at t = 0 carries most
-# of the norm; its density must not come from the single-precision pass
+# of the norm, so the density there must be as accurate as anywhere else
 @example(edge=False, odd=True, u=0.99999, c=1.0, even=True, seed=1492)
 def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, even, seed):
     # edge: the ring patch is clipped to its limits, N/4 cells per axis (its
@@ -440,8 +446,8 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
     if even:
         f = f.real.astype(np.complex128)
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
-    # resolved elastic data, real and complex, one field per component;
-    # even at rest, odd with a velocity
+    # resolved elastic data, real and complex, with no parity: every axis
+    # free; even at rest, odd with a velocity
     real = _random_state(grid, rng, at_rest=even)
     resolved = _random_state(grid, rng, at_rest=even, real=False)
     samplers = (lambda: halfwave_sampler(f, grid, c),
@@ -468,17 +474,17 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         want = oracle(make())
         sampler = make()
         assert sampler.time_even is even
-        assert sampler.signature is None and sampler.out_shape == sampler.shape
-        # the sampler's pass transforms in complex64; a plain callable's is all double
+        assert np.all(sampler.signature == FREE)
+        assert sampler.out_shape[1:] == grid.shape and len(sampler.out_shape) == dim + 1
         got = accumulate(sampler)
-        assert abs(got - want) <= 1e-6 * want, (got, want)
+        assert abs(got - want) <= 1e-13 * want, (got, want)
         got = accumulate(lambda t, s=make(): s(t))
         assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 def _even_cases():
-    """(label, sampler, whether it is even, whether it is signed) for the data
-    the facts must tell apart."""
+    """(label, sampler, whether it is even, its free axes) for the data the
+    facts must tell apart."""
     grid = GridSpec(3, 32, 7.3, 9, 2.0)  # dx 0.45625: not dyadic
     rng = np.random.default_rng(14)
     gauss = np.exp(-grid.x_norm() ** 2 / 2.0).astype(np.complex128)
@@ -486,20 +492,21 @@ def _even_cases():
     odd = _even_data(grid, rng) + 1e-3 * _odd_in_axis(grid, rng, 2)
     elastic = ElasticState(VectorField(grid, np.stack([gauss, 0 * gauss, 0 * gauss])),
                            VectorField(grid, np.zeros((3,) + grid.shape)))
+    none, all_free, first = (False,) * 3, (True,) * 3, (True, False, False)
     return [
-        ("radial", halfwave_sampler(gauss, grid, 1.0), True, True),
-        ("even white", halfwave_sampler(_even_data(grid, rng), grid, 1.0), True, True),
-        ("modulated", halfwave_sampler(gauss * carrier, grid, 1.0), False, False),
-        ("white", halfwave_sampler(_white(rng, grid.shape), grid, 1.0), False, False),
-        ("odd in one axis", halfwave_sampler(odd, grid, 1.0), False, False),
-        ("elastic", ElasticPropagator(elastic, LameParams(1.0, 1.0)), False, True),
+        ("radial", halfwave_sampler(gauss, grid, 1.0), True, none),
+        ("even white", halfwave_sampler(_even_data(grid, rng), grid, 1.0), True, none),
+        ("modulated", halfwave_sampler(gauss * carrier, grid, 1.0), False, first),
+        ("white", halfwave_sampler(_white(rng, grid.shape), grid, 1.0), False, all_free),
+        ("odd in one axis", halfwave_sampler(odd, grid, 1.0), False, all_free),
+        ("elastic", ElasticPropagator(elastic, LameParams(1.0, 1.0)), False, none),
         ("complex elastic", ElasticPropagator(
             ElasticState(VectorField(grid, elastic.f.values * 1j), elastic.g),
-            LameParams(1.0, 1.0)), False, True),
+            LameParams(1.0, 1.0)), False, none),
         ("modulated elastic", ElasticPropagator(
             ElasticState(VectorField(grid, elastic.f.values * carrier), elastic.g),
-            LameParams(1.0, 1.0)), False, False),
-        ("constant elastic", _constant_elastic(grid), True, True),
+            LameParams(1.0, 1.0)), False, first),
+        ("constant elastic", _constant_elastic(grid), True, none),
     ]
 
 
@@ -513,22 +520,23 @@ def _constant_elastic(grid: GridSpec) -> ElasticPropagator:
 
 def test_even_fact_tells_even_data_apart():
     # radial data at a non-dyadic dx are even in the spectrum to rounding,
-    # though not bitwise in physical space; a 1e-3 odd part in one axis and
-    # carriers break the fact and the signature; the Helmholtz parts of
-    # radial elastic data, real or not, have a signature with odd axes:
+    # though not bitwise in physical space; a 1e-3 part odd in one axis and
+    # white in the others frees every axis, and a carrier along the first
+    # axis frees it, the others keeping their parities; the Helmholtz parts
+    # of radial elastic data, real or not, have a signature with odd axes:
     # component j of the pressure part is odd in axes 0 and j
-    for label, sampler, even, signed in _even_cases():
-        assert sampler.even is even, label
-        assert (sampler.signature is not None) is signed, label
+    for label, sampler, even, free in _even_cases():
         grid = sampler.grid
-        if signed:
-            assert sampler.out_shape[-grid.dim:] == grid.even_shape, label
-        else:
-            assert sampler.out_shape == sampler.shape, label
-    elastic = dict((label, sampler) for label, sampler, _, _ in _even_cases())["elastic"]
-    assert elastic.signature.tolist() == [[False, False, False], [True, True, False],
-                                          [True, False, True]]
-    assert elastic.out_shape == (3, 17, 17, 17)  # real parts: one plane per component
+        assert sampler.even is even, label
+        assert tuple((sampler.signature == FREE).any(axis=0)) == free, label
+        assert np.all((sampler.signature == FREE) == np.array(free)), label
+        assert sampler.out_shape[-grid.dim:] == grid.block_shape(free), label
+    cases = dict((label, sampler) for label, sampler, _, _ in _even_cases())
+    assert cases["elastic"].signature.tolist() == [[EVEN, EVEN, EVEN], [ODD, ODD, EVEN],
+                                                   [ODD, EVEN, ODD]]
+    assert cases["elastic"].out_shape == (3, 17, 17, 17)  # real parts: one plane per component
+    assert cases["modulated"].signature.tolist() == [[FREE, EVEN, EVEN]]
+    assert cases["modulated"].out_shape == (2, 32, 17, 17)  # real and imaginary planes
 
 
 @pytest.mark.parametrize("kind", ACCUMULATORS)
@@ -540,8 +548,8 @@ def test_even_fact_tells_even_data_apart():
 def test_even_pass_matches_complex128_oracle(kind, dim, n, odd_m, u, c, real, odd_part, axis,
                                              seed):
     # the block pass of even data against the full double-precision pass in
-    # physical order; data with a 1e-3 odd part in one axis take the full
-    # pass, and must not be read on the block
+    # physical order; data with a 1e-3 odd part in one axis have that axis
+    # free, and must not be read on the even block
     grid = GridSpec(dim, n, 8.0, 17 if odd_m else 18, 2.0)
     rng = np.random.default_rng(seed)
     f = _even_data(grid, rng, real) + odd_part * _odd_in_axis(grid, rng, axis % dim)
@@ -555,7 +563,7 @@ def test_even_pass_matches_complex128_oracle(kind, dim, n, odd_m, u, c, real, od
         weight = WeightSpec(kind, u * (grid.dim if kind == SPATIAL_POWER else grid.dim + 1))
         got = weighted_spacetime_norm(sampler := halfwave_sampler(f, grid, c), weight, grid)
         want = weighted_norm_oracle(sampler, weight, grid)
-    assert abs(got - want) <= 1e-6 * want, (got, want)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
     assert sampler.even is (odd_part == 0.0)
     assert sampler.time_even is real
 
@@ -731,9 +739,9 @@ def test_signed_elastic_pair_matches_direct(dim, at_rest, lam, c):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_parity_defects_and_nyquist_planes_do_not_fold(dim):
-    # a 1e-6 defect of either parity in one axis of one part breaks the
-    # signature, as do odd-axis Nyquist planes above _REAL_TOL; below it
-    # they fold
+    # a 1e-6 defect of either parity in one axis of one part frees that
+    # axis, and only it, as do odd-axis Nyquist planes above _REAL_TOL / dim
+    # per axis; below it they fold
     from morawetz_lab.elastic import _REAL_TOL
 
     grid = GridSpec(dim, 16, 6.0, 9, 2.0)
@@ -749,10 +757,12 @@ def test_parity_defects_and_nyquist_planes_do_not_fold(dim):
             defect = _signed_parts(grid, rng, flipped, True)
             spoiled = parts[0] + 1e-6 * np.linalg.norm(parts[0]) / np.linalg.norm(defect) * defect
             terms = [(speeds[0], spoiled, None), (speeds[1], parts[1], None)]
-            assert WaveSampler(grid, terms, drift).signature is None
+            want = np.where(np.arange(dim) == axis, FREE, signature)
+            assert np.array_equal(WaveSampler(grid, terms, drift).signature, want), (j, axis)
         for size, signed in ((4 * _REAL_TOL, False), (_REAL_TOL / 4, True)):
             sampler, _, _ = _signed_sampler(grid, rng, signature, True, at_rest, nyquist=size)
-            assert (sampler.signature is not None) is signed, size
+            want = signature if signed else np.where(signature.any(axis=0), FREE, signature)
+            assert np.array_equal(sampler.signature, want), size
 
 
 @settings(max_examples=12, deadline=None)

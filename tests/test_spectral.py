@@ -12,6 +12,9 @@ from morawetz_lab import (
     VectorField,
 )
 from morawetz_lab.spectral import (
+    EVEN,
+    FREE,
+    ODD,
     block_matrices,
     block_transform,
     forward_values,
@@ -186,8 +189,37 @@ class TestBlockTransform:
         assert not any(np.any(block[plane]) for plane in nyquist)
         for plane in nyquist:
             block[plane] = rng.standard_normal()
-        got = block_transform(block, block_matrices(odd, g), np.empty((2,) + block.shape), g)
+        got = block_transform(block, block_matrices(odd, g), np.empty_like(block), g)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 16, 32]),
+           components=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_dft_with_free_axes(self, dim, n, components, data, seed):
+        # complex arrays, each even or odd in every signed axis and arbitrary
+        # in the free ones, enter as real and imaginary planes of their block;
+        # the result is the block of the full unscaled inverse DFT, divided
+        # by i per odd axis, in double precision
+        g = GridSpec(dim, n, 2.2)
+        rng = np.random.default_rng(seed)
+        free = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        signature = np.where(free, FREE, rng.integers(EVEN, ODD + 1, (components, dim)))
+        full = rng.standard_normal((components,) + g.shape) + 1j * rng.standard_normal(
+            (components,) + g.shape)
+        for c, axis in zip(*np.nonzero(signature != FREE)):
+            mirror = np.roll(np.flip(full[c], axis), 1, axis)
+            full[c] = full[c] - mirror if signature[c, axis] == ODD else full[c] + mirror
+        odd = (signature == ODD).sum(axis=1).reshape((-1,) + (1,) * dim)
+        block = (slice(None),) + g.block(free)
+        want = (np.fft.ifftn(full, axes=tuple(range(1, dim + 1))) * g.mode_count)[block] / 1j**odd
+        planes = np.concatenate([full[block].real, full[block].imag])
+        matrices = block_matrices(np.tile(signature, (2, 1)), g)
+        got = block_transform(planes, matrices, np.empty_like(planes), g)
+        if not any(free):
+            got = got[:components] + 1j * got[components:]
+        assert got.shape == (components,) + g.block_shape(free)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestApplyMultiplier:

@@ -1,5 +1,6 @@
 """Weighted space-time norms with singular-cell quadrature, and the A2 estimator."""
 
+import itertools
 from math import gamma
 
 import numpy as np
@@ -339,11 +340,12 @@ def _assert_even(a: np.ndarray, dim: int, label: str) -> None:
 @pytest.mark.parametrize("dim, n, edge", [(2, 32, False), (3, 16, False), (2, 8, True),
                                           (3, 8, True)])
 def test_lattice_weights_are_even_and_read_on_the_block(dim, n, edge):
-    # the block pass of even samplers reads every weight and mask on the
-    # block [:N/2 + 1]^n, which holds them only if they are even in each axis;
-    # edge: the ring patch is clipped to N/4 cells and covers half the grid
+    # the pass reads every weight and mask on the block of its free axes,
+    # [:N/2 + 1] on the others, which holds them only if they are even in
+    # each axis; edge: the ring patch is clipped to N/4 cells and covers
+    # half the grid
     g = GridSpec(dim, n, 6.0, 5 if edge else 17, 2.0)
-    block = g.even_block
+    masks = list(itertools.product([False, True], repeat=dim))
     quad = QuadratureConfig()
     w, _ = W._spatial_weight_array(g, WeightSpec(SPATIAL_POWER, 0.7 * dim), quad)
     _assert_even(w, dim, "spatial")
@@ -356,20 +358,26 @@ def test_lattice_weights_are_even_and_read_on_the_block(dim, n, edge):
         lattice = np.zeros(g.shape)
         lattice[full] = patch[k][part]
         _assert_even(lattice, dim, "ring on the lattice")
-        cells, orthant = W._ring_index(ring, g, block=True)
-        on_block = np.zeros(g.even_shape)
-        on_block[cells] = patch[k][orthant]
-        np.testing.assert_array_equal(on_block, lattice[block])
+        for free in masks:
+            cells, orthant = W._ring_index(ring, g, free)
+            on_block = np.zeros(g.block_shape(free))
+            on_block[cells] = patch[k][orthant]
+            np.testing.assert_array_equal(on_block, lattice[g.block(free)], err_msg=str(free))
     for t in (0.0, 0.5, -1.25):
         fill = W._spacetime_pointwise(g, 2.2, t, np.empty(g.shape))
         _assert_even(fill, dim, f"fill at t = {t}")
-        np.testing.assert_array_equal(
-            W._spacetime_pointwise(g, 2.2, t, np.empty(g.even_shape), block=True), fill[block])
+        for free in masks:
+            np.testing.assert_array_equal(
+                W._spacetime_pointwise(g, 2.2, t, np.empty(g.block_shape(free)), free),
+                fill[g.block(free)])
     for R in (1.0, 2.0, 4.0):
         _assert_even((np.sqrt(g.x_sq_fft()) < R).astype(float), dim, f"ball {R}")
     # a sum over the lattice of an even array is its block sum times the orbit sizes
-    assert np.sum(w) == pytest.approx(np.sum(w[block] * g.orbit_sizes()), rel=1e-13)
-    assert g.orbit_sizes().sum() == g.mode_count
+    for free in masks:
+        sizes = g.orbit_sizes(free)
+        assert sizes.shape == g.block_shape(free) and sizes.sum() == g.mode_count
+        assert np.sum(w) == pytest.approx(np.sum(w[g.block(free)] * sizes), rel=1e-13)
+    assert g.orbit_sizes().shape == g.even_shape
 
 
 @st.composite
