@@ -20,7 +20,6 @@ carries the zero mode.
 
 from __future__ import annotations
 
-import functools
 import math
 from math import gamma, pi
 
@@ -149,14 +148,22 @@ def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:
     return float(sum(w @ d for d in density))
 
 
-@functools.lru_cache(maxsize=128)
+# J(s) by (dim, points_per_axis, half_width, s), at most 128 of them: keyed on
+# scalars, so that equal grids share an entry and no grid is kept alive
+_CUSP_CORRECTIONS: dict[tuple, float] = {}
+
+
 def _cusp_correction(grid: GridSpec, s: float) -> float:
     """J(s) >= 0 with lattice-sum(|xi|^{2s} W) + J = int |xi|^{2s} W dxi.
 
     W is a Gaussian window of width tau = xi_max/8, wide enough to sample the
     cusp region yet negligible at the Nyquist edge; the integral has a closed
     form.  Grid-adapted tau keeps the correction exactly dilation-covariant.
+    A miss reads the grid's own ``xi_norm``, which its samplers share.
     """
+    key = (grid.dim, grid.points_per_axis, grid.half_width, s)
+    if key in _CUSP_CORRECTIONS:
+        return _CUSP_CORRECTIONS[key]
     n = grid.dim
     tau = grid.xi_max / 8.0
     xin = grid.xi_norm()
@@ -167,7 +174,10 @@ def _cusp_correction(grid: GridSpec, s: float) -> float:
         integral = sphere * 0.5 * (2 * tau**2) ** (s + n / 2) * gamma(s + n / 2)
     except OverflowError:
         raise DomainError(f"Hdot^s with s = {s} overflows the float range on this grid") from None
-    return max(integral - lattice, 0.0)
+    if len(_CUSP_CORRECTIONS) >= 128:
+        _CUSP_CORRECTIONS.clear()
+    _CUSP_CORRECTIONS[key] = value = max(integral - lattice, 0.0)
+    return value
 
 
 def hs_norm(field, s: float, grid: GridSpec | None = None) -> float:

@@ -379,9 +379,12 @@ def _sq(a: np.ndarray) -> np.ndarray:
 def _is_even(X: np.ndarray, dim: int) -> bool:
     """Whether ``|X - R_i X| <= _EVEN_TOL |X|`` for each reflection
     ``R_i: m_i -> -m_i mod N`` of X's last ``dim`` axes (FFT storage order),
-    from the views of ``_signature``; stops at the first failing axis."""
+    from the views of ``_signature``; stops at the first failing axis.  Data
+    whose squared norm is not finite have no parity."""
     h = X.shape[-1] // 2
     bound = 0.5 * _EVEN_TOL**2 * np.vdot(X, X).real
+    if not np.isfinite(bound):
+        return False
     for axis in range(X.ndim - dim, X.ndim):
         head = (slice(None),) * axis
         odd = X[head + (slice(1, h),)] - X[head + (slice(None, h, -1),)]
@@ -406,10 +409,13 @@ def _signature(parts, drift: np.ndarray | None, dim: int) -> np.ndarray:
     ``_REAL_TOL / dim`` of the parts, so that the signed axes drop at most
     ``_REAL_TOL`` of them (on the benchmark's elastic scan: 6.0e-14 at
     lambda = 1, 1.45e-4 at lambda = 2, summed over the axes), and where a
-    component with a drift beyond ``_EVEN_TOL`` of its parts is odd."""
+    component with a drift beyond ``_EVEN_TOL`` of its parts is odd.  Parts
+    whose squared norm is not finite have no parity: every axis is free."""
     h = parts[0].shape[-1] // 2
     parts = [X.reshape((-1,) + X.shape[X.ndim - dim:]) for X in parts]
     norm = sum(_sq(X) for X in parts)
+    if not np.all(np.isfinite(norm)):
+        return np.full((len(norm), dim), FREE, np.int8)
     bound = _EVEN_TOL**2 * norm
     odd, free = np.zeros((len(norm), dim), bool), np.zeros(dim, bool)
     for i in range(dim):
@@ -435,9 +441,10 @@ def _signature(parts, drift: np.ndarray | None, dim: int) -> np.ndarray:
 
 
 def _is_real(X: np.ndarray) -> bool:
-    """Whether ``|Im X| <= _EVEN_TOL |X|``."""
+    """Whether ``|Im X| <= _EVEN_TOL |X|``, never for a non-finite squared norm."""
     imag = X.imag.ravel()
-    return bool(imag @ imag <= _EVEN_TOL**2 * np.vdot(X, X).real)
+    bound = _EVEN_TOL**2 * np.vdot(X, X).real
+    return bool(np.isfinite(bound) and imag @ imag <= bound)
 
 
 def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:

@@ -36,6 +36,7 @@ from .elastic import (
     _halfwave_sampler,
 )
 from .errors import AccuracyError, ConfigurationError, DomainError
+from .kernel import _linear_fit
 from .spectral import GridSpec, VectorField, forward_values
 from .spectral import inverse_values  # noqa: F401  perfbench/tracing.py wraps it
 from .weights import (
@@ -323,16 +324,6 @@ def compute_ratio(
     )
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept, and the slope's standard error."""
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(len(x) - 2, 1)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if sxx > 0 else float("nan")
-    return float(slope), float(intercept), stderr
-
-
 def worker_count() -> int:
     """Worker cap from MORAWETZ_LAB_THREADS (default 1)."""
     raw = os.environ.get("MORAWETZ_LAB_THREADS", "1")
@@ -405,7 +396,7 @@ def scale_covariance_test(
     records = _map_ordered(run, kept)
     x = np.log2(np.array([r.lam for r in records]))
     y = np.log2(np.array([r.ratio for r in records]))
-    slope, intercept, stderr = _linear_fit(x, y)
+    slope, intercept, stderr, _ = _linear_fit(x, y)
     target = (query.alpha - 1.0 - 2.0 * query.s) / 2.0
     return ScaleCovariance(
         records=tuple(records),
@@ -479,7 +470,7 @@ def frequency_constant_scan(
     constants = tuple(max(v) for v in per_probe)
     x = np.asarray(levels, dtype=float)
     y = np.log2(np.asarray(constants))
-    slope, _, stderr = _linear_fit(x, y)
+    slope, _, stderr, _ = _linear_fit(x, y)
 
     s = query.s
     implied_p = (query.n + 1) / (4.0 * s) if s > 0 else None

@@ -193,6 +193,17 @@ class DecayFit:
     below_floor: int
 
 
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line through (x, y): slope, intercept, the slope's
+    standard error and r^2 (1 for constant y)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    stderr = float(np.sqrt(ss_res / max(len(x) - 2, 1) / sxx)) if sxx > 0 else float("nan")
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), float(intercept), stderr, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def decay_fit(
     regime: str,
     k: int,
@@ -228,16 +239,11 @@ def decay_fit(
         values.append(abs(kernel_value(q, rtol=rtol)))
     vals = np.maximum(np.asarray(values), 1e-300)
 
-    x = np.log10(d)
-    y = np.log10(vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, _, r2 = _linear_fit(np.log10(d), np.log10(vals))
     return DecayFit(
         regime=regime,
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r2=r2,
         sample_range=decades,
         distances=tuple(float(x) for x in d),

@@ -44,10 +44,15 @@ on a leading axis.  The weights are even in every axis, so the averaged
 patch around the singularity is integrated over the nonnegative orthant only,
 one cell per permutation orbit of its equally spaced axes, and mirrored.
 
-Storage order: the lattice weights are built in FFT storage order, the order
-of ``analysis._time_pass``'s samples, in which grid index m sits at
-x = dx * m (m taken mod N into [-N/2, N/2)) and the origin is index 0; the
-averaged cells around it are the wrapped indices ``arange(-r, r + 1) % N``.
+One weight path: both weights are the power |(x, t)|^{-alpha}, 0 at the
+origin, taken once per distinct |x|^2 (``GridSpec.x_sq_levels``) and filled
+in FFT storage order, the order of ``analysis._time_pass``'s samples (grid
+index m at x = dx * m, m taken mod N into [-N/2, N/2)), with the cell
+averages of ``_origin_patch`` laid over the wrapped indices
+``arange(-r, r + 1) % N`` around the origin.  The spatial weight is the fill
+at t = 0, once per norm; the space-time weight is refilled at every node,
+its patch covering the nodes near t = 0.  Both patches are cached on
+scalars (weight, steps, rings, quadrature), never on a grid.
 The time pass hands over squared moduli of the raw inverse transform and
 folds its constant into its node weights, so the norms here need no
 per-node rescaling or shift.  Every weight here, and every ball mask of
@@ -56,9 +61,9 @@ per-node rescaling or shift.  Every weight here, and every ball mask of
 block of its free axes (``GridSpec.block``: ``[:N/2 + 1]`` on each axis
 where every component is even or odd, so |u|^2 even, all N on a free one)
 with each point's density multiplied by its orbit size, the weights are
-read on that block: the spatial array as a slice, the space-time fill from
-the block's |x|^2 levels, and the averaged patch through its nonnegative
-half, at the indices ``arange(r + 1)``, on each signed axis.
+filled on that block, from the block's |x|^2 levels, and the averaged
+patch is laid over it through its nonnegative half, at the indices
+``arange(r + 1)``, on each signed axis.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ def _ring_cells(step: float, radius: float, limit: int) -> int:
     """Averaging half-width in cells for one axis: the fixed physical radius
     keeps the averaged/pointwise interface error second order under grid
     refinement, and an identical cell count under dilation."""
-    return int(np.clip(round(radius / step), _MIN_RING_CELLS, limit))
+    return min(max(round(radius / step), _MIN_RING_CELLS), limit)
 
 
 # -- box quadrature -------------------------------------------------------------
@@ -266,7 +271,7 @@ def _box_integral(ps: Sequence[float], lo, hi, depth: int) -> list[tuple[float, 
             (float(v) / (p + d), False) for p, v in zip(ps, total)]
 
 
-def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[int],
+def _origin_patch(weight: WeightSpec, steps: tuple[float, ...], rings: tuple[int, ...],
                   quad: QuadratureConfig):
     """Cell averages of a power weight on the cells within ``rings`` of the origin.
 
@@ -274,12 +279,13 @@ def _origin_patch(weight: WeightSpec, steps: Sequence[float], rings: Sequence[in
     ``steps[i]``; the returned array has shape ``(2 r_i + 1, ...)`` with the
     origin cell, holding its exact (or, at the boundary exponent, truncated)
     integral over its volume, in the middle.  The axes after the first share
-    one step and one ring, as in both callers.  The weight is even in every
-    axis, so only the nonnegative orthant is integrated, and it is symmetric
-    under permutations of those trailing axes, so one leading-axis row per
-    call integrates one cell per permutation orbit (its indices ascending)
-    and scatters the values over the orbit; the orthant is then mirrored.
-    Returns (patch, cell_info) as described in ``_spatial_weight_array``.
+    one step and one ring, as ``_weight_patch`` builds them.  The weight is
+    even in every axis, so only the nonnegative orthant is integrated, and it
+    is symmetric under permutations of those trailing axes, so one
+    leading-axis row per call integrates one cell per permutation orbit (its
+    indices ascending) and scatters the values over the orbit; the orthant is
+    then mirrored.  Returns (patch, cell_info): the read-only patch, and the
+    origin-cell value and whether it was depth-capped.
     """
     radial_fn = weight.radial()
     steps = np.asarray(steps, dtype=float)
@@ -316,52 +322,35 @@ def _ring_index(ring: int, grid: GridSpec, free=True):
     return np.ix_(*index), (Ellipsis,) + tuple(slice(None if f else ring, None) for f in free)
 
 
-@functools.lru_cache(maxsize=32)
-def _spatial_weight_array(grid: GridSpec, weight: WeightSpec, quad: QuadratureConfig):
-    """Pointwise weights with cell averages near x = 0 and the refined origin cell.
-
-    Returns (array, cell_info) where the array is in FFT storage order (see
-    the module docstring) and cell_info records the origin-cell value and
-    whether it was depth-capped.  The array is shared and read-only.
-    """
-    n = grid.dim
-    x2 = grid.x_sq_fft()
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.where(x2 > 0, weight.radial()(np.where(x2 > 0, x2, 1.0)), 0.0)
-    ring = _ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION, grid.points_per_axis // 4)
-    patch, info = _origin_patch(weight, [grid.dx] * n, [ring] * n, quad)
-    w[_ring_index(ring, grid)[0]] = patch
-    w.setflags(write=False)
-    return w, info
+# one cache of _origin_patch per weight kind, keyed on scalars only and looked
+# up by name at every call (perfbench/tracing.py rebuilds both)
+_spatial_weight_array = functools.lru_cache(maxsize=32)(_origin_patch)
+_spacetime_ring_patch = functools.lru_cache(maxsize=32)(_origin_patch)
 
 
-@functools.lru_cache(maxsize=32)
-def _spacetime_ring_patch(grid: GridSpec, weight: WeightSpec, quad: QuadratureConfig):
-    """Cell-averaged (t, x) weights for nodes near the space-time origin.
-
-    Returns (patch, cell_info): ``patch[ring_t + dti]`` holds the spatial
-    cells within the ring around x = 0 at time-node offset ``dti``; the (0,0)
-    cell carries the refined integral divided by its volume.  Read-only.
-    """
-    t = grid.time_nodes()
-    dt = t[1] - t[0]
+def _weight_patch(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig):
+    """The cached ``_origin_patch`` of ``weight`` on ``grid``: the cells within
+    a fixed physical radius of x = 0 (``_ring_cells``), and for the space-time
+    weight a leading axis of the time nodes within that radius of t = 0."""
     radius = grid.half_width / RING_RADIUS_FRACTION
     ring = _ring_cells(grid.dx, radius, grid.points_per_axis // 4)
+    steps, rings = (grid.dx,) * grid.dim, (ring,) * grid.dim
+    if weight.kind == SPATIAL_POWER:
+        return _spatial_weight_array(weight, steps, rings, quad)
+    t = grid.time_nodes()
+    dt = float(t[1] - t[0])
     ring_t = _ring_cells(dt, radius, max((grid.time_samples - 1) // 2, 1))
-    return _origin_patch(weight, [dt] + [grid.dx] * grid.dim, [ring_t] + [ring] * grid.dim, quad)
+    return _spacetime_ring_patch(weight, (dt,) + steps, (ring_t,) + rings, quad)
 
 
 def prebuild_weight(weight: WeightSpec, grid: GridSpec, quad: QuadratureConfig) -> None:
-    """Build the cached lattice weight of ``weighted_spacetime_norm`` ahead of time.
+    """Build the cached origin patch of ``weighted_spacetime_norm`` ahead of time.
 
     Callers that hand norms of one weight to a thread pool call this first,
     so the workers share one build instead of each missing the cache.
     """
     weight.validate_for(grid)
-    if weight.kind == SPACETIME_POWER:
-        _spacetime_ring_patch(grid, weight, quad)
-    else:
-        _spatial_weight_array(grid, weight, quad)
+    _weight_patch(weight, grid, quad)
 
 
 def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray,
@@ -399,37 +388,33 @@ def weighted_spacetime_norm(
     it is ``time_even`` (see ``elastic.WaveSampler``): every weight here is
     even in t and in x, so each such node then also stands for its mirror
     node.  The sums run in FFT storage order on the block of the pass
-    (``grid.block(free)``) against one weight array, which the space-time
-    weight refills in place at every node, its cell averages around the
-    space-time origin included.
+    (``grid.block(free)``) against one weight array, filled as the module
+    docstring describes: once, at t = 0, for the spatial weight, and in
+    place at every node for the space-time weight.
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
     measure = grid.dx**grid.dim
     free = getattr(u_sampler, "free", True)  # a plain callable's pass has the lattice
-
-    if weight.kind == SPATIAL_POWER:
-        w = _spatial_weight_array(grid, weight, quad)[0][grid.block(free)].ravel()
-        total = 0.0
-        for _, _, tw, density in _time_pass(u_sampler, grid):
-            total += tw * measure * _weighted_sum(w, density)
-        return float(np.sqrt(total))
-
-    # spacetime power: pointwise except near the (0,0) cell
-    patch, _ = _spacetime_ring_patch(grid, weight, quad)
+    patch, _ = _weight_patch(weight, grid, quad)
+    spacetime = weight.kind == SPACETIME_POWER
+    if not spacetime:  # the spatial weight: the fill at t = 0 under a one-node patch
+        patch = patch[np.newaxis]
     ring_t, ring = patch.shape[0] // 2, patch.shape[1] // 2
     cells, part = _ring_index(ring, grid, free)
     tnodes = grid.time_nodes()
-    dt = tnodes[1] - tnodes[0]
     i0 = int(np.argmin(np.abs(tnodes)))
-    has_zero_node = abs(tnodes[i0]) < 1e-12 * dt
-    w = np.empty(grid.block_shape(free))
+    has_zero_node = not spacetime or abs(tnodes[i0]) < 1e-12 * (tnodes[1] - tnodes[0])
+    w, filled = np.empty(grid.block_shape(free)), None
     total = 0.0
     for i, t, tw, density in _time_pass(u_sampler, grid):
-        _spacetime_pointwise(grid, weight.alpha, t, w, free)
-        dti = i - i0
-        if has_zero_node and abs(dti) <= ring_t:
-            w[cells] = patch[ring_t + dti][part]
+        if not spacetime:  # every node takes the weight at t = 0, filled once
+            i, t = i0, 0.0
+        if t != filled:
+            _spacetime_pointwise(grid, weight.alpha, t, w, free)
+            if has_zero_node and abs(i - i0) <= ring_t:
+                w[cells] = patch[ring_t + i - i0][part]
+            filled = t
         total += tw * measure * _weighted_sum(w.ravel(), density)
     return float(np.sqrt(total))
 
@@ -440,10 +425,7 @@ def singular_cell_report(
     """Origin-cell integral and whether it was depth-capped (boundary alpha)."""
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
-    if weight.kind == SPATIAL_POWER:
-        _, info = _spatial_weight_array(grid, weight, quad)
-    else:
-        _, info = _spacetime_ring_patch(grid, weight, quad)
+    _, info = _weight_patch(weight, grid, quad)
     return dict(info, refinement=quad.singular_cell_refinement)
 
 

@@ -9,15 +9,7 @@ import numpy as np
 
 from morawetz_lab.errors import ShapeError
 from morawetz_lab.spectral import GridSpec, VectorField
-from morawetz_lab.weights import (
-    RING_RADIUS_FRACTION,
-    SPATIAL_POWER,
-    QuadratureConfig,
-    WeightSpec,
-    _origin_patch,
-    _ring_cells,
-    _spacetime_ring_patch,
-)
+from morawetz_lab.weights import SPATIAL_POWER, QuadratureConfig, WeightSpec, _weight_patch
 
 
 @dataclass(frozen=True)
@@ -117,18 +109,15 @@ def weighted_norm_oracle(u_sampler, weight: WeightSpec, grid: GridSpec) -> float
     measure = grid.dx**grid.dim
     xnorm = grid.x_norm()
     total = 0.0
+    patch, _ = _weight_patch(weight, grid, quad)
     if weight.kind == SPATIAL_POWER:
         with np.errstate(divide="ignore"):
             w = np.where(xnorm > 0, np.where(xnorm > 0, xnorm, 1.0) ** -weight.alpha, 0.0)
-        ring = _ring_cells(grid.dx, grid.half_width / RING_RADIUS_FRACTION,
-                           grid.points_per_axis // 4)
-        w[_center_cells(ring, grid)] = _origin_patch(weight, [grid.dx] * grid.dim,
-                                                     [ring] * grid.dim, quad)[0]
+        w[_center_cells(patch.shape[0] // 2, grid)] = patch
         for _, tw, dens in physical_densities(u_sampler, grid):
             total += tw * measure * float(np.sum(w * dens))
         return float(np.sqrt(total))
 
-    patch, _ = _spacetime_ring_patch(grid, weight, quad)
     ring_t, ring = patch.shape[0] // 2, patch.shape[1] // 2
     tnodes = grid.time_nodes()
     i0 = int(np.argmin(np.abs(tnodes)))

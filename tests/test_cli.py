@@ -49,6 +49,28 @@ class TestScanRatio:
         assert "analytic_target" in manifest["summary"]
         assert (out / "ratio-scaling.dat").exists()
 
+    # the README example, the 3-d space-time scan at alpha 2 and the elastic
+    # scan at s 0.3 of the benchmark: every ratio and the origin cell, to 1e-12
+    @pytest.mark.parametrize("argv, ratios, origin_cell", [
+        ("--n 2 --weight spacetime --alpha 2.6 --s 0.75 --family gaussian --lambdas 0.5,1,2 "
+         "--grid 64 --box 14 --horizon 6 --samples 49 --width 0.6",
+         [3.256454490375001, 3.3736979437732675, 3.431345468628834], 16.82934261050068),
+        ("--n 3 --weight spacetime --grid 64 --box 16 --horizon 6.5 --samples 53 --width 0.9 "
+         "--s 0.5 --lambdas 0.5,1,2 --alpha 2.0",
+         [1.5179464793593989, 1.546140472122307, 1.564410895083117], 0.7034248870653117),
+        ("--propagator elastic --n 2 --weight spatial --grid 128 --box 20 --horizon 6 "
+         "--samples 97 --width 0.75 --lambdas 0.5,1,2 --s 0.3 --alpha 1.6",
+         [2.397543211197654, 2.442556473761174, 2.469397815341509], 7.818476400320492),
+    ], ids=["readme", "scan_ratio_3d", "elastic_2d"])
+    def test_ratios_are_pinned(self, argv, ratios, origin_cell, tmp_path):
+        assert run(["scan-ratio"] + argv.split() + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        column = rows[1].split(",").index("ratio")
+        got = [float(row.split(",")[column]) for row in rows[2:]]
+        assert got == pytest.approx(ratios, rel=1e-12, abs=0)
+        cell = json.loads((tmp_path / "manifest.json").read_text())["summary"]["singular_cell"]
+        assert cell["origin_cell"] == pytest.approx(origin_cell, rel=1e-12, abs=0)
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         args = ["scan-ratio", "--alpha", "1.5", "--s", "0.25", "--grid", "32",
                 "--box", "10.0", "--horizon", "4.0", "--samples", "17",

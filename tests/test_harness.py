@@ -1,7 +1,9 @@
 """Region classification, ratio records, dilation fits, and decomposition checks."""
 
 import collections
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -470,6 +472,19 @@ class TestInfrastructure:
         fam = DataFamily(kind="gaussian", width=0.6)
         scale_covariance_test(fam, RegionQuery(1.5, 0.25, 2, SPATIAL_POWER), g)
         assert weights._spatial_weight_array.cache_info().misses == 1
+
+    def test_experiments_keep_no_grid_alive(self):
+        # every cache is keyed on scalars or memoised on the grid itself, so a
+        # grid is freed with its experiments' results
+        g = GridSpec(2, 32, 12.0, 17, 3.0)
+        fam = DataFamily(kind="gaussian", width=0.6)
+        results = [scale_covariance_test(fam, RegionQuery(1.5, 0.25, 2, SPATIAL_POWER), g),
+                   scale_covariance_test(fam, RegionQuery(2.2, 0.6, 2, SPACETIME_POWER), g),
+                   frequency_constant_scan((0, 1), RegionQuery(2.3, 0.65, 2, SPACETIME_POWER), g)]
+        alive = weakref.ref(g)
+        del g, results
+        gc.collect()
+        assert alive() is None
 
     def test_time_sampling_drift_small(self):
         # halving the time sampling moves the weighted norm by less than 0.5%

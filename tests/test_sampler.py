@@ -539,6 +539,23 @@ def test_even_fact_tells_even_data_apart():
     assert cases["modulated"].out_shape == (2, 32, 17, 17)  # real and imaginary planes
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squared norms overflow
+def test_overflowing_data_have_no_parity():
+    # a Gaussian shifted by 4 dx has a free first axis; scaled by 1e160 its
+    # squared norm is inf, against which no parity or realness test may pass
+    grid = GridSpec(2, 32, 12.0, 17, 3.0)
+    x0, x1 = grid.x_grids()
+    f = np.exp(-((x0 - 4 * grid.dx) ** 2 + x1**2) / 1.28)
+    assert halfwave_sampler(f, grid, 1.0).signature.tolist() == [[FREE, EVEN]]
+    sampler = halfwave_sampler(1e160 * f, grid, 1.0)
+    assert not sampler.even
+    assert sampler.signature.tolist() == [[FREE, FREE]]
+    # centered imaginary data: neither even nor of real coefficients, which
+    # would keep only their real part, 0
+    sampler = halfwave_sampler(1e160j * np.exp(-(x0**2 + x1**2)), grid, 1.0)
+    assert not sampler.even and not sampler.time_even
+
+
 @pytest.mark.parametrize("kind", ACCUMULATORS)
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=6, deadline=None)

@@ -301,7 +301,7 @@ def test_batched_gauss_box_is_exact_on_even_polynomials(boxes):
 def test_spacetime_patch_is_even_and_matches_direct_cell_averages():
     g = GridSpec(2, 32, 4.0, time_samples=17, time_horizon=2.0)
     spec = WeightSpec(SPACETIME_POWER, 2.2)
-    patch, _ = W._spacetime_ring_patch(g, spec, QuadratureConfig())
+    patch, _ = W._weight_patch(spec, g, QuadratureConfig())
     for axis in range(patch.ndim):
         assert np.array_equal(patch, np.flip(patch, axis=axis))
     rings = np.array(patch.shape) // 2
@@ -321,10 +321,10 @@ def test_spacetime_patch_is_even_and_matches_direct_cell_averages():
 def test_shared_weight_caches_are_read_only():
     g = GridSpec(2, 16, 2.0, time_samples=5)
     quad = QuadratureConfig()
-    w, _ = W._spatial_weight_array(g, WeightSpec(SPATIAL_POWER, 1.0), quad)
-    patch, _ = W._spacetime_ring_patch(g, WeightSpec(SPACETIME_POWER, 1.5), quad)
+    spatial, _ = W._weight_patch(WeightSpec(SPATIAL_POWER, 1.0), g, quad)
+    spacetime, _ = W._weight_patch(WeightSpec(SPACETIME_POWER, 1.5), g, quad)
     memo = [g.x_norm(), g.x_grids()[0], g.xi_norm(), g.time_nodes(), g.trapezoid_weights()]
-    for arr in [w, patch] + memo:
+    for arr in [spatial, spacetime] + memo:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 
@@ -347,9 +347,12 @@ def test_lattice_weights_are_even_and_read_on_the_block(dim, n, edge):
     g = GridSpec(dim, n, 6.0, 5 if edge else 17, 2.0)
     masks = list(itertools.product([False, True], repeat=dim))
     quad = QuadratureConfig()
-    w, _ = W._spatial_weight_array(g, WeightSpec(SPATIAL_POWER, 0.7 * dim), quad)
+    # the spatial weight on the lattice: the fill at t = 0 with its patch laid over it
+    patch, _ = W._weight_patch(WeightSpec(SPATIAL_POWER, 0.7 * dim), g, quad)
+    w = W._spacetime_pointwise(g, 0.7 * dim, 0.0, np.empty(g.shape))
+    w[W._ring_index(patch.shape[0] // 2, g)[0]] = patch
     _assert_even(w, dim, "spatial")
-    patch, _ = W._spacetime_ring_patch(g, WeightSpec(SPACETIME_POWER, 0.7 * (dim + 1)), quad)
+    patch, _ = W._weight_patch(WeightSpec(SPACETIME_POWER, 0.7 * (dim + 1)), g, quad)
     ring = patch.shape[1] // 2
     for k in range(patch.shape[0]):
         for axis in range(dim):
