@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, provenance, exit codes, determinism."""
 
+import csv
 import dataclasses
 import json
 
@@ -49,8 +50,10 @@ class TestScanRatio:
         assert "analytic_target" in manifest["summary"]
         assert (out / "ratio-scaling.dat").exists()
 
-    # the README example, the 3-d space-time scan at alpha 2 and the elastic
-    # scan at s 0.3 of the benchmark: every ratio and the origin cell, to 1e-12
+    # the README example, the 3-d space-time scan at alpha 2, the elastic
+    # scan at s 0.3 of the benchmark and a modulated elastic scan (its lambda
+    # 0.5 member is dropped for the margin): every ratio and the origin cell,
+    # to 1e-12
     @pytest.mark.parametrize("argv, ratios, origin_cell", [
         ("--n 2 --weight spacetime --alpha 2.6 --s 0.75 --family gaussian --lambdas 0.5,1,2 "
          "--grid 64 --box 14 --horizon 6 --samples 49 --width 0.6",
@@ -61,7 +64,10 @@ class TestScanRatio:
         ("--propagator elastic --n 2 --weight spatial --grid 128 --box 20 --horizon 6 "
          "--samples 97 --width 0.75 --lambdas 0.5,1,2 --s 0.3 --alpha 1.6",
          [2.397543211197654, 2.442556473761174, 2.469397815341509], 7.818476400320492),
-    ], ids=["readme", "scan_ratio_3d", "elastic_2d"])
+        ("--propagator elastic --family modulated --grid 64 --box 14 --horizon 4 --samples 33 "
+         "--alpha 1.5 --s 0.25",
+         [1.5291909904151992, 1.7069255462037092], 6.217857929831845),
+    ], ids=["readme", "scan_ratio_3d", "elastic_2d", "modulated_elastic"])
     def test_ratios_are_pinned(self, argv, ratios, origin_cell, tmp_path):
         assert run(["scan-ratio"] + argv.split() + ["--out", str(tmp_path)]) == 0
         rows = (tmp_path / "results.csv").read_text().splitlines()
@@ -198,6 +204,38 @@ class TestOtherCommands:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["max_energy_drift_rel"] < 1e-10
+
+    def test_evolve_is_pinned(self, tmp_path):
+        # the README command: energy and L2 norm at the first, middle and last node
+        assert run(["evolve", "--grid", "64", "--box", "20", "--horizon", "6",
+                    "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        header = rows[1].split(",")
+        table = [[float(v) for v in row.split(",")] for row in rows[2:]]
+        got = [(row[header.index("t")], row[header.index("energy")],
+                row[header.index("l2_displacement")]) for row in table[::len(table) // 2]]
+        want = [(-6.0, 6.283185312671342, 1.247281285784768),
+                (0.0, 6.283185312671341, 1.7724538509432417),
+                (6.0, 6.283185312671341, 1.2472812857847675)]
+        assert len(table) == 49
+        for row, pinned in zip(got, want, strict=True):
+            assert row == pytest.approx(pinned, rel=1e-12, abs=0)
+
+    def test_report_summaries_are_pinned(self, tmp_path):
+        assert run(["report", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        summary = dict(next(csv.reader([row])) for row in rows[2:])
+        decomposition = json.loads(summary["decomposition"])
+        assert decomposition.pop("hs_pythagoras_gap") < 1e-14  # round-off only
+        assert decomposition == pytest.approx({
+            "ratio_potential": 0.6529711576263769,
+            "ratio_solenoidal": 0.49770456215658726,
+            "triangle_slack": 1.541266762575733,
+        }, rel=1e-12, abs=0)
+        assert json.loads(summary["local-smoothing"]) == pytest.approx({
+            "refinement_change_rel": 0.07981383291309925,
+            "value": 3.6850090772302355,
+        }, rel=1e-12, abs=0)
 
     def test_report_battery(self, tmp_path):
         out = tmp_path / "rep"
