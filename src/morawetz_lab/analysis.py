@@ -74,9 +74,10 @@ def _time_pass(u_sampler, grid: GridSpec):
     ``_weighted_sum`` before the next.
 
     A sampler with a ``spectrum``, an ``out_shape``, a ``signature`` and
-    ``free`` axes (``elastic.WaveSampler``, ``ElasticPropagator``) writes
-    each node's spectrum into ``float64`` planes of its block (real parts,
-    then imaginary ones), each with the parity ``signature`` in every axis.
+    ``free`` axes (``elastic.WaveSampler``, of which ``ElasticPropagator``
+    is one) writes each node's spectrum into ``float64`` planes of its
+    block (real parts, then imaginary ones), each with the parity
+    ``signature`` in every axis.
     The pass transforms the planes of as many nodes as ``_BATCH_BYTES``
     holds at once, in place, from the block to the block, with
     ``spectral.block_transform``: one real matmul per signed axis and, when

@@ -41,7 +41,7 @@ from .harness import (
     frequency_constant_scan,
     scale_covariance_test,
 )
-from .kernel import decay_fit
+from .kernel import MAX_DISTANCES, decay_fit
 from .spectral import GridSpec, VectorField, forward_values
 from .weights import (
     SPACETIME_POWER,
@@ -296,8 +296,8 @@ def _run_kernel_decay(cfg: RunConfig) -> dict:
     o = cfg.options
     if not (o["dmin"] > 0 and o["dmax"] > 0):
         raise ConfigurationError("kernel-decay needs positive dmin and dmax")
-    if o["points"] < 3:
-        raise ConfigurationError("kernel-decay needs at least three points")
+    if not 3 <= o["points"] <= MAX_DISTANCES:  # before the distances are allocated
+        raise ConfigurationError(f"kernel-decay needs 3 to {MAX_DISTANCES} points")
     distances = np.logspace(np.log10(o["dmin"]), np.log10(o["dmax"]), o["points"])
     fit = decay_fit(o["regime"], o["k"], o["n"], distances, tau=o["tau"], rtol=o["rtol"])
     _check_finite("kernel-decay", [fit.slope, fit.intercept, fit.r2, list(fit.values)])

@@ -8,13 +8,15 @@ into two scalar oscillators with speeds ``sqrt(mu)`` (shear) and
 
     uhat(xi,t) = cos(t c|xi|) fhat_* + sin(t c|xi|)/(c|xi|) ghat_*     (* = Q, P)
 
-The propagator below evaluates these multipliers exactly in t; there is no
-time stepping.  ``WaveSampler`` is the one sampler of this flow and of the
-scalar half-wave flow; on the uniform time nodes it advances the phases by
-an exact-in-t recurrence rather than re-evaluating them.  It keeps each
-Helmholtz part in the form above, as the term ``(c, cosine part fhat_*,
-sine part ghat_*/(c|xi|) or None)``, the sine part None when ``ghat_* = 0``
-(data at rest), and reads cos and sin off the phase ``e^{itc|xi|}``.
+These multipliers are evaluated exactly in t; there is no time stepping.
+``WaveSampler`` is the one sampler of this flow and of the scalar half-wave
+flow; on the uniform time nodes it advances the phases by an exact-in-t
+recurrence rather than re-evaluating them.  ``ElasticPropagator`` is the
+``WaveSampler`` of an elastic state: it keeps each Helmholtz part in the
+form above, as the term ``(c, cosine part fhat_*, sine part
+ghat_*/(c|xi|) or None)`` (``_elastic_terms``), the sine part None when
+``ghat_* = 0`` (data at rest), and reads cos and sin off the phase
+``e^{itc|xi|}``; ``halfwave_sampler`` builds the sampler of scalar data.
 
 The multipliers depend on |xi| only, so a component that is even or odd in
 an axis stays so.  Component j of ``xi_i xi_j |xi|^-2 fhat`` of radial data
@@ -23,9 +25,10 @@ leaves that axis free, with neither parity.  ``WaveSampler`` decides this
 parity signature once, from its parts, and keeps its parts and state on
 the block of FFT storage order that it fixes (``GridSpec.block``): one
 point per orbit of the reflections of the signed axes, every point of a
-free one.  The time pass transforms real ``float64`` planes of that block
-with one real matmul per signed axis and one ``complex128`` FFT over the
-free ones (``spectral.block_transform``; see ``analysis._time_pass``).
+free one.  It computes every spectrum as real ``float64`` planes of that
+block, which the time pass transforms with one real matmul per signed axis
+and one ``complex128`` FFT over the free ones
+(``spectral.block_transform``; see ``analysis._time_pass``).
 Convention at the zero mode:
 P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
 free-particle limit of the ODE).
@@ -190,15 +193,17 @@ class WaveSampler:
     make ``Im u``).  The sampler keeps its parts, those planes included, and
     state on ``grid.block(free)``, one point per orbit of the signed axes'
     reflections, the lattice when every axis is free; the parts' remainder
-    of the other parity, at most ``_EVEN_TOL``, is dropped.  ``spectrum``'s
-    ``out`` takes ``float64`` planes of the block, of shape ``out_shape``:
-    the real parts of the components, then, unless no axis is free and every
-    part and the drift are real to ``_EVEN_TOL`` (their imaginary rounding
-    is then dropped), their imaginary parts.  The time pass transforms them
-    with ``spectral.block_transform``, which drops the odd axes' Nyquist
-    planes.  ``spectrum`` without ``out``, ``rate`` and ``__call__`` compute
-    on the block and unfold once (``GridSpec.unfold``), Nyquist planes
-    included.
+    of the other parity, at most ``_EVEN_TOL``, is dropped.  ``spectrum``
+    computes one way, into ``float64`` planes of the block, of shape
+    ``out_shape``: the real parts of the components, then, unless no axis is
+    free and every part and the drift are real to ``_EVEN_TOL`` (their
+    imaginary rounding is then dropped), their imaginary parts.  The time
+    pass hands it those planes as ``out`` and transforms them with
+    ``spectral.block_transform``, which drops the odd axes' Nyquist planes.
+    ``spectrum`` without ``out`` combines its own planes to complex, and it,
+    ``rate`` and ``__call__`` unfold once (``GridSpec.unfold``), Nyquist
+    planes included.  ``ElasticPropagator`` is the subclass of an elastic
+    state; ``halfwave_sampler`` builds the sampler of scalar data.
 
     ``even`` is true when the sampler is even in every axis, such as radial
     scalar data.  Terms whose spatial axes have the shape
@@ -220,7 +225,6 @@ class WaveSampler:
         self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
-        self._out = None  # the parts as ``out=`` takes them, built at the first such call
         shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
         lead = shape[:len(shape) - grid.dim]
         self.shape = lead + grid.shape
@@ -265,23 +269,22 @@ class WaveSampler:
     def _steps(self) -> list[np.ndarray]:
         return [self.grid.phase_step(c, self.free) for c, *_ in self._terms]
 
+    @functools.cached_property
     def _out_parts(self):
         """The two-way terms' parts and the drift as ``float64`` planes of
-        ``spectrum``'s ``out``, and a field for one product; built once."""
-        if self._out is None:
-            def as_out(X):
-                if X is None:
-                    return None
-                X = np.broadcast_to(X, self._planes[1:])
-                return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
+        ``spectrum``'s ``out``, and a field for one product."""
+        def as_out(X):
+            if X is None:
+                return None
+            X = np.broadcast_to(X, self._planes[1:])
+            return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
 
-            parts = [(None, None) if one_way else (as_out(P), as_out(Q))
-                     for _, P, Q, one_way in self._terms]
-            drift = self._drift
-            if drift is not None:
-                drift = np.stack([drift.real, drift.imag][:self._planes[0]])
-            self._out = (parts, np.empty(self._planes), drift)
-        return self._out
+        parts = [(None, None) if one_way else (as_out(P), as_out(Q))
+                 for _, P, Q, one_way in self._terms]
+        drift = self._drift
+        if drift is not None:
+            drift = np.stack([drift.real, drift.imag][:self._planes[0]])
+        return parts, np.empty(self._planes), drift
 
     def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """uhat(t), in FFT storage order, of shape ``self.shape``.
@@ -293,34 +296,22 @@ class WaveSampler:
         into ``out`` and the others into one reused field added to it, and a
         one-way term's state copied in as its real and imaginary planes; no
         field-sized temporary after the first call.  Without ``out``, the
-        terms are summed in a new ``complex128`` array on the block and
-        unfolded; with every axis free, a lone one-way term comes back as a
-        read-only view of the state, valid until the next call.
+        planes go into a new buffer, which is combined to complex and
+        unfolded.
         """
-        self._advance(t)
-        drift, planes = self._drift, out is not None
-        unfold = not planes and not all(self.free)
         if out is None:
-            if drift is None and len(self._terms) == 1 and self._terms[0][3]:
-                if unfold:
-                    return self.grid.unfold(self._state[0], self.signature)
-                view = self._state[0].view()
-                view.setflags(write=False)
-                return view
-            target = out = np.empty(self.shape[:-self.grid.dim] + self._xin.shape,
-                                    np.complex128)
-            parts = [(P, Q) for _, P, Q, _ in self._terms]
-            product = np.empty_like(out)
-        else:
-            if out.shape != self.out_shape:
-                raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
-            parts, product, drift = self._out_parts()
-            target = out.reshape(self._planes)
+            planes = self.spectrum(t, np.empty(self.out_shape)).reshape(self._planes)
+            u = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0].astype(complex)
+            return u if all(self.free) else self.grid.unfold(u, self.signature)
+        if out.shape != self.out_shape:
+            raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
+        self._advance(t)
+        parts, product, drift = self._out_parts
+        target = out.reshape(self._planes)
         first = True
         for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
-            if one_way:
-                pairs = zip(target, (state.real, state.imag)) if planes else [(target, state)]
-                for dst, value in pairs:
+            if one_way:  # a one-way term makes the planes complex: there are two
+                for dst, value in zip(target, (state.real, state.imag)):
                     if first:
                         np.copyto(dst, value)
                     else:
@@ -338,7 +329,7 @@ class WaveSampler:
                 first = False
         if drift is not None:
             target[self._zero] += t * drift
-        return self.grid.unfold(out, self.signature) if unfold else out
+        return out
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier:
@@ -447,7 +438,8 @@ def _is_real(X: np.ndarray) -> bool:
     return bool(np.isfinite(bound) and imag @ imag <= bound)
 
 
-def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
+def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
+                     coeffs: np.ndarray | None = None) -> WaveSampler:
     """Sampler of ``e^{i t c sqrt(-Lap)} f`` for scalar samples of shape ``grid.shape``.
 
     The sampler is ``time_even`` in two cases.  For real f,
@@ -466,9 +458,22 @@ def halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float) -> WaveSampler:
 
     Whether f is even in every axis, such as radial data, is decided once,
     on f itself (``_halfwave_coefficients``); the sampler of even f is
-    ``even`` and never holds f's full-lattice coefficients.
+    ``even`` and never holds f's full-lattice coefficients.  ``coeffs``, from
+    a caller that has them already, are ``_halfwave_coefficients(f, grid)``,
+    which the sampler then does not compute again.
     """
-    return _halfwave_sampler(f, grid, c)
+    if not c > 0:
+        raise DomainError(f"wave speed must be positive, got {c}")
+    if coeffs is None:
+        coeffs = _halfwave_coefficients(f, grid)
+    f = np.asarray(f)
+    real = not (np.iscomplexobj(f) and np.any(f.imag))
+    # for even f, Im F is the cosine transform of Im f, so by Parseval f's
+    # test is F's on the full lattice; the block alone would drop the orbit sizes
+    if not real and _is_real(f if coeffs.shape == grid.even_shape else coeffs):
+        coeffs = coeffs.real.astype(np.complex128)
+        real = True
+    return WaveSampler(grid, [(c, coeffs)], time_even=real)
 
 
 def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -502,77 +507,52 @@ def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return F
 
 
-def _halfwave_sampler(f: np.ndarray, grid: GridSpec, c: float,
-                      coeffs: np.ndarray | None = None) -> WaveSampler:
-    """``halfwave_sampler``, taking f's coefficients
-    ``_halfwave_coefficients(f, grid)`` from a caller that has them already."""
-    if not c > 0:
-        raise DomainError(f"wave speed must be positive, got {c}")
-    if coeffs is None:
-        coeffs = _halfwave_coefficients(f, grid)
-    f = np.asarray(f)
-    real = not (np.iscomplexobj(f) and np.any(f.imag))
-    # for even f, Im F is the cosine transform of Im f, so by Parseval f's
-    # test is F's on the full lattice; the block alone would drop the orbit sizes
-    if not real and _is_real(f if coeffs.shape == grid.even_shape else coeffs):
-        coeffs = coeffs.real.astype(np.complex128)
-        real = True
-    return WaveSampler(grid, [(c, coeffs)], time_even=real)
+def _elastic_terms(params: LameParams, grid: GridSpec, f_parts, G=None):
+    """The shear and pressure terms of the elastic flow, ``[shear, pressure]``,
+    and its drift, from the parts ``_split_spectrum`` of the coefficients of
+    f and the coefficients G of g (None for g = 0), split here.  Per
+    Helmholtz part with speed c, ``cos(tc|xi|) f + sin(tc|xi|)/(c|xi|) g`` is
+    the two-way term ``(c, f, g/(c|xi|))``, its sine part 0 at xi = 0 and
+    None when that part of g is identically zero; the drift is g's zero
+    mode, all solenoidal."""
+    (fP, fQ), speeds = f_parts, (params.shear_speed, params.pressure_speed)
+    if G is None:
+        return [(c, f_k, None) for c, f_k in zip(speeds, (fQ, fP))], None
+    gP, gQ = _split_spectrum(G, grid)
+    xin = grid.xi_norm()
+    inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
+    terms = [(c, f_k, g_k * (inv / c) if np.any(g_k) else None)  # g/(c|xi|), 0 at xi = 0
+             for c, f_k, g_k in zip(speeds, (fQ, fP), (gQ, gP))]
+    return terms, gQ[(Ellipsis,) + (0,) * grid.dim].copy()
 
 
-class ElasticPropagator:
-    """Exact-in-time evolution of an elastic state through one ``WaveSampler``.
+class ElasticPropagator(WaveSampler):
+    """The ``WaveSampler`` of an elastic state: exact-in-time evolution.
 
-    Per Helmholtz part with speed c, ``cos(tc|xi|) f + sin(tc|xi|)/(c|xi|) g``
-    is the two-way term ``(c, f, g/(c|xi|))``, its sine part 0 at xi = 0 and
-    None when that part of g is identically zero.  Called as a sampler, the
-    propagator gives the displacement, and its ``spectrum`` gives the
-    displacement's coefficients to the time accumulators; with zero velocity
-    g it is even in t (cosine parts only, no drift), which it states as
-    ``time_even``, and g is then neither transformed nor split.
-    ``WaveSampler`` works out ``signature`` from the parts.  ``coeffs``,
-    from a caller that has them already, are the coefficients
-    ``forward_values`` of f and of g (None for g = 0), which the propagator
-    then does not compute again.
+    Its terms are those of ``_elastic_terms``; called, it gives the
+    displacement as a ``VectorField``.  With zero velocity g it is even in t
+    (cosine parts only, no drift), which it states as ``time_even``, and g
+    is then neither transformed nor split.  ``coeffs``, from a caller that
+    has them already, are the coefficients ``forward_values`` of f and of g
+    (None for g = 0), which the propagator then does not compute again.
     """
 
     def __init__(self, state: ElasticState, params: LameParams, coeffs=None):
-        self.grid = state.grid
-        self.params = params
-        grid = self.grid
+        grid = state.grid
         F, G = coeffs or (forward_values(state.f.values, grid), None)
-        fP, fQ = _split_spectrum(F, grid)
-        self.time_even = not np.any(state.g.values)
-        terms = [(c, f_k, None) for c, f_k in ((params.shear_speed, fQ),
-                                              (params.pressure_speed, fP))]
-        drift = None
-        if not self.time_even:
-            gP, gQ = _split_spectrum(forward_values(state.g.values, grid) if G is None else G,
-                                     grid)
-            drift = gQ[(Ellipsis,) + (0,) * grid.dim].copy()  # the zero mode is all in Q
-            xin = grid.xi_norm()
-            inv = np.divide(1.0, xin, out=np.zeros_like(xin), where=xin > 0)
-            terms = [(c, f_k, g_k * (inv / c) if np.any(g_k) else None)  # g/(c|xi|), 0 at xi = 0
-                     for (c, f_k, _), g_k in zip(terms, (gQ, gP))]
-        self._sampler = WaveSampler(grid, terms, drift, self.time_even)
-        self.even = self._sampler.even
-        self.signature, self.free = self._sampler.signature, self._sampler.free
-        self.shape = self._sampler.shape
-        self.out_shape = self._sampler.out_shape
+        if G is None and np.any(state.g.values):
+            G = forward_values(state.g.values, grid)
+        terms, drift = _elastic_terms(params, grid, _split_spectrum(F, grid), G)
+        super().__init__(grid, terms, drift, time_even=G is None)
 
     def __call__(self, t: float) -> VectorField:
         return self.displacement(t)
 
-    def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """The displacement's coefficients uhat(t), in FFT storage order; see
-        ``WaveSampler.spectrum`` for ``out``."""
-        return self._sampler.spectrum(t, out)
-
     def displacement(self, t: float) -> VectorField:
-        return VectorField(self.grid, inverse_values(self._sampler.spectrum(t), self.grid))
+        return VectorField(self.grid, inverse_values(self.spectrum(t), self.grid))
 
     def velocity(self, t: float) -> VectorField:
-        return VectorField(self.grid, inverse_values(self._sampler.rate(t), self.grid))
+        return VectorField(self.grid, inverse_values(self.rate(t), self.grid))
 
     def pair(self, t: float) -> tuple[VectorField, VectorField]:
         return self.displacement(t), self.velocity(t)
@@ -602,7 +582,7 @@ def elastic_energy(u: VectorField, u_t: VectorField, params: LameParams) -> floa
     grid = u.grid
     U = forward_values(u.values, grid)
     Ut = forward_values(u_t.values, grid)
-    xi = grid.xi_grids()
+    xi = grid.xi_open()
     nsq = grid.xi_norm() ** 2
     dot = sum(xi[i] * U[i] for i in range(grid.dim))
     dens = (
@@ -616,7 +596,7 @@ def elastic_energy(u: VectorField, u_t: VectorField, params: LameParams) -> floa
 
 def _lame_operator(coeffs: np.ndarray, grid: GridSpec, params: LameParams) -> np.ndarray:
     """Spectral Lame operator: (Delta* u)hat = -L(xi) uhat."""
-    xi = grid.xi_grids()
+    xi = grid.xi_open()
     nsq = grid.xi_norm() ** 2
     dot = sum(xi[i] * coeffs[i] for i in range(grid.dim))
     out = -params.mu * nsq * coeffs

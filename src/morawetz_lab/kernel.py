@@ -95,6 +95,10 @@ MAX_PASS_NODES = 2**23
 # halvings of the step allowed after the first pass
 MAX_DOUBLINGS = 18
 
+# distances of one decay fit, each a kernel evaluation: far above the 13 of
+# kernel-decay's default, below a count whose tables would not fit in memory
+MAX_DISTANCES = 2**10
+
 
 def _panelled_gauss(f, a: float, b: float, panels: int) -> complex:
     """Midpoint sum of f over ``panels`` equal panels of [a, b], in blocks of nodes."""
@@ -221,9 +225,11 @@ def decay_fit(
     """
     if regime not in (ON_CONE, OFF_CONE):
         raise DomainError(f"regime must be {ON_CONE!r} or {OFF_CONE!r}")
+    if not 3 <= len(distances) <= MAX_DISTANCES:
+        raise DomainError(f"need 3 to {MAX_DISTANCES} distances, got {len(distances)}")
     d = np.asarray(sorted(float(x) for x in distances))
-    if d.size < 3 or d[0] <= 0:
-        raise DomainError("need at least three positive distances")
+    if d[0] <= 0:
+        raise DomainError("need positive distances")
     decades = float(np.log10(d[-1] / d[0]))
     if decades < 2.0:
         raise DomainError(f"distances must span >= 2 decades, got {decades:.2f}")

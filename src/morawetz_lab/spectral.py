@@ -41,6 +41,12 @@ __all__ = [
 # or free, neither
 EVEN, ODD, FREE = 0, 1, 2
 
+# the most lattice points and time nodes of a grid: 16 times the largest
+# lattice (512^2 and 64^3) and far above the most nodes (97) in use, but
+# below an allocation that would not fit in memory
+MAX_LATTICE_POINTS = 2**22
+MAX_TIME_SAMPLES = 2**14
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -51,11 +57,12 @@ class GridSpec:
     dim : int
         Spatial dimension, 2 or 3.
     points_per_axis : int
-        N, a power of two, at least 8.
+        N, a power of two, at least 8, with ``N^dim <= MAX_LATTICE_POINTS``.
     half_width : float
         L; physical box is ``[-L, L)^dim``.
     time_samples : int
-        M, number of uniform samples on ``[-T, T]`` (trapezoid rule nodes).
+        M, number of uniform samples on ``[-T, T]`` (trapezoid rule nodes),
+        2 to ``MAX_TIME_SAMPLES``.
     time_horizon : float
         T > 0.
     """
@@ -72,12 +79,15 @@ class GridSpec:
             raise DomainError(f"dim must be 2 or 3, got {n}")
         if N < 8 or (N & (N - 1)) != 0:
             raise DomainError(f"points_per_axis must be a power of two >= 8, got {N}")
+        if N**n > MAX_LATTICE_POINTS:
+            raise DomainError(f"{N}^{n} lattice points exceed the cap {MAX_LATTICE_POINTS}")
         if not self.half_width > 0:
             raise DomainError("half_width must be positive")
         if not self.time_horizon > 0:
             raise DomainError("time_horizon must be positive")
-        if self.time_samples < 2:
-            raise DomainError("time_samples must be at least 2")
+        if not 2 <= self.time_samples <= MAX_TIME_SAMPLES:
+            raise DomainError(f"time_samples must be in [2, {MAX_TIME_SAMPLES}], "
+                              f"got {self.time_samples}")
         # the transforms scale by dx^n, the Sobolev sums by dxi^n and the mean by (2L)^n
         with np.errstate(over="ignore", under="ignore"):
             powers = np.array([self.dx, self.dxi, 2.0 * self.half_width]) ** n
@@ -236,13 +246,6 @@ class GridSpec:
         for j, i in zip(*np.nonzero(signature == ODD)):
             out[np.unravel_index(j, lead) + (slice(None),) * i + (slice(N // 2 + 1, None),)] *= -1
         return out
-
-    def xi_grids(self) -> tuple[np.ndarray, ...]:
-        def build():
-            return np.stack(np.meshgrid(*([self.xi_axis] * self.dim), indexing="ij"))
-
-        g = self._memo("xi_grids", build)
-        return tuple(g)
 
     def xi_norm(self, free=True) -> np.ndarray:
         """|xi| in FFT storage order, on the block with the free axes ``free``

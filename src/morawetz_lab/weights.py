@@ -72,6 +72,7 @@ import collections
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -284,8 +285,8 @@ def _origin_patch(weight: WeightSpec, steps: tuple[float, ...], rings: tuple[int
     is symmetric under permutations of those trailing axes, so one
     leading-axis row per call integrates one cell per permutation orbit (its
     indices ascending) and scatters the values over the orbit; the orthant is
-    then mirrored.  Returns (patch, cell_info): the read-only patch, and the
-    origin-cell value and whether it was depth-capped.
+    then mirrored.  Returns the read-only patch and a read-only mapping of
+    the origin-cell value and whether it was depth-capped.
     """
     radial_fn = weight.radial()
     steps = np.asarray(steps, dtype=float)
@@ -304,7 +305,7 @@ def _origin_patch(weight: WeightSpec, steps: tuple[float, ...], rings: tuple[int
     orthant[(0,) * len(steps)] = value / vol
     patch = orthant[np.ix_(*(np.abs(np.arange(-r, r + 1)) for r in rings))]
     patch.setflags(write=False)
-    return patch, {"origin_cell": value, "truncated": truncated}
+    return patch, types.MappingProxyType({"origin_cell": value, "truncated": truncated})
 
 
 # -- effective lattice weights ------------------------------------------------

@@ -37,6 +37,6 @@ def l2_norm(field: VectorField) -> float:
 def spectral_divergence(field: VectorField) -> np.ndarray:
     g = field.grid
     F = forward_values(field.values, g)
-    xi = g.xi_grids()
+    xi = g.xi_open()
     div_hat = sum(1j * xi[i] * F[i] for i in range(g.dim))
     return inverse_values(div_hat, g)

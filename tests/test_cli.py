@@ -331,6 +331,13 @@ class TestExitCodes:
         ["evolve", "--grid", "16", "--samples", "5", "--width", "1e-200"],
         ["scan-ratio", "--alpha", "1", "--s", "0.3", "--width", "1e-200", "--grid", "16",
          "--samples", "5", "--horizon", "1", "--box", "20"],
+        # sizes of a huge allocation, refused before it is made
+        ["lp-check", "--grid", "1073741824"],
+        ["scan-ratio", "--alpha", "1.5", "--s", "0.25", "--n", "3", "--grid", "256"],
+        ["evolve", "--samples", "100000000"],
+        ["evolve", "--samples", "16385"],
+        ["kernel-decay", "--points", "1000000000"],
+        ["kernel-decay", "--points", "1025"],
     ] + NON_FINITE)
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option

@@ -138,7 +138,7 @@ class TestHelmholtz:
         f = random_vector_field(g, rng)
         f_P, _ = helmholtz_split(f)
         F = forward_values(f_P.values, g)
-        xi = g.xi_grids()
+        xi = g.xi_open()
         curl = np.stack([
             1j * (xi[1] * F[2] - xi[2] * F[1]),
             1j * (xi[2] * F[0] - xi[0] * F[2]),
@@ -317,7 +317,7 @@ class TestEnergy:
             smooth_random_field(g, rng), smooth_random_field(g, rng, mean_zero=True)
         )
         prop = ElasticPropagator(state, params)
-        xi = g.xi_grids()
+        xi = g.xi_open()
         nsq = g.xi_norm() ** 2
 
         def mode_density(t):

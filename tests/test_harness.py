@@ -437,6 +437,46 @@ class TestDecomposition:
         assert check.triangle_slack >= -1e-12
         assert check.ratio_solenoidal > 0 and check.ratio_potential > 0
 
+    @pytest.mark.parametrize("at_rest", [True, False], ids=["at_rest", "moving"])
+    def test_one_split_matches_the_round_trip(self, at_rest, rng, monkeypatch):
+        # each nonzero field is transformed once and split on its
+        # coefficients; the norms are those of the parts taken through
+        # physical space and propagated one by one
+        from morawetz_lab import analysis, elastic, harness
+        from morawetz_lab.analysis import hs_norm
+
+        g = GridSpec(2, 32, 12.0, 17, 3.0)
+        params = LameParams(0.8, 1.1)
+        envelope = np.exp(-(g.x_norm() ** 2) / 8.0)
+        f = VectorField(g, smooth_random_field(g, rng).values * envelope)
+        gv = VectorField(g, smooth_random_field(g, rng, mean_zero=True).values * envelope)
+        gv = VectorField(g, 0 * gv.values if at_rest else
+                         gv.values - gv.values.reshape(2, -1).mean(axis=1).reshape(2, 1, 1))
+        state = ElasticState(f, gv)
+        q = RegionQuery(1.5, 0.5, 2, SPACETIME_POWER)
+
+        calls = collections.Counter()
+        for module in (analysis, elastic, harness):
+            for name in ("forward_values", "inverse_values"):
+                def counted(values, grid, fn=getattr(module, name), name=name):
+                    calls[name] += 1
+                    return fn(values, grid)
+
+                monkeypatch.setattr(module, name, counted)
+        check = decomposition_check(state, params, q, g)
+        assert calls == {"forward_values": 1 if at_rest else 2}
+        monkeypatch.undo()
+
+        quad, weight = QuadratureConfig(), WeightSpec(q.weight_kind, q.alpha)
+        (f_P, f_S), (g_P, g_S) = helmholtz_split(f), helmholtz_split(gv)
+        full, sol, pot = (weighted_spacetime_norm(ElasticPropagator(st, params), weight, g, quad)
+                          for st in (state, ElasticState(f_S, g_S), ElasticState(f_P, g_P)))
+        den = hs_norm(f, q.s) + hs_norm(gv, q.s - 1.0)
+        assert check.ratio_solenoidal == pytest.approx(sol / den, rel=1e-12, abs=0)
+        assert check.ratio_potential == pytest.approx(pot / den, rel=1e-12, abs=0)
+        assert abs(check.triangle_slack - (sol + pot - full)) <= 1e-12 * full
+        assert check.hs_pythagoras_gap < 1e-14
+
 
 class TestInfrastructure:
     def test_worker_count_env(self, monkeypatch):

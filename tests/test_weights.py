@@ -321,12 +321,21 @@ def test_spacetime_patch_is_even_and_matches_direct_cell_averages():
 def test_shared_weight_caches_are_read_only():
     g = GridSpec(2, 16, 2.0, time_samples=5)
     quad = QuadratureConfig()
-    spatial, _ = W._weight_patch(WeightSpec(SPATIAL_POWER, 1.0), g, quad)
-    spacetime, _ = W._weight_patch(WeightSpec(SPACETIME_POWER, 1.5), g, quad)
+    spatial, spatial_info = W._weight_patch(WeightSpec(SPATIAL_POWER, 1.0), g, quad)
+    spacetime, spacetime_info = W._weight_patch(WeightSpec(SPACETIME_POWER, 1.5), g, quad)
     memo = [g.x_norm(), g.x_grids()[0], g.xi_norm(), g.time_nodes(), g.trapezoid_weights()]
     for arr in [spatial, spacetime] + memo:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+    # every caller gets the same cell info: a write would reach every later report
+    for weight, info in ((WeightSpec(SPATIAL_POWER, 1.0), spatial_info),
+                         (WeightSpec(SPACETIME_POWER, 1.5), spacetime_info)):
+        report = W.singular_cell_report(weight, g, quad)
+        with pytest.raises(TypeError):
+            info["origin_cell"] = 0.0
+        with pytest.raises(TypeError):
+            del info["truncated"]
+        assert W.singular_cell_report(weight, g, quad) == report
 
 
 def _assert_even(a: np.ndarray, dim: int, label: str) -> None:
