@@ -168,6 +168,77 @@ class TestOtherCommands:
         assert manifest["summary"]["below_floor"] == 0
         assert (out / "kernel-decay.dat").read_text().startswith("# log10")
 
+    # the README command, and the benchmark's three fits at its warm-up point
+    # d0 = 11.25 (two decades and a hair): every abs_value and the slope
+    @pytest.mark.parametrize("argv, values, slope", [
+        ("--n 3 --k 0 --regime oncone",
+         [0.7334246067288165, 0.4917695267779299, 0.34180177651710925, 0.23095699022364963,
+          0.1568868447878655, 0.10691144089941979, 0.07282508708665272, 0.049615337177752766,
+          0.033802468154915714, 0.023029350365307236, 0.015689713754780933,
+          0.010689277545903356, 0.007282520015978579], -1.0007333723117946),
+        ("--n 2 --k 3 --regime oncone --dmin 11.25 --dmax 1125.0000025904",
+         [14.872907816270496, 12.275984920048973, 10.132623414213011, 8.363523264797463,
+          6.903291363020479, 5.698007171264353, 4.703159575735416, 3.882007830873288,
+          3.2042255999780718, 2.644781254777043, 2.1830135297298754, 1.801868508792431,
+          1.4872698102441528], -0.500000975048548),
+        ("--n 3 --k 3 --regime oncone --dmin 11.25 --dmax 1125.0000025904",
+         [41.427460578948306, 28.225549884787934, 19.22984426805494, 13.101141516277966,
+          8.925703815969394, 6.081011220297466, 4.142944715431402, 2.8225553766274145,
+          1.9229845922041806, 1.3101141513379815, 0.8925703806959017, 0.6081011213274768,
+          0.41429447106616885], -0.999995865654449),
+        ("--n 2 --k 0 --regime offcone --dmin 11.25 --dmax 1125.0000025904",
+         [0.05687095242364254, 0.033102761187689705, 0.01851738105544413,
+          0.0021538662879646083, 0.0012452627330702055, 5.269022735040639e-05,
+          1.6420464629764332e-05, 2.830992673516745e-07, 3.0748194647239376e-08,
+          5.119575875778391e-09, 8.943244585567086e-11, 2.2308854287789433e-12,
+          9.065832054296325e-15], -6.2394328951742075),
+    ], ids=["readme", "oncone_n2", "oncone_n3", "offcone"])
+    def test_kernel_decay_is_pinned(self, argv, values, slope, tmp_path):
+        assert run(["kernel-decay"] + argv.split() + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        column = rows[1].split(",").index("abs_value")
+        got = [float(row.split(",")[column]) for row in rows[2:]]
+        assert got == pytest.approx(values, rel=1e-12, abs=0)
+        summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+        assert summary["slope"] == pytest.approx(slope, rel=1e-12, abs=0)
+
+    # the README command, and the benchmark's 4-d scan at the midpoints of its
+    # four alpha strata: every product, alpha by alpha over the five cubes
+    @pytest.mark.parametrize("argv, products", [
+        ("--n-total 3 --alphas 0,0.9,1.8,2.7",
+         [1.0, 1.0, 1.0, 1.0, 1.0,
+          1.113236134182546, 1.1550879572164467, 1.057393341921654, 1.016215082134745,
+          1.0041774843715359,
+          1.6454063641919994, 1.90270714632303, 1.246992750948366, 1.0661464144768251,
+          1.0167940760986252,
+          5.909333283601612, 8.12566055560409, 1.6286915103196116, 1.153790537857056,
+          1.038104466525199]),
+        ("--n-total 4 --alphas 0.6,1.35,2.25,3.15",
+         [1.029432281099545, 1.0424707817963168, 1.0219331108342686, 1.0069204047697153,
+          1.0018376825274746,
+          1.164789675856642, 1.2407651456039206, 1.1154177591703502, 1.0354366453909498,
+          1.0093311821654216,
+          1.5967605111467789, 1.8971162013985055, 1.349586773711816, 1.1009593282252594,
+          1.0260926223518358,
+          3.123758683085394, 4.340701555515793, 1.7816751723626185, 1.205559950481002,
+          1.0516537377870234]),
+    ], ids=["readme", "quadrature_4d"])
+    def test_a2_scan_is_pinned(self, argv, products, tmp_path):
+        assert run(["a2-scan"] + argv.split() + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        column = rows[1].split(",").index("product")
+        got = [float(row.split(",")[column]) for row in rows[2:]]
+        assert got == pytest.approx(products, rel=1e-12, abs=0)
+
+    def test_lp_check_is_pinned(self, tmp_path):
+        # the default command, exactly: the cutoff and the projections are
+        # evaluated the same way on every run
+        assert run(["lp-check", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        assert rows[2:] == ["partition_deviation,2.220446049250313e-16,1e-12,True",
+                            "reconstruction_error,2.432057129796191e-16,1e-10,True",
+                            "annihilation_two_apart,2.641119644208315e-18,1e-12,True"]
+
     def test_a2_scan(self, tmp_path):
         out = tmp_path / "a2"
         code = run(["a2-scan", "--n-total", "3", "--alphas", "0,1.5", "--out", str(out)])
