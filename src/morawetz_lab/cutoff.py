@@ -3,7 +3,9 @@
 The bump ``eta(t) = exp(-1/((t-1/2)(2-t)))`` on (1/2, 2) is normalized by its
 own dyadic sum, ``phi(t) = eta(t) / sum_j eta(2^j t)``.  The denominator is
 invariant under t -> 2t, so ``sum_k phi(2^k t) = 1`` holds identically for
-every t > 0; at most two terms of the sum are nonzero.
+every t > 0.  With t = s 2^e and s in [1/2, 1) (``np.frexp``, exact down to
+subnormal t), the only terms of the sum that can be nonzero are eta(s) and
+eta(2s), and ``DyadicCutoff`` evaluates just those two.
 """
 
 from __future__ import annotations
@@ -14,55 +16,33 @@ __all__ = ["DyadicCutoff", "default_cutoff"]
 
 
 def _eta(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = (t > 0.5) & (t < 2.0)
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / ((ti - 0.5) * (2.0 - ti)))
-    return out
-
-
-def _octave(t: np.ndarray) -> np.ndarray:
-    """``floor(-log2 t)``, so that ``2^j t`` lies in [1, 2), as ``int32``
-    (numpy's fast ``ldexp`` loop; the values lie in [-1024, 1074]); 0 where
-    it is not finite (t = 0 or inf)."""
-    with np.errstate(divide="ignore"):
-        j = np.floor(-np.log2(t))
-    return np.where(np.isfinite(j), j, 0.0).astype(np.int32)
+    """The bump, 0 outside (1/2, 2), where its clamped denominator is 0 and
+    exp(-inf) = 0; near the band edges it underflows to 0 as well."""
+    with np.errstate(divide="ignore", under="ignore"):
+        return np.exp(-1.0 / np.maximum((t - 0.5) * (2.0 - t), 0.0))
 
 
 class DyadicCutoff:
     """The smooth phi above: supported in the fixed band (1/2, 2), values in [0, 1]."""
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        pos = t > 0
-        tp = t[pos]
-        if tp.size:
-            # only j with 2^j t in (1/2,2) contribute; they lie in a 3-window,
-            # which holds j = 0 wherever eta(t) != 0, and 2^0 t == t exactly;
-            # scaling by a power of two is exact, and ldexp does it without
-            # forming 2^j, which overflows for subnormal t
-            j0 = _octave(tp)
-            num, den = np.zeros_like(tp), np.zeros_like(tp)
-            for dj in (-1, 0, 1):
-                term = _eta(np.ldexp(tp, j0 + dj))
-                den += term
-                num = np.where(j0 == -dj, term, num)
-            # every window term vanishes only where phi does: t = inf
-            out[pos] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return out[0] if scalar else out
+        """phi(t) = eta(t) / (eta(s) + eta(2s)), where t = s 2^e: the
+        numerator is eta(s) if e = 0 (t = s), eta(2s) if e = 1 (t = 2s), and
+        0 for every other e, where t lies outside the band."""
+        s, e = np.frexp(np.asarray(t, dtype=float))
+        low, high = _eta(s), _eta(2.0 * s)
+        num = np.where(e == 0, low, np.where(e == 1, high, 0.0))
+        den = low + high
+        # both bumps vanish only where phi does: t <= 0, t = inf or nan
+        with np.errstate(under="ignore"):
+            out = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return out[()] if out.ndim == 0 else out
 
     def partition_deviation(self, t) -> np.ndarray:
-        """|sum_k phi(2^k t) - 1| evaluated with the (at most two) active terms."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        total = np.zeros_like(t)
-        j0 = _octave(t)
-        for dj in (-1, 0, 1):
-            total += self(np.ldexp(t, j0 + dj))
-        return np.abs(total - 1.0)
+        """|sum_k phi(2^k t) - 1| evaluated with the (at most two) active
+        terms, phi(s) and phi(2s) with t = s 2^e."""
+        s, _ = np.frexp(np.atleast_1d(np.asarray(t, dtype=float)))
+        return np.abs(self(s) + self(2.0 * s) - 1.0)
 
 
 def default_cutoff() -> DyadicCutoff:

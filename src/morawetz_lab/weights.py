@@ -215,6 +215,29 @@ def _face_tiles(c: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, n
     return tile_lo[keep], tile_hi[keep]
 
 
+@functools.lru_cache(maxsize=None)
+def _orbits(count: int, classes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the index tuples ``product(range(count), repeat=len(classes))``
+    under the permutations of the axes that share a label in ``classes``.
+
+    Returns, read-only: one representative per orbit, (k, m), its indices
+    ascending within each class and the orbits in lexicographic order of
+    their representatives; the orbit of every tuple, in product order; and
+    the size of every orbit.
+    """
+    m = len(classes)
+    tuples = np.array(list(itertools.product(range(count), repeat=m)),
+                      dtype=np.intp).reshape(count**m, m)
+    canonical = tuples.copy()
+    for label in set(classes):
+        axes = [i for i in range(m) if classes[i] == label]
+        canonical[:, axes] = np.sort(tuples[:, axes], axis=1)
+    orbits = np.unique(canonical, axis=0, return_inverse=True, return_counts=True)
+    for array in orbits:
+        array.setflags(write=False)
+    return orbits
+
+
 def _box_integral(ps: Sequence[float], lo, hi, depth: int) -> list[tuple[float, bool]]:
     """Integrals of |z|^p over the box prod [lo_i, hi_i], one (value, truncated)
     per exponent p of ``ps``.
@@ -244,22 +267,21 @@ def _box_integral(ps: Sequence[float], lo, hi, depth: int) -> list[tuple[float, 
             flux[h, rest] += count * h
             if l > 0:
                 flux[l, rest] -= count * l
-    tiles_lo, tiles_hi, dist, weight = [], [], [], []
-    for (c, rest), wt in flux.items():
-        face_lo, face_hi = _face_tiles(c, *np.array(rest, dtype=float).reshape(-1, 2).T)
-        tiles_lo.append(face_lo)
-        tiles_hi.append(face_hi)
-        dist.append(np.full(len(face_lo), c))
-        weight.append(np.full(len(face_lo), wt))
-    # split each tile into _PANELS^(d-1) Gauss panels
-    grid = np.array(list(itertools.product(range(_PANELS), repeat=d - 1)), dtype=float)
-    t_lo, t_hi = np.vstack(tiles_lo), np.vstack(tiles_hi)
-    step = (t_hi - t_lo)[:, None, :] / _PANELS
-    shape = (len(t_lo) * len(grid), d - 1)
-    panel_lo = (t_lo[:, None, :] + step * grid).reshape(shape)
-    panel_hi = (t_lo[:, None, :] + step * (grid + 1)).reshape(shape)
-    c2 = np.repeat(np.concatenate(dist) ** 2, len(grid)).reshape((-1,) + (1,) * (d - 1))
-    wt = np.repeat(np.concatenate(weight), len(grid))
+    # split each tile into _PANELS^(d-1) Gauss panels and keep one per
+    # permutation orbit of its axes with equal intervals, weighted by its size
+    panel_lo, panel_hi, c2, wt = [], [], [], []
+    for (c, rest), weight in flux.items():
+        for lo_t, hi_t in zip(*_face_tiles(c, *np.array(rest, dtype=float).reshape(-1, 2).T)):
+            intervals = list(zip(lo_t.tolist(), hi_t.tolist()))
+            panels, _, sizes = _orbits(_PANELS, tuple(intervals.index(iv) for iv in intervals))
+            step = (hi_t - lo_t) / _PANELS
+            panel_lo.append(lo_t + step * panels)
+            panel_hi.append(lo_t + step * (panels + 1))
+            c2.append(np.full(len(panels), c * c))
+            wt.append(weight * sizes)
+    panel_lo, panel_hi = np.vstack(panel_lo), np.vstack(panel_hi)
+    c2 = np.concatenate(c2).reshape((-1,) + (1,) * (d - 1))
+    wt = np.concatenate(wt)
     half_p = 0.5 * np.asarray(ps, dtype=float).reshape((-1,) + (1,) * d)
     chunk = max(1, _CHUNK // (len(half_p) * _GAUSS_N ** (d - 1)))
     total = np.zeros(len(half_p))
@@ -291,15 +313,12 @@ def _origin_patch(weight: WeightSpec, steps: tuple[float, ...], rings: tuple[int
     radial_fn = weight.radial()
     steps = np.asarray(steps, dtype=float)
     half, vol = steps / 2.0, float(np.prod(steps))
-    m, indices = len(rings) - 1, range(rings[1] + 1)
-    orbits = list(itertools.combinations_with_replacement(indices, m))
-    where = {cell: k for k, cell in enumerate(orbits)}
-    scatter = [where[tuple(sorted(cell))] for cell in itertools.product(indices, repeat=m)]
+    cells, scatter, _ = _orbits(rings[1] + 1, (0,) * (len(rings) - 1))
     orthant = np.empty([r + 1 for r in rings])
     for j in range(rings[0] + 1):
-        centers = np.column_stack([np.full(len(orbits), j), orbits]) * steps
-        cells = _gauss_box(radial_fn, centers - half, centers + half)
-        orthant[j] = cells[scatter].reshape(orthant.shape[1:]) / vol
+        centers = np.column_stack([np.full(len(cells), j), cells]) * steps
+        row = _gauss_box(radial_fn, centers - half, centers + half)
+        orthant[j] = row[scatter].reshape(orthant.shape[1:]) / vol
     [(value, truncated)] = _box_integral([-weight.alpha], -half, half,
                                          quad.singular_cell_refinement)
     orthant[(0,) * len(steps)] = value / vol
@@ -445,6 +464,11 @@ class Cube:
             raise DomainError("cube side must be positive")
 
 
+def _check_a2_dimension(n_total: int) -> None:
+    if not 1 <= n_total <= 4:
+        raise DomainError(f"A2 product needs a dimension n_total in 1..4, got {n_total}")
+
+
 def _a2_products(alphas: Sequence[float], n_total: int, cubes: Sequence[Cube]) -> np.ndarray:
     """A2 products of every alpha (rows) on every cube (columns).
 
@@ -453,8 +477,7 @@ def _a2_products(alphas: Sequence[float], n_total: int, cubes: Sequence[Cube]) -
     one ``_box_integral`` over the exponents ``[-alphas, +alphas]`` of its
     nonzero alphas, which share one node set; alpha = 0 is exactly 1.
     """
-    if not 1 <= n_total <= 4:
-        raise DomainError(f"A2 product needs a dimension n_total in 1..4, got {n_total}")
+    _check_a2_dimension(n_total)
     for alpha in alphas:
         if not abs(alpha) < n_total:
             raise DomainError(f"A2 product needs a finite |alpha| < {n_total}, got {alpha}")
@@ -535,7 +558,9 @@ class A2Row:
 
 def default_cube_family(n_total: int, side: float = 1.0) -> list[tuple[str, Cube]]:
     """Origin-centered cube plus cubes offset along the first axis by
-    {0.5, 1, 2, 4} side lengths."""
+    {0.5, 1, 2, 4} side lengths, in the n_total in 1..4 dimensions of
+    ``a2_product``, checked before the centers are allocated."""
+    _check_a2_dimension(n_total)
     zero = (0.0,) * n_total
     fam = [("origin", Cube(zero, side))]
     for dist in (0.5, 1.0, 2.0, 4.0):

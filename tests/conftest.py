@@ -1,13 +1,30 @@
 import numpy as np
 import pytest
 
-from morawetz_lab import GridSpec, VectorField
+from morawetz_lab import GridSpec, VectorField, kernel
 from morawetz_lab.spectral import forward_values, inverse_values
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pass_nodes(monkeypatch):
+    """Node counts of the trapezoid passes run, one per query and pass, in
+    order; a pass over the budget fails the test before it allocates anything."""
+    sizes = []
+    run = kernel._midpoint_sums
+
+    def guarded(f, lo, hi, panels, za, tau):
+        sizes.extend(int(p) for p in panels)
+        if max(panels) > kernel.MAX_PASS_NODES:
+            pytest.fail(f"a pass of {max(panels)} nodes ran")
+        return run(f, lo, hi, panels, za, tau)
+
+    monkeypatch.setattr(kernel, "_midpoint_sums", guarded)
+    return sizes
 
 
 def random_vector_field(grid: GridSpec, rng, mean_zero: bool = False) -> VectorField:

@@ -6,7 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from morawetz_lab import kernel
 from morawetz_lab.cli import _SPECS, main
 
 
@@ -23,6 +26,31 @@ NON_FINITE = [
     for name, (kind, _) in spec.items() if kind is float
     for value in ("nan", "inf", "-inf")
 ]
+
+
+# any value of every option of kernel-decay and a2-scan: ints, floats with
+# nan and inf, any regime and malformed alpha lists
+FUZZ_VALUES = {
+    int: st.one_of(st.integers(0, 4), st.integers(-3, 24),
+                   st.sampled_from([1025, 2000, -1100, 2**31, 10**30])),
+    float: st.one_of(st.floats(), st.floats(0.0, 4.0), st.floats(-3.0, 1e4)),
+    "regime": st.sampled_from(["oncone", "offcone", "lightlike", ""]),
+    "alphas": st.lists(st.one_of(st.floats(-4.5, 4.5).map(repr),
+                                 st.sampled_from(["nan", "inf", "-inf", "", " ", "x", "1e400",
+                                                  "0x1p-3", "1;2"])),
+                       max_size=6).map(",".join),
+}
+
+
+@st.composite
+def fuzzed_argv(draw, command):
+    """``command`` with each of its options given or not, at a drawn value."""
+    argv = [command]
+    for name, (kind, _) in _SPECS[command].items():
+        if draw(st.booleans()):
+            value = draw(FUZZ_VALUES[name] if name in FUZZ_VALUES else FUZZ_VALUES[kind])
+            argv.append(f"--{name}={value if kind is str else repr(value)}")
+    return argv
 
 
 class TestScanRatio:
@@ -166,6 +194,9 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["slope"] == pytest.approx(-1.0, abs=0.15)
         assert manifest["summary"]["below_floor"] == 0
+        # the work of the fit: integrand nodes, in calls of at most a block
+        nodes, calls = (manifest["summary"][key] for key in ("integrand_nodes", "integrand_calls"))
+        assert 0 < calls <= nodes <= calls * kernel.BLOCK_NODES
         assert (out / "kernel-decay.dat").read_text().startswith("# log10")
 
     # the README command, and the benchmark's three fits at its warm-up point
@@ -409,6 +440,8 @@ class TestExitCodes:
         ["evolve", "--samples", "16385"],
         ["kernel-decay", "--points", "1000000000"],
         ["kernel-decay", "--points", "1025"],
+        ["a2-scan", "--n-total", "2147483648"],
+        ["a2-scan", "--n-total=-3"],
     ] + NON_FINITE)
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "tolerance.cfg").write_text("tolerance = 1e-9\n")  # a removed option
@@ -419,6 +452,21 @@ class TestExitCodes:
         assert not (tmp_path / "x" / "results.csv").exists()
         if "margin" in err:  # a refused margin prints in three significant digits
             assert len(err) < 200, err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("command", ["kernel-decay", "a2-scan"])
+    def test_fuzzed_options_exit_0_2_or_3(self, command, data, pass_nodes, monkeypatch,
+                                          tmp_path, capsys):
+        # a small node budget keeps every fit short; pass_nodes fails the test
+        # if a pass over it runs
+        monkeypatch.setattr(kernel, "MAX_PASS_NODES", 2**12)
+        argv = data.draw(fuzzed_argv(command))
+        with np.errstate(all="ignore"):
+            code = run(argv + ["--out", str(tmp_path / "fuzz")])
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_report_has_no_n_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -51,16 +51,24 @@ def test_vectorized_matches_scalar(phi):
     np.testing.assert_array_equal(vec, per_point)
 
 
+EXTREMES = [5e-324, 1e-310, 2.0**-1022, 1e-300, 1e300, 2.0**1023, 1.7e308, np.inf]
+# the band edges, their neighbours and the float extremes, last
+FORMULA_POINTS = np.concatenate([
+    np.logspace(-3, 3, 2001),
+    [np.nextafter(e, d) for e in (0.5, 1.0, 2.0) for d in (0.0, 4.0)],
+    [0.5, 1.0, 2.0],
+    EXTREMES,
+])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 at the float extremes
 def test_matches_the_direct_formula_bit_for_bit(phi):
-    # phi = eta(t) / sum_j eta(2^j t) with the sum's j = 0 term as numerator
-    # and one power of two scaled by 1/2 and 2: the same bits as evaluating
-    # eta(t) and every 2^j on its own, down to subnormal and up to huge t,
-    # wherever that direct formula is finite; where 2^j overflows, or at
-    # t = inf, it gives 0/0, and phi gives 0
-    edges = [np.nextafter(e, d) for e in (0.5, 1.0, 2.0) for d in (0.0, 4.0)]
-    extremes = [5e-324, 1e-310, 2.0**-1022, 1e-300, 1e300, 2.0**1023, 1.7e308, np.inf]
-    t = np.concatenate([np.logspace(-3, 3, 2001), edges, [0.5, 1.0, 2.0], extremes])
+    # phi = eta(t) / sum_j eta(2^j t) over the three-term window of j around
+    # floor(-log2 t): the same bits as evaluating eta(t) and every 2^j on its
+    # own, down to subnormal and up to huge t, wherever that direct formula
+    # is finite; where 2^j overflows, or at t = inf, it gives 0/0, and phi
+    # gives 0
+    t, extremes = FORMULA_POINTS, EXTREMES
     j0 = np.floor(-np.log2(t))
     den = sum(_eta(t * 2.0 ** (j0 + dj)) for dj in (-1.0, 0.0, 1.0))
     direct = _eta(t) / den
@@ -79,5 +87,9 @@ def test_float_extremes_are_finite(phi):
         assert np.array_equal(phi(t), np.zeros_like(t))
         assert phi(np.inf) == 0.0
         dev = phi.partition_deviation(t[:-1])
+        # no warning anywhere: the bumps underflow to 0 at the band edges
+        assert np.all(np.isfinite(phi(FORMULA_POINTS)))
+        edge_dev = phi.partition_deviation(FORMULA_POINTS[:-1])
     assert np.all(dev <= 1e-15), dev
+    assert np.all(edge_dev <= 1e-12), edge_dev
     assert phi.partition_deviation(1e-310)[0] <= 1e-15

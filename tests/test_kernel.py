@@ -99,9 +99,10 @@ class TestKernelValue:
            st.floats(-8.0, 8.0))
     def test_against_scipy_quad(self, n, k, za, tau):
         q = KernelQuery(z=(za,), tau=tau, k=k, n=n)
-        f = kernel._radial_integrand(q)
+        f = kernel._radial_integrand(n, k)
         a, b = 2.0 ** (k - 1), 2.0 ** (k + 1)
-        re, im = (quad(lambda r: part(f(r)), a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        re, im = (quad(lambda r: part(f(r, za, tau)), a, b, epsabs=0.0, epsrel=1e-11,
+                       limit=200)[0]
                   for part in (np.real, np.imag))
         prefactor = 2 * np.pi if n == 2 else 4 * np.pi
         ref = prefactor * complex(re, im)
@@ -157,23 +158,6 @@ class TestDecayFit:
         assert np.isfinite(fit.intercept)
 
 
-@pytest.fixture
-def pass_nodes(monkeypatch):
-    """Node counts of the panelled passes run; a pass over the budget fails the
-    test before it allocates anything."""
-    sizes = []
-    run = kernel._panelled_gauss
-
-    def guarded(f, a, b, panels):
-        sizes.append(panels * kernel._GL_X.size)
-        if sizes[-1] > kernel.MAX_PASS_NODES:
-            pytest.fail(f"a pass of {sizes[-1]} nodes ran")
-        return run(f, a, b, panels)
-
-    monkeypatch.setattr(kernel, "_panelled_gauss", guarded)
-    return sizes
-
-
 class TestPassBudget:
     def test_first_pass_over_budget_is_a_domain_error(self, pass_nodes):
         with pytest.raises(DomainError, match="budget"):
@@ -207,12 +191,13 @@ class TestPassBudget:
         sizes = []
         make = kernel._radial_integrand
 
-        def recording(q):
-            f = make(q)
+        def recording(n, k):
+            f = make(n, k)
 
-            def g(r):
+            def g(r, za, tau):
+                assert r.shape == za.shape == tau.shape
                 sizes.append(r.size)
-                return f(r)
+                return f(r, za, tau)
 
             return g
 
@@ -220,6 +205,56 @@ class TestPassBudget:
         c = 1000.0 / np.sqrt(2.0)  # the far end of a default kernel-decay at k = 8
         kernel_value(KernelQuery(z=(c,), tau=c, k=8, n=2))
         assert max(sizes) <= kernel.BLOCK_NODES < sum(sizes)
+        # a fit packs the passes of all its distances into calls of at most a
+        # block, and counts every node and call it makes
+        sizes.clear()
+        fit = decay_fit(ON_CONE, 3, 2, np.logspace(1, 3, 13))
+        assert max(sizes) <= kernel.BLOCK_NODES
+        assert (fit.nodes, fit.calls) == (sum(sizes), len(sizes))
+        assert fit.calls < fit.nodes / 1000
+
+    # the benchmark's three fits at its warm-up point, and an off-cone fit at
+    # tau 2 whose distances take different numbers of doublings
+    @pytest.mark.parametrize("regime, k, n, tau", [
+        (ON_CONE, 3, 2, 0.0), (ON_CONE, 3, 3, 0.0), (OFF_CONE, 0, 2, 0.0), (OFF_CONE, 0, 2, 2.0),
+    ])
+    def test_a_fit_is_one_kernel_value_per_distance(self, pass_nodes, regime, k, n, tau):
+        lg = np.log10(11.25)
+        distances = np.logspace(lg, lg + 2.0 + 1e-9, 13)
+        fit = decay_fit(regime, k, n, distances, tau=tau)
+        lockstep = list(pass_nodes)
+        pass_nodes.clear()
+        alone = []
+        for d in fit.distances:
+            z, t = (d / np.sqrt(2.0), d / np.sqrt(2.0)) if regime == ON_CONE else (d, tau)
+            alone.append(abs(kernel_value(KernelQuery(z=(z,), tau=t, k=k, n=n))))
+        assert list(fit.values) == alone  # bit for bit
+        assert sorted(lockstep) == sorted(pass_nodes)  # the same passes
+        assert fit.nodes == sum(pass_nodes)
+
+    @pytest.mark.parametrize("budget, distances, error", [
+        # the far distance needs more nodes in its first pass than allowed
+        (256, [10.0, 20.0, 1000.0], DomainError),
+        # the middle one cannot double within the budget, and the far one
+        # still fails its first pass
+        (256, [10.0, 100.0, 1000.0], AccuracyError),
+        # the nearest one cannot double within the budget
+        (65, [10.0, 100.0, 1000.0], AccuracyError),
+    ])
+    def test_a_fit_raises_the_error_of_its_nearest_failing_distance(self, monkeypatch, budget,
+                                                                     distances, error):
+        monkeypatch.setattr(kernel, "MAX_PASS_NODES", budget)
+        with pytest.raises(error) as fit_error:
+            decay_fit(ON_CONE, 0, 2, distances)
+        for d in distances:
+            c = d / np.sqrt(2.0)
+            try:
+                kernel_value(KernelQuery(z=(c,), tau=c, k=0, n=2))
+            except (AccuracyError, DomainError) as exc:
+                first = exc
+                break
+        assert type(first) is error and str(fit_error.value) == str(first)
+        assert getattr(fit_error.value, "achieved", None) == getattr(first, "achieved", None)
 
     def test_kernel_decay_at_k8_exits_0(self, tmp_path):
         from morawetz_lab.cli import main

@@ -472,3 +472,123 @@ def test_thin_box_is_cheap_and_additive(monkeypatch):
                                       hi - [1e-6, 0, 0, 0], 24)
     K = 2 * np.pi * gamma(1.5) * gamma(-(p + 3) / 2) / gamma(-p / 2)
     assert (touching - whole) / (K * 1e-6 ** (p + 4) / (p + 4)) == pytest.approx(1.0, abs=1e-3)
+
+
+# -- one Gauss panel per permutation orbit --------------------------------------
+
+
+def _every_panel(count, classes):
+    """The orbits of the identity alone: every index tuple its own orbit."""
+    m = len(classes)
+    tuples = np.array(list(itertools.product(range(count), repeat=m)),
+                      dtype=np.intp).reshape(count**m, m)
+    return tuples, np.arange(len(tuples)), np.ones(len(tuples), dtype=np.intp)
+
+
+@pytest.mark.parametrize("classes, kept", [
+    ((0, 0, 0), 20), ((0, 0, 2), 40), ((0, 1, 0), 40), ((0, 1, 1), 40), ((0, 1, 2), 64),
+])
+def test_orbits_hold_every_tuple_once(classes, kept):
+    reps, orbit, sizes = W._orbits(W._PANELS, classes)
+    every = _every_panel(W._PANELS, classes)[0]
+    assert len(reps) == kept and sizes.sum() == len(every) == 64
+    assert np.array_equal(np.bincount(orbit), sizes)
+    # a tuple's representative holds its indices sorted within each class
+    for label in set(classes):
+        axes = [i for i, c in enumerate(classes) if c == label]
+        assert np.array_equal(reps[orbit][:, axes], np.sort(every[:, axes], axis=1))
+    with pytest.raises(ValueError):
+        reps[0, 0] = 1  # shared through the cache
+
+
+def test_origin_patch_cells_are_one_per_orbit():
+    # the cells the patch integrates, and how it scatters them, are those of
+    # its own construction before the shared helper, so its cell averages keep
+    # their bits: ascending index tuples in lexicographic order
+    for count, m in ((5, 1), (4, 2), (3, 3)):
+        orbits = list(itertools.combinations_with_replacement(range(count), m))
+        where = {cell: k for k, cell in enumerate(orbits)}
+        scatter = [where[tuple(sorted(cell))]
+                   for cell in itertools.product(range(count), repeat=m)]
+        reps, orbit, _ = W._orbits(count, (0,) * m)
+        assert reps.tolist() == [list(cell) for cell in orbits]
+        assert orbit.tolist() == scatter
+
+
+def test_a_face_tile_keeps_one_panel_per_orbit(monkeypatch):
+    # of the 4^3 Gauss panels of a 4-d face tile, one per permutation orbit of
+    # its axes with equal intervals is integrated: 20 with three equal, 40 with
+    # two, all 64 with none
+    tiles, panels = [], []
+    face_tiles, gauss_box = W._face_tiles, W._gauss_box
+
+    def spy_tiles(c, lo, hi):
+        out = face_tiles(c, lo, hi)
+        tiles.extend(zip(*out))
+        return out
+
+    def spy_panels(fn, lo, hi):
+        panels.append(len(lo))
+        return gauss_box(fn, lo, hi)
+
+    monkeypatch.setattr(W, "_face_tiles", spy_tiles)
+    monkeypatch.setattr(W, "_gauss_box", spy_panels)
+    kept = {1: 20, 2: 40, 3: 64}  # by the number of distinct intervals of a tile
+    family = [(np.array(cube.center) - 0.5, np.array(cube.center) + 0.5)
+              for _, cube in default_cube_family(4)]
+    seen = set()
+    for lo, hi in family + [(np.array([-0.3, -0.5, 0.1, 0.2]), np.array([0.7, 0.4, 0.9, 1.3]))]:
+        tiles.clear()
+        panels.clear()
+        W._box_integral([-1.5, 1.5], lo, hi, 0)
+        distinct = [len(set(zip(l.tolist(), h.tolist()))) for l, h in tiles]
+        assert sum(panels) == sum(kept[k] for k in distinct)
+        seen.update(distinct)
+    assert seen == {1, 2, 3}
+
+
+@st.composite
+def _repeated_boxes(draw):
+    """Boxes in 3 or 4 dimensions whose axes draw from two intervals, which
+    straddle, touch or avoid the origin, so that faces and tiles repeat."""
+    d = draw(st.integers(3, 4))
+    intervals = []
+    for _ in range(2):
+        w = draw(st.floats(0.1, 2.0))
+        start = draw(st.sampled_from([-0.5, 0.0, 0.3])) * w
+        intervals.append((start, start + w))
+    axes = draw(st.lists(st.sampled_from(intervals), min_size=d, max_size=d))
+    lo, hi = (np.array(side) for side in zip(*axes))
+    return lo, hi, draw(st.floats(-(d - 0.05), float(d)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_repeated_boxes())
+def test_orbit_panels_match_the_full_tensor_rule(case):
+    lo, hi, p = case
+    ps = [p, 1.0, -1.0]
+    reduced = W._box_integral(ps, lo, hi, 24)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "_orbits", _every_panel)
+        full = W._box_integral(ps, lo, hi, 24)
+    for (value, truncated), (reference, full_truncated) in zip(reduced, full):
+        assert truncated == full_truncated
+        assert value == pytest.approx(reference, rel=1e-13)
+
+
+def test_default_cube_family_takes_460_panels(monkeypatch):
+    # 460 panels where every tile's 64 would make 1024
+    panels = []
+    gauss_box = W._gauss_box
+
+    def spy(fn, lo, hi):
+        panels.append(len(lo))
+        return gauss_box(fn, lo, hi)
+
+    monkeypatch.setattr(W, "_gauss_box", spy)
+    a2_scan([0.6, 1.35, 2.25, 3.15], 4, default_cube_family(4))
+    assert sum(panels) == 460
+    monkeypatch.setattr(W, "_orbits", _every_panel)
+    panels.clear()
+    a2_scan([0.6, 1.35, 2.25, 3.15], 4, default_cube_family(4))
+    assert sum(panels) == 1024
