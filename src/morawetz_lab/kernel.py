@@ -25,9 +25,10 @@ superpolynomial.  ``decay_fit`` measures both slopes.  It runs the rule for
 all of its distances in lockstep (``_kernel_values``, of which
 ``kernel_value`` is the one-query case): each pass packs the new nodes of
 every distance not yet converged into integrand calls of at most
-``BLOCK_NODES`` nodes, with |z| and tau given per node, and sums each
-distance's runs as that distance alone would, so every value keeps its bits
-while a fit of short passes makes a few calls instead of one per pass.
+``PACK_NODES`` nodes (or one run of up to ``BLOCK_NODES``), with |z| and tau
+given per node, and sums each distance's runs as that distance alone would,
+so every value keeps its bits while a fit of short passes makes a few calls
+instead of one per pass.
 ``DecayFit`` counts the integrand nodes and calls.
 """
 
@@ -86,9 +87,15 @@ class KernelQuery:
 # (midpoint) rule, and counters read len(_GL_X) as the nodes per panel
 _GL_X = np.zeros(1)
 
-# nodes handed to the integrand at once (a few MB of working arrays), so the
-# memory of a pass does not grow with its node count
+# nodes summed as one run, and the most handed to the integrand at once (a few
+# MB of working arrays), so the memory of a pass does not grow with its node
+# count
 BLOCK_NODES = 2**15
+
+# nodes a lockstep pass packs into one integrand call from the runs of several
+# queries; a longer run goes alone.  Packed to BLOCK_NODES, the benchmark's
+# quadrature workload peaked 2.2 MB higher and ran no faster.
+PACK_NODES = 2**14
 
 # absolute floor of the stop rule, relative to the natural scale 2^{nk}: a
 # value below it is oscillatory cancellation noise
@@ -115,8 +122,8 @@ def _midpoint_sums(f, lo: np.ndarray, hi: np.ndarray, panels: np.ndarray, za: np
 
     Each interval's nodes are cut into runs of ``BLOCK_NODES`` from its first
     node, as if it were summed alone; the runs are packed, in order, into
-    integrand calls of at most ``BLOCK_NODES`` nodes, with |z| and tau given
-    per node.  Each run is summed with ``np.sum`` and an interval adds its
+    integrand calls of at most ``PACK_NODES`` nodes, or of one longer run,
+    with |z| and tau given per node.  Each run is summed with ``np.sum`` and an interval adds its
     runs in order, so every sum has the bits of its interval on its own.
     """
     h = (hi - lo) / panels
@@ -126,7 +133,8 @@ def _midpoint_sums(f, lo: np.ndarray, hi: np.ndarray, panels: np.ndarray, za: np
     calls = start = 0
     while start < len(runs):
         stop, size = start, 0
-        while stop < len(runs) and size + runs[stop][2] - runs[stop][1] <= BLOCK_NODES:
+        while stop < len(runs) and (stop == start
+                                    or size + runs[stop][2] - runs[stop][1] <= PACK_NODES):
             size += runs[stop][2] - runs[stop][1]
             stop += 1
         batch = runs[start:stop]

@@ -215,7 +215,7 @@ def _face_tiles(c: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, n
     return tile_lo[keep], tile_hi[keep]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _orbits(count: int, classes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the index tuples ``product(range(count), repeat=len(classes))``
     under the permutations of the axes that share a label in ``classes``.
@@ -306,7 +306,8 @@ def _origin_patch(weight: WeightSpec, steps: tuple[float, ...], rings: tuple[int
     even in every axis, so only the nonnegative orthant is integrated, and it
     is symmetric under permutations of those trailing axes, so one
     leading-axis row per call integrates one cell per permutation orbit (its
-    indices ascending) and scatters the values over the orbit; the orthant is
+    indices ascending, ``_orbits``, as ``_box_integral`` takes one face
+    panel per orbit) and scatters the values over the orbit; the orthant is
     then mirrored.  Returns the read-only patch and a read-only mapping of
     the origin-cell value and whether it was depth-capped.
     """
