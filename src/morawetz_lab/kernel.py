@@ -181,9 +181,10 @@ def _kernel_values(queries: Sequence[KernelQuery], rtol: float) -> tuple[list[co
 
     Each pass gathers the nodes of every query still running and hands them
     to ``_midpoint_sums``, so every value has the bits that the query gives
-    on its own (up to the ``bessel.j0`` caveat there).  A query fails as ``kernel_value`` describes, and the error
-    raised is that of the first failing query in the given order: once a
-    query fails, the queries after it are dropped.
+    on its own (up to the ``bessel.j0`` caveat there).  A query fails as
+    ``kernel_value`` describes, and the error raised is that of the first
+    failing query in the given order: once a query fails, the queries after
+    it are dropped.
     """
     if not rtol >= 0:
         raise DomainError(f"rtol must be nonnegative, got {rtol}")
@@ -328,10 +329,10 @@ def decay_fit(
     fitted slope is steeply negative.
 
     Every distance is evaluated as ``kernel_value`` evaluates it, to the same
-    bits (see ``_midpoint_sums``), but all of them in lockstep: each pass gathers the new nodes of every
-    distance not yet converged.  If several distances fail, the fit raises the
-    error of the nearest one, as evaluating them one by one from the nearest
-    would.
+    bits (see ``_midpoint_sums``), but all of them in lockstep: each pass
+    gathers the new nodes of every distance not yet converged.  If several
+    distances fail, the fit raises the error of the nearest one, as
+    evaluating them one by one from the nearest would.
     """
     if regime not in (ON_CONE, OFF_CONE):
         raise DomainError(f"regime must be {ON_CONE!r} or {OFF_CONE!r}")
