@@ -73,11 +73,10 @@ def _time_pass(u_sampler, grid: GridSpec):
     origin is index 0.  It is overwritten by a later node; reduce it with
     ``_weighted_sum`` before the next.
 
-    A sampler with a ``spectrum``, an ``out_shape``, a ``signature`` and
-    ``free`` axes (``elastic.WaveSampler``, of which ``ElasticPropagator``
-    is one) writes each node's spectrum into ``float64`` planes of its
-    block (real parts, then imaginary ones), each with the parity
-    ``signature`` in every axis.
+    ``u_sampler`` is an ``elastic.WaveSampler`` (``ElasticPropagator`` is
+    one): it writes each node's spectrum into ``float64`` planes of the
+    block of its ``free`` axes, of shape ``out_shape`` (real parts, then
+    imaginary ones), each with the parity ``signature`` in every axis.
     The pass transforms the planes of as many nodes as ``_BATCH_BYTES``
     holds at once, in place, from the block to the block, with
     ``spectral.block_transform``: one real matmul per signed axis and, when
@@ -92,34 +91,21 @@ def _time_pass(u_sampler, grid: GridSpec):
     block, sums against it to the sum over the whole lattice.  The lattice
     weights and masks of the consumers are all even (see ``weights``).
 
-    A plain callable's physical-order samples are reordered by one
-    ``ifftshift`` instead, all in double, on the full lattice.
-
-    The sampler is called once per node, in ascending order, at every node,
-    or only at the nodes with t >= 0 when it declares ``time_even``: the
-    nodes are symmetric about 0, so each of those then carries the weight of
-    its mirror node too (a node at t = 0 is its own mirror).  The density at
-    -t may be that at t reflected, ``|u(-t, x)|^2 = |u(t, -x)|^2`` (real
-    coefficients, see ``elastic.halfwave_sampler``), so a consumer's weight
-    must be even in x as well as in t; every lattice weight and ball mask
-    here is.
+    The sampler's ``spectrum`` runs once per node, in ascending order, at
+    every node, or only at the nodes with t >= 0 when it is ``time_even``:
+    the nodes are symmetric about 0, so each of those then carries the
+    weight of its mirror node too (a node at t = 0 is its own mirror).  The
+    density at -t may be that at t reflected, ``|u(-t, x)|^2 = |u(t, -x)|^2``
+    (real coefficients, see ``elastic.halfwave_sampler``), so a consumer's
+    weight must be even in x as well as in t; every lattice weight and ball
+    mask here is.
     """
     nodes, weights = grid.time_nodes(), grid.trapezoid_weights()
     first = 0
-    if getattr(u_sampler, "time_even", False):
+    if u_sampler.time_even:
         first = len(nodes) // 2
         weights = weights.copy()
         weights[len(nodes) - first:] += weights[:first][::-1]
-    spectrum = getattr(u_sampler, "spectrum", None)
-    if spectrum is None:
-        axes = tuple(range(-grid.dim, 0))
-        for i in range(first, len(nodes)):
-            # no sample outlives this statement, so the pass holds one field
-            density = np.abs(np.fft.ifftshift(_field_values(u_sampler(nodes[i]), grid)[0],
-                                              axes=axes))
-            yield i, nodes[i], weights[i], np.square(density, out=density).reshape(
-                -1, grid.mode_count)
-        return
     free, shape = u_sampler.free, u_sampler.out_shape
     size = max(1, min(len(nodes) - first, _BATCH_BYTES // (8 * math.prod(shape))))
     buf = np.empty((size,) + shape)
@@ -130,7 +116,7 @@ def _time_pass(u_sampler, grid: GridSpec):
     for start in range(first, len(nodes), size):
         batch = range(start, min(start + size, len(nodes)))
         for k, i in enumerate(batch):
-            spectrum(nodes[i], out=buf[k])
+            u_sampler.spectrum(nodes[i], out=buf[k])
         out = block_transform(buf[:len(batch)], matrices, work[:len(batch)], grid)
         if out.dtype == np.float64:
             dens = np.square(out, out=out)
@@ -261,10 +247,9 @@ def lp_level_range(grid: GridSpec) -> range:
 def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     """max over dyadic R of (1/R) int_{|x|<R} int_{-T}^{T} |u|^2 dt dx.
 
-    ``u_sampler`` maps t to a VectorField or raw samples, or has a
-    ``spectrum`` (see ``_time_pass``); it is called once per time node in
-    ascending order, over all nodes, or over the nodes with t >= 0 if it is
-    ``time_even`` (see ``elastic.WaveSampler``).  R runs over powers of two
+    ``u_sampler`` is an ``elastic.WaveSampler``, sampled once per time node
+    in ascending order, over all nodes, or over the nodes with t >= 0 if it
+    is ``time_even`` (see ``_time_pass``).  R runs over powers of two
     that fit in the box, down to a few grid cells; the ball masks are built
     in FFT storage order, like the samples, and read on the block of the
     sampler's pass.
@@ -276,7 +261,7 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
             raise DomainError("box too small to hold any dyadic ball")
         radii = [2.0**m for m in range(m_lo, m_hi + 1)]
 
-    xnorm = np.sqrt(grid.x_sq_fft()[grid.block(getattr(u_sampler, "free", True))]).ravel()
+    xnorm = np.sqrt(grid.x_sq_fft()[grid.block(u_sampler.free)]).ravel()
     masks = [(xnorm < R).astype(np.float64) for R in radii]
     totals = np.zeros(len(radii))
     for _, _, tw, density in _time_pass(u_sampler, grid):

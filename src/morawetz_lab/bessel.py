@@ -40,14 +40,18 @@ _P0, _Q0 = _hankel_tables(_HANKEL_TERMS)
 
 
 def _j0_series(x: np.ndarray) -> np.ndarray:
-    # sum_m (-1)^m (x^2/4)^m / (m!)^2, terms added until below 1e-18
-    z = 0.25 * x * x
+    # sum_m (-1)^m (x^2/4)^m / (m!)^2; each element adds terms until one of
+    # its own falls below 1e-18, so its value does not depend on the other
+    # elements (past that term they only fall: z / m^2 < 1 there)
+    nz = -0.25 * x * x
     term = np.ones_like(x)
     out = np.ones_like(x)
+    live = np.ones(x.shape, bool)
     for m in range(1, 60):
-        term = term * (-z) / (m * m)
-        out = out + term
-        if np.max(np.abs(term)) < 1e-18:
+        term = term * nz / (m * m)
+        np.add(out, term, out=out, where=live)
+        live = np.abs(term) >= 1e-18
+        if not live.any():
             break
     return out
 
@@ -66,7 +70,8 @@ def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
 
 
 def j0(x) -> np.ndarray:
-    """Bessel function of the first kind, order zero; vectorized, even in x."""
+    """Bessel function of the first kind, order zero; vectorized, even in x,
+    and elementwise: each value is that of its argument alone, bit for bit."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(np.abs(x)).astype(float)

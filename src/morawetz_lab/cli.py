@@ -391,7 +391,7 @@ def _report_decomposition(seed: int) -> dict:
     grid = GridSpec(2, 32, 12.0, 17, 3.0)
     params = LameParams(1.0, 1.0)
     rng = np.random.default_rng(seed)
-    envelope = np.exp(-(grid.x_norm() ** 2) / 2.0)
+    envelope = DataFamily(width=1.0).member(grid).f
     fv = (rng.standard_normal((2,) + grid.shape) * envelope).astype(np.complex128)
     f = VectorField(grid, fv)
     g = VectorField(grid, np.zeros_like(fv))
@@ -411,7 +411,7 @@ def _report_local_smoothing() -> dict:
     values = {}
     for N in (32, 64):
         grid = GridSpec(2, N, 10.0, 17, 3.0)
-        profile = np.exp(-(grid.x_norm() ** 2)).astype(np.complex128)
+        profile = DataFamily(width=math.sqrt(0.5)).member(grid).f
         values[N] = local_smoothing_functional(halfwave_sampler(profile, grid, 1.0), grid)
     return {
         "value": values[64],

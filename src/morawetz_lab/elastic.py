@@ -197,13 +197,16 @@ class WaveSampler:
     computes one way, into ``float64`` planes of the block, of shape
     ``out_shape``: the real parts of the components, then, unless no axis is
     free and every part and the drift are real to ``_EVEN_TOL`` (their
-    imaginary rounding is then dropped), their imaginary parts.  The time
-    pass hands it those planes as ``out`` and transforms them with
+    imaginary rounding is then dropped), their imaginary parts.  A two-way
+    term's parts and the drift are held once, as those planes; a one-way
+    term's part is complex, since its state is ``E_k A_k``.  The time pass
+    hands ``spectrum`` the planes as ``out`` and transforms them with
     ``spectral.block_transform``, which drops the odd axes' Nyquist planes.
-    ``spectrum`` without ``out`` combines its own planes to complex, and it,
-    ``rate`` and ``__call__`` unfold once (``GridSpec.unfold``), Nyquist
-    planes included.  ``ElasticPropagator`` is the subclass of an elastic
-    state; ``halfwave_sampler`` builds the sampler of scalar data.
+    ``spectrum`` without ``out`` and ``rate`` fill planes of their own the
+    same way (``_fill``), then combine them to complex and unfold them once
+    (``GridSpec.unfold``), Nyquist planes included.  ``ElasticPropagator``
+    is the subclass of an elastic state; ``halfwave_sampler`` builds the
+    sampler of scalar data.
 
     ``even`` is true when the sampler is even in every axis, such as radial
     scalar data.  Terms whose spatial axes have the shape
@@ -216,19 +219,16 @@ class WaveSampler:
                  time_even: bool = False):
         self.grid = grid
         self.time_even = time_even
-        # (c, A or P, Q, one-way?)
-        self._terms = [(float(c), X, rest[0] if rest else None, not rest)
-                       for c, X, *rest in terms]
-        self._drift = drift
+        terms = [(float(c), X, rest[0] if rest else None, not rest) for c, X, *rest in terms]
         self._zero = (Ellipsis,) + (0,) * grid.dim
         self._nodes = grid.time_nodes()
         self._state = None  # per term E_k A_k (one-way) or E_k (two-way) at self._t
         self._t = None
         self._index = None  # node index of self._t, None off the nodes
-        shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in self._terms))
+        shape = np.broadcast_shapes(*(X.shape for _, X, _, _ in terms))
         lead = shape[:len(shape) - grid.dim]
         self.shape = lead + grid.shape
-        parts = [X for _, P, Q, _ in self._terms for X in (P, Q) if X is not None]
+        parts = [X for _, P, Q, _ in terms for X in (P, Q) if X is not None]
         if shape[len(lead):] == grid.even_shape:
             self.signature = np.full((int(np.prod(lead)), grid.dim), EVEN, np.int8)
         else:
@@ -236,15 +236,21 @@ class WaveSampler:
                                         grid.dim)
         self.even = not self.signature.any()
         self.free = free = tuple((self.signature == FREE).any(axis=0).tolist())
-        real_parts = not any(free) and not any(one_way for *_, one_way in self._terms) and all(
+        real_parts = not any(free) and not any(one_way for *_, one_way in terms) and all(
             _is_real(X) for X in parts) and (drift is None or _is_real(drift))
         # (planes: real parts[, imaginary parts]) + lead + block
         self._planes = (1 if real_parts else 2,) + lead + grid.block_shape(free)
         self.out_shape = (int(np.prod(self._planes[:-grid.dim])),) + grid.block_shape(free)
         block = (Ellipsis,) + grid.block(free)
-        self._terms = [(c, np.ascontiguousarray(P[block]),
-                        None if Q is None else np.ascontiguousarray(Q[block]), one_way)
-                       for c, P, Q, one_way in self._terms]
+
+        def planes(X, shape=self._planes[1:]):
+            X = np.broadcast_to(X, shape)
+            return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
+
+        self._terms = [(c, np.ascontiguousarray(X[block]), None, True) if one_way else
+                       (c, planes(X[block]), None if Q is None else planes(Q[block]), False)
+                       for c, X, Q, one_way in terms]
+        self._drift = None if drift is None else planes(drift, lead)
         self._xin = grid.xi_norm(free)
 
     def _advance(self, t: float) -> None:
@@ -270,84 +276,69 @@ class WaveSampler:
         return [self.grid.phase_step(c, self.free) for c, *_ in self._terms]
 
     @functools.cached_property
-    def _out_parts(self):
-        """The two-way terms' parts and the drift as ``float64`` planes of
-        ``spectrum``'s ``out``, and a field for one product."""
-        def as_out(X):
-            if X is None:
-                return None
-            X = np.broadcast_to(X, self._planes[1:])
-            return np.ascontiguousarray(np.stack([X.real, X.imag][:self._planes[0]]))
+    def _product(self) -> np.ndarray:
+        """The field of one product of ``_fill``, made only for a second part."""
+        return np.empty(self._planes)
 
-        parts = [(None, None) if one_way else (as_out(P), as_out(Q))
-                 for _, P, Q, one_way in self._terms]
-        drift = self._drift
-        if drift is not None:
-            drift = np.stack([drift.real, drift.imag][:self._planes[0]])
-        return parts, np.empty(self._planes), drift
-
-    def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """uhat(t), in FFT storage order, of shape ``self.shape``.
-
-        ``out``, ``float64`` of shape ``out_shape``, takes the planes of the
-        block instead (see the class docstring), as the time pass
-        (``analysis._time_pass``) fills its buffer: one product of ``Re E_k``
-        or ``Im E_k`` with each part's planes per cosine or sine, the first
-        into ``out`` and the others into one reused field added to it, and a
-        one-way term's state copied in as its real and imaginary planes; no
-        field-sized temporary after the first call.  Without ``out``, the
-        planes go into a new buffer, which is combined to complex and
-        unfolded.
-        """
-        if out is None:
-            planes = self.spectrum(t, np.empty(self.out_shape)).reshape(self._planes)
-            u = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0].astype(complex)
-            return u if all(self.free) else self.grid.unfold(u, self.signature)
-        if out.shape != self.out_shape:
-            raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
+    def _fill(self, t: float, target: np.ndarray, rate: bool = False) -> None:
+        """The planes of uhat(t), or with ``rate`` of d/dt uhat(t), into
+        ``target`` (shape ``_planes``).  Each term's value v is its state, or
+        for the rate the state times ``i c|xi|``: a one-way term adds Re v and
+        Im v as its two planes, a two-way term ``Re v`` times its cosine
+        part's planes and ``Im v`` times its sine part's; the first into
+        ``target``, the others through ``_product``.  The drift adds t times
+        its planes at the zero mode, the rate once."""
         self._advance(t)
-        parts, product, drift = self._out_parts
-        target = out.reshape(self._planes)
         first = True
-        for (_, _, _, one_way), state, (P, Q) in zip(self._terms, self._state, parts):
+        for (c, P, Q, one_way), state in zip(self._terms, self._state):
+            v = 1j * c * self._xin * state if rate else state
             if one_way:  # a one-way term makes the planes complex: there are two
-                for dst, value in zip(target, (state.real, state.imag)):
+                for dst, value in zip(target, (v.real, v.imag)):
                     if first:
                         np.copyto(dst, value)
                     else:
                         dst += value
                 first = False
                 continue
-            for value, part in ((state.real, P), (state.imag, Q)):
+            for value, part in ((v.real, P), (v.imag, Q)):
                 if part is None:
                     continue
                 if first:
                     np.multiply(value, part, out=target)
                 else:
-                    np.multiply(value, part, out=product)
-                    target += product
+                    target += np.multiply(value, part, out=self._product)
                 first = False
-        if drift is not None:
-            target[self._zero] += t * drift
+        if self._drift is not None:
+            target[self._zero] += self._drift if rate else t * self._drift
+
+    def _unfolded(self, planes: np.ndarray) -> np.ndarray:
+        """The spectrum of ``_fill``'s planes: combined to complex, unfolded."""
+        u = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0].astype(complex)
+        return u if all(self.free) else self.grid.unfold(u, self.signature)
+
+    def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """uhat(t), in FFT storage order, of shape ``self.shape``.
+
+        ``out``, ``float64`` of shape ``out_shape``, takes the planes of the
+        block instead (see the class docstring), as the time pass
+        (``analysis._time_pass``) fills its buffer; no field-sized temporary
+        after the first call.
+        """
+        if out is None:
+            planes = np.empty(self._planes)
+            self._fill(t, planes)
+            return self._unfolded(planes)
+        if out.shape != self.out_shape:
+            raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
+        self._fill(t, out.reshape(self._planes))
         return out
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier:
         ``i c|xi| E A`` per one-way term, ``c|xi| (cos Q - sin P)`` per two-way term."""
-        self._advance(t)
-        out = 0.0
-        for (c, X, Q, one_way), state in zip(self._terms, self._state):
-            w = c * self._xin
-            if one_way:
-                out = out + 1j * w * state
-                continue
-            part = -state.imag * X
-            if Q is not None:
-                part += state.real * Q
-            out = out + w * part
-        if self._drift is not None:
-            out[self._zero] += self._drift
-        return out if all(self.free) else self.grid.unfold(out, self.signature)
+        planes = np.empty(self._planes)
+        self._fill(t, planes, rate=True)
+        return self._unfolded(planes)
 
     def __call__(self, t: float) -> np.ndarray:
         """u(t) on the physical grid."""

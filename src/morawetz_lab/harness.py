@@ -236,6 +236,9 @@ def _max_speed(propagation) -> float:
 
 def _scalar_halfwave_sampler(profile: np.ndarray, grid: GridSpec, speed: float,
                              coeffs: np.ndarray | None = None):
+    """``halfwave_sampler``, under the name that ``perfbench/tracing.py``
+    patches; nothing in the package calls it, and it is kept only as that
+    patch target."""
     return halfwave_sampler(profile, grid, speed, coeffs)
 
 
@@ -245,7 +248,7 @@ def _scalar_sampler_and_norm(f: np.ndarray, grid: GridSpec, speed: float, s: flo
     for f even in every axis), which is freed on return unless the sampler
     keeps it."""
     F = _halfwave_coefficients(f, grid)
-    return _scalar_halfwave_sampler(f, grid, speed, F), _hs_norm(F[np.newaxis], s, grid)
+    return halfwave_sampler(f, grid, speed, F), _hs_norm(F[np.newaxis], s, grid)
 
 
 def _elastic_coefficients(state: ElasticState, s: float):
@@ -466,7 +469,7 @@ def frequency_constant_scan(
         l2 = float(np.sqrt(measure * np.sum(np.abs(p) ** 2)))
         if l2 == 0.0:
             raise ConfigurationError("probe collapsed to zero after band projection")
-        num = weighted_spacetime_norm(_scalar_halfwave_sampler(p, grid, 1.0), weight, grid, quad)
+        num = weighted_spacetime_norm(halfwave_sampler(p, grid, 1.0), weight, grid, quad)
         return num / l2
 
     prebuild_weight(weight, grid, quad)

@@ -27,9 +27,8 @@ all of its distances in lockstep (``_kernel_values``, of which
 every distance not yet converged into integrand calls of at most
 ``PACK_NODES`` nodes (or one run of up to ``BLOCK_NODES``), with |z| and tau
 given per node, and sums each distance's runs as that distance alone would,
-so every value keeps its bits (up to the ``bessel.j0`` caveat of
-``_midpoint_sums``) while a fit of short passes makes a few calls instead of
-one per pass.  ``DecayFit`` counts the integrand nodes and calls.
+so every value keeps its bits while a fit of short passes makes a few calls
+instead of one per pass.  ``DecayFit`` counts the integrand nodes and calls.
 """
 
 from __future__ import annotations
@@ -125,9 +124,7 @@ def _midpoint_sums(f, lo: np.ndarray, hi: np.ndarray, panels: np.ndarray, za: np
     integrand calls of at most ``PACK_NODES`` nodes, or of one longer run,
     with |z| and tau given per node.  Each run is summed with ``np.sum`` and
     an interval adds its runs in order, so every sum has the bits of its
-    interval on its own wherever f is elementwise.  ``bessel.j0`` is not
-    quite: it stops its series on the largest argument of a call, which can
-    move a value very near a zero of J0 in its last bits.
+    interval on its own, f being elementwise (``bessel.j0`` included).
     """
     h = (hi - lo) / panels
     runs = [(i, first, min(first + BLOCK_NODES, int(p)))
@@ -181,7 +178,7 @@ def _kernel_values(queries: Sequence[KernelQuery], rtol: float) -> tuple[list[co
 
     Each pass gathers the nodes of every query still running and hands them
     to ``_midpoint_sums``, so every value has the bits that the query gives
-    on its own (up to the ``bessel.j0`` caveat there).  A query fails as
+    on its own.  A query fails as
     ``kernel_value`` describes, and the error raised is that of the first
     failing query in the given order: once a query fails, the queries after
     it are dropped.
@@ -329,7 +326,7 @@ def decay_fit(
     fitted slope is steeply negative.
 
     Every distance is evaluated as ``kernel_value`` evaluates it, to the same
-    bits (see ``_midpoint_sums``), but all of them in lockstep: each pass
+    bits, but all of them in lockstep: each pass
     gathers the new nodes of every distance not yet converged.  If several
     distances fail, the fit raises the error of the nearest one, as
     evaluating them one by one from the nearest would.

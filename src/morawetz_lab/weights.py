@@ -413,20 +413,19 @@ def weighted_spacetime_norm(
     Computes ``( int_{-T}^{T} dx^n sum_x w(x,t) |u(x,t)|^2 dt )^{1/2}`` with
     the trapezoid rule in t and the singular-cell treatment described in the
     module docstring.  |u|^2 is the squared Euclidean length of the component
-    vector.  ``u_sampler`` maps t to a VectorField or raw samples, or has a
-    ``spectrum`` (see ``analysis._time_pass``); it is called once per time
-    node in ascending order, over all nodes, or over the nodes with t >= 0 if
-    it is ``time_even`` (see ``elastic.WaveSampler``): every weight here is
-    even in t and in x, so each such node then also stands for its mirror
-    node.  The sums run in FFT storage order on the block of the pass
-    (``grid.block(free)``) against one weight array, filled as the module
-    docstring describes: once, at t = 0, for the spatial weight, and in
-    place at every node for the space-time weight.
+    vector.  ``u_sampler`` is an ``elastic.WaveSampler``, sampled once per
+    time node in ascending order, over all nodes, or over the nodes with
+    t >= 0 if it is ``time_even`` (see ``analysis._time_pass``): every
+    weight here is even in t and in x, so each such node then also stands
+    for its mirror node.  The sums run in FFT storage order on the block of
+    the pass (``grid.block(free)``) against one weight array, filled as the
+    module docstring describes: once, at t = 0, for the spatial weight, and
+    in place at every node for the space-time weight.
     """
     quad = quad or QuadratureConfig()
     weight.validate_for(grid)
     measure = grid.dx**grid.dim
-    free = getattr(u_sampler, "free", True)  # a plain callable's pass has the lattice
+    free = u_sampler.free
     patch, _ = _weight_patch(weight, grid, quad)
     spacetime = weight.kind == SPACETIME_POWER
     if not spacetime:  # the spatial weight: the fill at t = 0 under a one-node patch

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from morawetz_lab import GridSpec, VectorField, kernel
+from morawetz_lab.elastic import WaveSampler
 from morawetz_lab.spectral import forward_values, inverse_values
 
 
@@ -25,6 +26,13 @@ def pass_nodes(monkeypatch):
 
     monkeypatch.setattr(kernel, "_midpoint_sums", guarded)
     return sizes
+
+
+def constant_sampler(values, grid: GridSpec) -> WaveSampler:
+    """The sampler of a field constant in time: one one-way term at speed 0
+    whose part is the coefficients of ``values`` (scalar or component-stacked
+    samples)."""
+    return WaveSampler(grid, [(0.0, forward_values(values, grid))])
 
 
 def random_vector_field(grid: GridSpec, rng, mean_zero: bool = False) -> VectorField:

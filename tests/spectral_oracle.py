@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from morawetz_lab.errors import ShapeError
-from morawetz_lab.spectral import GridSpec, VectorField
+from morawetz_lab.spectral import GridSpec
 from morawetz_lab.weights import SPATIAL_POWER, QuadratureConfig, WeightSpec, _weight_patch
 
 
@@ -78,18 +78,13 @@ def apply_multiplier(
 
 def physical_densities(u_sampler, grid: GridSpec):
     """Yield (node index, trapezoid weight, |u(t)|^2 on the physical grid) at
-    every node: ``fftshift(ifftn(uhat)) / dx^n`` for a sampler with a
-    ``spectrum``, the samples themselves for a plain callable, then
-    re^2 + im^2 summed over the components."""
+    every node: ``fftshift(ifftn(uhat)) / dx^n`` of the sampler's
+    ``spectrum``, then re^2 + im^2 summed over the components."""
     n = grid.dim
     for i, (t, tw) in enumerate(zip(grid.time_nodes(), grid.trapezoid_weights())):
-        if hasattr(u_sampler, "spectrum"):
-            coeffs = u_sampler.spectrum(t)
-            axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
-            values = np.fft.fftshift(np.fft.ifftn(coeffs, axes=axes), axes=axes) / grid.dx**n
-        else:
-            sample = u_sampler(t)
-            values = sample.values if isinstance(sample, VectorField) else np.asarray(sample)
+        coeffs = u_sampler.spectrum(t)
+        axes = tuple(range(coeffs.ndim - n, coeffs.ndim))
+        values = np.fft.fftshift(np.fft.ifftn(coeffs, axes=axes), axes=axes) / grid.dx**n
         dens = values.real**2 + values.imag**2
         yield i, tw, dens.reshape((-1,) + grid.shape).sum(axis=0)
 

@@ -42,7 +42,7 @@ from morawetz_lab.kernel import OFF_CONE, ON_CONE
 from morawetz_lab.spectral import forward_values, inverse_values
 from morawetz_lab.weights import SPACETIME_POWER, SPATIAL_POWER
 
-from conftest import random_vector_field, smooth_random_field
+from conftest import constant_sampler, random_vector_field, smooth_random_field
 from pyramid_oracle import cube_moment_oracle
 from spectral_oracle import frequency_lattice, projection_matrices
 from test_spectral import brute_force_forward
@@ -219,7 +219,7 @@ def test_criterion_6_norm_oracles():
     for refinement in (8, 16):
         quad_cfg = QuadratureConfig(singular_cell_refinement=refinement)
         norms[refinement] = weighted_spacetime_norm(
-            lambda t: profile, WeightSpec(SPATIAL_POWER, 1.5), g2, quad_cfg
+            constant_sampler(profile, g2), WeightSpec(SPATIAL_POWER, 1.5), g2, quad_cfg
         )
     stability = abs(norms[16] - norms[8]) / norms[16]
 

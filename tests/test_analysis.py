@@ -8,7 +8,6 @@ from morawetz_lab import (
     DomainError,
     GridSpec,
     VectorField,
-    half_wave,
     helmholtz_split,
     hs_norm,
     local_smoothing_functional,
@@ -16,9 +15,10 @@ from morawetz_lab import (
     lp_project,
 )
 from morawetz_lab.cutoff import default_cutoff
+from morawetz_lab.elastic import halfwave_sampler
 from morawetz_lab.spectral import forward_values, inverse_values
 
-from conftest import l2_norm, random_vector_field, smooth_random_field
+from conftest import constant_sampler, l2_norm, random_vector_field, smooth_random_field
 
 
 def gaussian_vector_field(grid, width=1.0):
@@ -152,7 +152,7 @@ class TestLocalSmoothing:
     def test_zero_field(self):
         g = GridSpec(2, 16, 4.0, time_samples=5, time_horizon=1.0)
         zero = np.zeros(g.shape, dtype=complex)
-        assert local_smoothing_functional(lambda t: zero, g) == 0.0
+        assert local_smoothing_functional(constant_sampler(zero, g), g) == 0.0
 
     def test_compact_support_tail_scales_like_inverse_radius(self):
         # static bump inside |x| < r0: the R-functional decays like 1/R beyond,
@@ -167,7 +167,7 @@ class TestLocalSmoothing:
             val = 2 * g.time_horizon * g.dx**2 * np.sum(np.abs(bump[mask]) ** 2)
             totals.append(val / R)
         assert np.argmax(totals) == 0
-        assert local_smoothing_functional(lambda t: bump, g) == pytest.approx(
+        assert local_smoothing_functional(constant_sampler(bump, g), g) == pytest.approx(
             totals[0], rel=1e-12
         )
 
@@ -177,5 +177,5 @@ class TestLocalSmoothing:
         for N in (32, 64):
             g = GridSpec(3, N, 8.0, time_samples=17, time_horizon=3.0)
             f = np.exp(-(g.x_norm() ** 2)).astype(complex)
-            values[N] = local_smoothing_functional(lambda t: half_wave(f, g, 1.0, t), g)
+            values[N] = local_smoothing_functional(halfwave_sampler(f, g, 1.0), g)
         assert abs(values[64] - values[32]) / values[64] < 0.05

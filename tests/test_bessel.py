@@ -31,6 +31,19 @@ def test_even_and_scalar():
     assert np.isscalar(float(j0(1.0)))
 
 
+def test_elementwise_bit_for_bit():
+    # each value is its argument's alone: near a zero of J0 the series of a
+    # small argument once ran on as long as the largest one of the call
+    # needed, which moved 8.6537... from -3.75293853e-15 to -3.75293131e-15
+    zero = 8.653727912911013
+    assert j0(np.array([zero, 11.9]))[0] == j0(np.array([zero]))[0]
+    x = np.concatenate([[zero, 11.9, 0.0, 12.0, -3.0],
+                        np.random.default_rng(3).uniform(-40.0, 40.0, 500)])
+    together = j0(x)
+    alone = np.array([j0(np.array([v]))[0] for v in x])
+    np.testing.assert_array_equal(together, alone)
+
+
 def test_sphere_sinc_series_branch():
     w = np.array([0.0, 1e-6, 1e-3, 0.5, 3.0])
     expected = np.array([1.0, np.sin(1e-6) / 1e-6, np.sin(1e-3) / 1e-3,

@@ -124,24 +124,16 @@ class TestComputeRatio:
         q = RegionQuery(1.0, 0.5, 2, SPATIAL_POWER)
         rec_e = compute_ratio(member_e, q, params, g)
 
-        # scalar route on each nonzero component with matched scalar velocity
+        # scalar route: the half-wave at speed sqrt(mu) of each component,
+        # stacked into one one-way term
         quadc = QuadratureConfig()
-        from morawetz_lab.harness import _scalar_halfwave_sampler
         from morawetz_lab.analysis import hs_norm
+        from morawetz_lab.elastic import WaveSampler
 
-        def stacked_sampler(t):
-            return np.stack(
-                [
-                    _scalar_halfwave_sampler(f_vec_S.values[c], g, params.shear_speed)(t)
-                    for c in range(2)
-                ]
-            )
-
-        num = weighted_spacetime_norm(
-            stacked_sampler, WeightSpec(SPATIAL_POWER, 1.0), g, quadc
-        )
+        stacked = WaveSampler(g, [(params.shear_speed, forward_values(f_vec_S.values, g))])
+        num = weighted_spacetime_norm(stacked, WeightSpec(SPATIAL_POWER, 1.0), g, quadc)
         den = hs_norm(f_vec_S, 0.5) + hs_norm(member_e.g, -0.5)
-        # the sampler's block pass against the plain-callable one, both in double
+        # the two-way elastic pass against the one-way scalar one, both in double
         assert rec_e.ratio == pytest.approx(num / den, rel=1e-12)
 
     @staticmethod
@@ -390,8 +382,7 @@ class TestFrequencyScan:
     ], ids=["report", "freq_scan_2t"])
     def test_constants_are_pinned(self, grid, levels, alpha, constants):
         # the constants of ``report`` and of the benchmark's scan at one
-        # exponent, as the double-precision pass gives them; the plain
-        # physical-order pass agrees with each probe's ratio to 6e-16
+        # exponent, as the double-precision pass gives them
         query = RegionQuery(alpha, (alpha - 1.0) / 2.0, 2, SPACETIME_POWER)
         res = frequency_constant_scan(levels, query, grid)
         assert res.constants == pytest.approx(constants, rel=1e-12, abs=0.0)

@@ -27,6 +27,7 @@ from morawetz_lab.weights import (
     singular_cell_report,
 )
 
+from conftest import constant_sampler
 from pyramid_oracle import box_moment_oracle, cube_moment_oracle
 
 
@@ -35,8 +36,7 @@ def static_gaussian_sampler(grid, width=1.0, center=None):
         x2 = grid.x_norm() ** 2
     else:
         x2 = sum((grid.x_grids()[i] - center[i]) ** 2 for i in range(grid.dim))
-    profile = np.exp(-x2 / (2 * width**2)).astype(complex)
-    return lambda t: profile
+    return constant_sampler(np.exp(-x2 / (2 * width**2)), grid)
 
 
 class TestWeightSpec:
@@ -71,7 +71,7 @@ class TestWeightedNorm:
         g = GridSpec(2, 16, 2.0, time_samples=5)
         zero = np.zeros(g.shape, dtype=complex)
         for spec in (WeightSpec(SPATIAL_POWER, 1.0), WeightSpec(SPACETIME_POWER, 1.5)):
-            assert weighted_spacetime_norm(lambda t: zero, spec, g) == 0.0
+            assert weighted_spacetime_norm(constant_sampler(zero, g), spec, g) == 0.0
 
     def test_smoothed_indicator_against_refined_grid_oracle(self):
         # static smoothed box indicator; the double-resolution grid is the oracle
@@ -81,7 +81,7 @@ class TestWeightedNorm:
             smooth = 1.0
             for i in range(2):
                 smooth = smooth * 0.5 * (np.tanh(2 * (X[i] + 1)) - np.tanh(2 * (X[i] - 1)))
-            sampler = lambda t: smooth.astype(complex)
+            sampler = constant_sampler(smooth, g)
             return weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 1.0), g)
 
         coarse, oracle = norm_at(256), norm_at(512)
@@ -95,10 +95,10 @@ class TestWeightedNorm:
         n, N, L, T, M, width = 2, 64, 8.0, 2.0, 17, 1.0
         g1 = GridSpec(n, N, L, M, T)
         v = np.exp(-((lam * g1.x_norm()) ** 2) / (2 * width**2)).astype(complex)
-        norm_v = weighted_spacetime_norm(lambda t: v, WeightSpec(kind, alpha), g1)
+        norm_v = weighted_spacetime_norm(constant_sampler(v, g1), WeightSpec(kind, alpha), g1)
         g2 = GridSpec(n, N, lam * L, M, lam * T)
         u = np.exp(-(g2.x_norm() ** 2) / (2 * width**2)).astype(complex)
-        norm_u = weighted_spacetime_norm(lambda t: u, WeightSpec(kind, alpha), g2)
+        norm_u = weighted_spacetime_norm(constant_sampler(u, g2), WeightSpec(kind, alpha), g2)
         assert norm_v == pytest.approx(lam ** ((alpha - n - 1) / 2.0) * norm_u, rel=0.01)
 
     def test_refinement_doubling_stability(self):
@@ -253,8 +253,8 @@ def test_spacetime_norm_even_time_samples():
     g_odd = GridSpec(2, 32, 6.0, time_samples=9, time_horizon=1.0)
     profile = np.exp(-(g_even.x_norm() ** 2)).astype(complex)
     spec = WeightSpec(SPACETIME_POWER, 2.0)
-    v_even = weighted_spacetime_norm(lambda t: profile, spec, g_even)
-    v_odd = weighted_spacetime_norm(lambda t: profile, spec, g_odd)
+    v_even = weighted_spacetime_norm(constant_sampler(profile, g_even), spec, g_even)
+    v_odd = weighted_spacetime_norm(constant_sampler(profile, g_odd), spec, g_odd)
     assert np.isfinite(v_even) and v_even > 0
     assert v_even == pytest.approx(v_odd, rel=0.2)  # same quantity, coarser rule
 
