@@ -20,21 +20,14 @@ carries the zero mode.
 
 from __future__ import annotations
 
-import math
 from math import gamma, pi
 
 import numpy as np
 
 from .cutoff import default_cutoff
+from .elastic import _weighted_sum
 from .errors import DomainError, ShapeError
-from .spectral import (
-    GridSpec,
-    VectorField,
-    block_matrices,
-    block_transform,
-    forward_values,
-    inverse_values,
-)
+from .spectral import GridSpec, VectorField, forward_values, inverse_values
 
 __all__ = [
     "hs_norm",
@@ -55,84 +48,6 @@ def _field_values(field, grid: GridSpec | None) -> tuple[np.ndarray, GridSpec]:
     if arr.ndim == grid.dim + 1 and arr.shape[1:] == grid.shape:
         return arr, grid
     raise ShapeError(f"field shape {arr.shape} does not match grid {grid.shape}")
-
-
-# the most bytes of planes that the pass transforms at once: 7 nodes of the
-# frequency scan's 2 x 128 x 65 probe planes, 15 of the 2 x 65^2 elastic
-# ones, 1 of a 3-d radial 2 x 33^3 (a node always fits); each transform then
-# makes fewer calls per node, which the 2-thread frequency scan gains most from
-_BATCH_BYTES = 2**20
-
-
-def _time_pass(u_sampler, grid: GridSpec):
-    """Yield (node index, t, weight, density) along one ascending pass.
-
-    ``density`` is a (rows, points) float64 array in FFT storage order whose
-    rows sum to |u(t)|^2 on the block ``grid.block(u_sampler.free)``: grid
-    index m sits at x = dx * m (m taken mod N into [-N/2, N/2)), so the
-    origin is index 0.  It is overwritten by a later node; reduce it with
-    ``_weighted_sum`` before the next.
-
-    ``u_sampler`` is an ``elastic.WaveSampler`` (``ElasticPropagator`` is
-    one): it writes each node's spectrum into ``float64`` planes of the
-    block of its ``free`` axes, of shape ``out_shape`` (real parts, then
-    imaginary ones), each with the parity ``signature`` in every axis.
-    The pass transforms the planes of as many nodes as ``_BATCH_BYTES``
-    holds at once, in place, from the block to the block, with
-    ``spectral.block_transform``: one real matmul per signed axis and, when
-    an axis is free, one ``complex128`` FFT of each component over the free
-    axes.  That gives each component's u * (N dx)^n up to a unimodular
-    factor, so the pass folds (N dx)^{-2n} into the weight and squares each
-    plane, or the modulus of each component, into one row; all of it runs
-    in double precision, in two buffers allocated once per pass.  Each
-    point is multiplied by its orbit size ``grid.orbit_sizes(free)``: |u|^2
-    is even in every signed axis, whatever the parities.  That is the
-    density contract of the block: a weight even in every axis, read on the
-    block, sums against it to the sum over the whole lattice.  The lattice
-    weights and masks of the consumers are all even (see ``weights``).
-
-    The sampler's ``spectrum`` runs once per node, in ascending order, at
-    every node, or only at the nodes with t >= 0 when it is ``time_even``:
-    the nodes are symmetric about 0, so each of those then carries the
-    weight of its mirror node too (a node at t = 0 is its own mirror).  The
-    density at -t may be that at t reflected, ``|u(-t, x)|^2 = |u(t, -x)|^2``
-    (real coefficients, see ``elastic.halfwave_sampler``), so a consumer's
-    weight must be even in x as well as in t; every lattice weight and ball
-    mask here is.
-    """
-    nodes, weights = grid.time_nodes(), grid.trapezoid_weights()
-    first = 0
-    if u_sampler.time_even:
-        first = len(nodes) // 2
-        weights = weights.copy()
-        weights[len(nodes) - first:] += weights[:first][::-1]
-    free, shape = u_sampler.free, u_sampler.out_shape
-    size = max(1, min(len(nodes) - first, _BATCH_BYTES // (8 * math.prod(shape))))
-    buf = np.empty((size,) + shape)
-    signature = u_sampler.signature
-    matrices = block_matrices(np.tile(signature, (shape[0] // len(signature), 1)), grid)
-    work, orbit = np.empty_like(buf), grid.orbit_sizes(free)
-    scale = grid.dx ** (-2 * grid.dim) / grid.mode_count**2
-    for start in range(first, len(nodes), size):
-        batch = range(start, min(start + size, len(nodes)))
-        for k, i in enumerate(batch):
-            u_sampler.spectrum(nodes[i], out=buf[k])
-        out = block_transform(buf[:len(batch)], matrices, work[:len(batch)], grid)
-        if out.dtype == np.float64:
-            dens = np.square(out, out=out)
-        else:  # |z|^2 of each component, into the planes that z leaves free
-            parts = np.square(out.view(np.float64), out=out.view(np.float64))  # re, im, ...
-            dens = (buf if np.may_share_memory(out, work) else work)[:len(batch), :len(out[0])]
-            np.add(parts[..., ::2], parts[..., 1::2], out=dens)
-        dens *= orbit
-        for k, i in enumerate(batch):
-            yield i, nodes[i], weights[i] * scale, dens[k].reshape(-1, orbit.size)
-
-
-def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:
-    """sum_x w(x) |u(x)|^2, ``w`` flat in FFT storage order: one dot per row
-    of ``_time_pass``'s density."""
-    return float(sum(w @ d for d in density))
 
 
 # J(s) by (dim, points_per_axis, half_width, s), at most 128 of them: keyed on
@@ -244,16 +159,17 @@ def lp_level_range(grid: GridSpec) -> range:
     return range(k_lo, k_hi + 1)
 
 
-def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
+def local_smoothing_functional(u_sampler, radii=None) -> float:
     """max over dyadic R of (1/R) int_{|x|<R} int_{-T}^{T} |u|^2 dt dx.
 
-    ``u_sampler`` is an ``elastic.WaveSampler``, sampled once per time node
-    in ascending order, over all nodes, or over the nodes with t >= 0 if it
-    is ``time_even`` (see ``_time_pass``).  R runs over powers of two
-    that fit in the box, down to a few grid cells; the ball masks are built
-    in FFT storage order, like the samples, and read on the block of the
-    sampler's pass.
+    ``u_sampler`` is an ``elastic.WaveSampler``, on whose grid the
+    functional runs, through its time pass (``WaveSampler.densities``): over
+    all nodes, or over the nodes with t >= 0 if it is ``time_even``.  R
+    runs over powers of two that fit in the box, down to a few grid cells;
+    the ball masks are built in FFT storage order, like the samples, and
+    read on the block of the sampler's pass.
     """
+    grid = u_sampler.grid
     if radii is None:
         m_lo = int(np.ceil(np.log2(2 * grid.dx)))
         m_hi = int(np.floor(np.log2(grid.half_width)))
@@ -264,7 +180,7 @@ def local_smoothing_functional(u_sampler, grid: GridSpec, radii=None) -> float:
     xnorm = np.sqrt(grid.x_sq_fft()[grid.block(u_sampler.free)]).ravel()
     masks = [(xnorm < R).astype(np.float64) for R in radii]
     totals = np.zeros(len(radii))
-    for _, _, tw, density in _time_pass(u_sampler, grid):
+    for _, _, tw, density in u_sampler.densities():
         for j, mask in enumerate(masks):
             totals[j] += tw * grid.dx**grid.dim * _weighted_sum(mask, density)
     return float(np.max(totals / np.asarray(radii)))

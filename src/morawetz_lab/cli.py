@@ -54,7 +54,6 @@ from .weights import (
 )
 
 CSV_SCHEMA_VERSION = "v2"
-COMMANDS = ("evolve", "scan-ratio", "kernel-decay", "a2-scan", "lp-check", "report")
 
 
 @dataclass(frozen=True)
@@ -396,9 +395,7 @@ def _report_decomposition(seed: int) -> dict:
     f = VectorField(grid, fv)
     g = VectorField(grid, np.zeros_like(fv))
     state = ElasticState(f, g)
-    check = decomposition_check(
-        state, params, RegionQuery(1.0, 0.5, 2, SPATIAL_POWER), grid
-    )
+    check = decomposition_check(state, params, RegionQuery(1.0, 0.5, 2, SPATIAL_POWER))
     return {
         "hs_pythagoras_gap": check.hs_pythagoras_gap,
         "triangle_slack": check.triangle_slack,
@@ -412,7 +409,7 @@ def _report_local_smoothing() -> dict:
     for N in (32, 64):
         grid = GridSpec(2, N, 10.0, 17, 3.0)
         profile = DataFamily(width=math.sqrt(0.5)).member(grid).f
-        values[N] = local_smoothing_functional(halfwave_sampler(profile, grid, 1.0), grid)
+        values[N] = local_smoothing_functional(halfwave_sampler(profile, grid, 1.0))
     return {
         "value": values[64],
         "refinement_change_rel": abs(values[64] - values[32]) / values[64],

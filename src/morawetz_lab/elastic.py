@@ -26,9 +26,9 @@ parity signature once, from its parts, and keeps its parts and state on
 the block of FFT storage order that it fixes (``GridSpec.block``): one
 point per orbit of the reflections of the signed axes, every point of a
 free one.  It computes every spectrum as real ``float64`` planes of that
-block, which the time pass transforms with one real matmul per signed axis
-and one ``complex128`` FFT over the free ones
-(``spectral.block_transform``; see ``analysis._time_pass``).
+block, which its time pass (``WaveSampler.densities``) transforms with one
+real matmul per signed axis and one ``complex128`` FFT over the free ones
+(``spectral.block_transform``).
 Convention at the zero mode:
 P(0) = 0, Q(0) = I, and ``uhat(0,t) = fhat(0) + t ghat(0)`` (the
 free-particle limit of the ODE).
@@ -193,20 +193,33 @@ class WaveSampler:
     make ``Im u``).  The sampler keeps its parts, those planes included, and
     state on ``grid.block(free)``, one point per orbit of the signed axes'
     reflections, the lattice when every axis is free; the parts' remainder
-    of the other parity, at most ``_EVEN_TOL``, is dropped.  ``spectrum``
-    computes one way, into ``float64`` planes of the block, of shape
-    ``out_shape``: the real parts of the components, then, unless no axis is
-    free and every part and the drift are real to ``_EVEN_TOL`` (their
-    imaginary rounding is then dropped), their imaginary parts.  A two-way
-    term's parts and the drift are held once, as those planes; a one-way
-    term's part is complex, since its state is ``E_k A_k``.  The time pass
-    hands ``spectrum`` the planes as ``out`` and transforms them with
-    ``spectral.block_transform``, which drops the odd axes' Nyquist planes.
-    ``spectrum`` without ``out`` and ``rate`` fill planes of their own the
-    same way (``_fill``), then combine them to complex and unfold them once
-    (``GridSpec.unfold``), Nyquist planes included.  ``ElasticPropagator``
-    is the subclass of an elastic state; ``halfwave_sampler`` builds the
-    sampler of scalar data.
+    of the other parity, at most ``_EVEN_TOL``, is dropped.
+
+    The planes contract: ``_fill`` computes uhat(t) one way, into
+    ``float64`` planes of the block, of shape ``_planes``: the real parts of
+    the components, then, unless no axis is free and every part and the
+    drift are real to ``_EVEN_TOL`` (their imaginary rounding is then
+    dropped), their imaginary parts.  A two-way term's parts and the drift
+    are held once, as those planes; a one-way term's part is complex, since
+    its state is ``E_k A_k``.  ``spectrum`` and ``rate`` combine their
+    planes to complex and unfold them (``GridSpec.unfold``), Nyquist planes
+    included.  The time pass ``densities`` fills the planes of as many
+    nodes as ``_BATCH_BYTES`` holds and transforms them at once, in place,
+    with ``spectral.block_transform``, which drops the odd axes' Nyquist
+    planes and gives each component's u * (N dx)^n up to a unimodular
+    factor.  It folds (N dx)^{-2n} into the node weight, squares each plane,
+    or the modulus of each component, into one row, and multiplies each
+    point by its orbit size ``grid.orbit_sizes(free)``: |u|^2 is even in
+    every signed axis, whatever the parities.  So a weight even in every
+    axis, read on the block, sums against a node's density
+    (``_weighted_sum``) to its sum over the whole lattice; every weight and
+    ball mask of the consumers is (see ``weights``).  The pass fills every
+    node in ascending order, or only the nodes with t >= 0 when the sampler
+    is ``time_even``: the nodes are symmetric about 0, so each of those then
+    carries the weight of its mirror node too (a node at t = 0 is its own
+    mirror).  All of it runs in double precision, in two buffers allocated
+    once per pass.  ``ElasticPropagator`` is the subclass of an elastic
+    state; ``halfwave_sampler`` builds the sampler of scalar data.
 
     ``even`` is true when the sampler is even in every axis, such as radial
     scalar data.  Terms whose spatial axes have the shape
@@ -240,7 +253,6 @@ class WaveSampler:
             _is_real(X) for X in parts) and (drift is None or _is_real(drift))
         # (planes: real parts[, imaginary parts]) + lead + block
         self._planes = (1 if real_parts else 2,) + lead + grid.block_shape(free)
-        self.out_shape = (int(np.prod(self._planes[:-grid.dim])),) + grid.block_shape(free)
         block = (Ellipsis,) + grid.block(free)
 
         def planes(X, shape=self._planes[1:]):
@@ -316,22 +328,46 @@ class WaveSampler:
         u = planes[0] + 1j * planes[1] if len(planes) == 2 else planes[0].astype(complex)
         return u if all(self.free) else self.grid.unfold(u, self.signature)
 
-    def spectrum(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """uhat(t), in FFT storage order, of shape ``self.shape``.
+    def spectrum(self, t: float) -> np.ndarray:
+        """uhat(t), in FFT storage order, of shape ``self.shape``."""
+        planes = np.empty(self._planes)
+        self._fill(t, planes)
+        return self._unfolded(planes)
 
-        ``out``, ``float64`` of shape ``out_shape``, takes the planes of the
-        block instead (see the class docstring), as the time pass
-        (``analysis._time_pass``) fills its buffer; no field-sized temporary
-        after the first call.
-        """
-        if out is None:
-            planes = np.empty(self._planes)
-            self._fill(t, planes)
-            return self._unfolded(planes)
-        if out.shape != self.out_shape:
-            raise ShapeError(f"out has shape {out.shape}, expected {self.out_shape}")
-        self._fill(t, out.reshape(self._planes))
-        return out
+    def densities(self):
+        """Yield (node index, t, weight, density) along one time pass (see
+        the class docstring).  ``density`` is a (rows, points) ``float64``
+        array in FFT storage order whose rows sum to |u(t)|^2, times the
+        orbit sizes, on the block ``grid.block(free)``: grid index m sits at
+        x = dx * m (m taken mod N into [-N/2, N/2)), so the origin is index
+        0.  A later node overwrites it; reduce it with ``_weighted_sum``
+        before the next."""
+        grid, nodes, dim = self.grid, self._nodes, self.grid.dim
+        weights, first = grid.trapezoid_weights(), 0
+        if self.time_even:
+            first = len(nodes) // 2
+            weights = weights.copy()
+            weights[len(nodes) - first:] += weights[:first][::-1]
+        shape = (int(np.prod(self._planes[:-dim])),) + self._planes[-dim:]
+        size = max(1, min(len(nodes) - first, _BATCH_BYTES // (8 * int(np.prod(shape)))))
+        buf = np.empty((size,) + shape)
+        matrices = block_matrices(np.tile(self.signature, (self._planes[0], 1)), grid)
+        work, orbit = np.empty_like(buf), grid.orbit_sizes(self.free)
+        scale = grid.dx ** (-2 * dim) / grid.mode_count**2
+        for start in range(first, len(nodes), size):
+            batch = range(start, min(start + size, len(nodes)))
+            for k, i in enumerate(batch):
+                self._fill(nodes[i], buf[k].reshape(self._planes))
+            out = block_transform(buf[:len(batch)], matrices, work[:len(batch)], grid)
+            if out.dtype == np.float64:
+                dens = np.square(out, out=out)
+            else:  # |z|^2 of each component, into the planes that z leaves free
+                parts = np.square(out.view(np.float64), out=out.view(np.float64))  # re, im, ...
+                dens = (buf if np.may_share_memory(out, work) else work)[:len(batch), :len(out[0])]
+                np.add(parts[..., ::2], parts[..., 1::2], out=dens)
+            dens *= orbit
+            for k, i in enumerate(batch):
+                yield i, nodes[i], weights[i] * scale, dens[k].reshape(-1, orbit.size)
 
     def rate(self, t: float) -> np.ndarray:
         """d/dt uhat(t), the exact differentiated multiplier:
@@ -345,6 +381,19 @@ class WaveSampler:
         return inverse_values(self.spectrum(t), self.grid)
 
 
+def _weighted_sum(w: np.ndarray, density: np.ndarray) -> float:
+    """sum_x w(x) |u(x)|^2, ``w`` flat in FFT storage order: one dot per row
+    of a density of ``WaveSampler.densities``."""
+    return float(sum(w @ d for d in density))
+
+
+# the most bytes of planes that the pass transforms at once: 7 nodes of the
+# frequency scan's 2 x 128 x 65 probe planes, 15 of the 2 x 65^2 elastic
+# ones, 1 of a 3-d radial 2 x 33^3 (a node always fits); each transform then
+# makes fewer calls per node, which the 2-thread frequency scan gains most from
+_BATCH_BYTES = 2**20
+
+
 _REAL_TOL = 2.0**-12  # largest relative odd-axis Nyquist-plane part a signed pass drops
 
 
@@ -356,23 +405,6 @@ def _sq(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a).reshape(len(a), -1)
     a = a.view(np.float64) if np.iscomplexobj(a) else a
     return np.array([np.dot(row, row) for row in a])
-
-
-def _is_even(X: np.ndarray, dim: int) -> bool:
-    """Whether ``|X - R_i X| <= _EVEN_TOL |X|`` for each reflection
-    ``R_i: m_i -> -m_i mod N`` of X's last ``dim`` axes (FFT storage order),
-    from the views of ``_signature``; stops at the first failing axis.  Data
-    whose squared norm is not finite have no parity."""
-    h = X.shape[-1] // 2
-    bound = 0.5 * _EVEN_TOL**2 * np.vdot(X, X).real
-    if not np.isfinite(bound):
-        return False
-    for axis in range(X.ndim - dim, X.ndim):
-        head = (slice(None),) * axis
-        odd = X[head + (slice(1, h),)] - X[head + (slice(None, h, -1),)]
-        if np.vdot(odd, odd).real > bound:
-            return False
-    return True
 
 
 def _signature(parts, drift: np.ndarray | None, dim: int) -> np.ndarray:
@@ -472,9 +504,10 @@ def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     for f even in every axis, their block ``grid.even_block`` alone.
 
     In physical order the reflection ``x -> -x`` is the index map
-    ``j -> -j mod N``, as ``m -> -m`` is in FFT storage order, so ``_is_even``
-    tests f as it would test F; the DFT is unitary up to a constant and
-    commutes with the reflections, so by Parseval both tests agree.  Even f
+    ``j -> -j mod N``, as ``m -> -m`` is in FFT storage order, so
+    ``_signature`` tests f as it would test F; the DFT is unitary up to a
+    constant and commutes with the reflections, so by Parseval both tests
+    agree: f is even when its signature is ``EVEN`` in every axis.  Even f
     has even F, and its forward DFT is the cosine transform of the block
     (``spectral.block_transform`` with every axis even): block index m of
     F is ``dx^n`` times that transform of f at the physical indices
@@ -484,7 +517,7 @@ def _halfwave_coefficients(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ShapeError(f"expected scalar field of shape {grid.shape}, got {f.shape}")
-    if not _is_even(f, grid.dim):
+    if _signature([f], None, grid.dim).any():
         return forward_values(f, grid)
     N = grid.points_per_axis
     index = (np.arange(N // 2 + 1) + N // 2) % N
@@ -568,9 +601,11 @@ def elastic_energy(u: VectorField, u_t: VectorField, params: LameParams) -> floa
 
     With the weight ``(dxi/(2 pi))^n`` this equals the physical-space integral
     ``int |u_t|^2 + mu |grad u|^2 + (lambda+mu) (div u)^2 dx`` of the discrete
-    field, and it is constant in t mode by mode.
+    field, and it is constant in t mode by mode.  u and u_t share one grid.
     """
     grid = u.grid
+    if u_t.grid != grid:
+        raise ShapeError("u and u_t must share one GridSpec")
     U = forward_values(u.values, grid)
     Ut = forward_values(u_t.values, grid)
     xi = grid.xi_open()

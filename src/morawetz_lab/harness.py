@@ -316,7 +316,7 @@ def compute_ratio(
     if denominator == 0.0:
         raise ConfigurationError("zero initial data: the ratio is undefined")
 
-    numerator = weighted_spacetime_norm(sampler, weight, grid, quad)
+    numerator = weighted_spacetime_norm(sampler, weight, quad)
     ratio = numerator / denominator
     if not all(map(math.isfinite, (numerator, denominator, ratio))):
         raise AccuracyError(
@@ -469,7 +469,7 @@ def frequency_constant_scan(
         l2 = float(np.sqrt(measure * np.sum(np.abs(p) ** 2)))
         if l2 == 0.0:
             raise ConfigurationError("probe collapsed to zero after band projection")
-        num = weighted_spacetime_norm(halfwave_sampler(p, grid, 1.0), weight, grid, quad)
+        num = weighted_spacetime_norm(halfwave_sampler(p, grid, 1.0), weight, quad)
         return num / l2
 
     prebuild_weight(weight, grid, quad)
@@ -519,13 +519,13 @@ def decomposition_check(
     state: ElasticState,
     params: LameParams,
     query: RegionQuery,
-    grid: GridSpec,
 ) -> DecompositionCheck:
     """Verify the orthogonal-split norm identity and the weighted triangle bound.
 
-    Each field is transformed and split once; the solenoidal flow is the
-    shear term with the drift, the potential flow the pressure term."""
-    quad = QuadratureConfig()
+    Each field is transformed and split once, on the state's grid; the
+    solenoidal flow is the shear term with the drift, the potential flow the
+    pressure term."""
+    quad, grid = QuadratureConfig(), state.grid
     weight = WeightSpec(kind=query.weight_kind, alpha=query.alpha)
     weight.validate_for(grid)
     s = query.s
@@ -538,7 +538,7 @@ def decomposition_check(
 
     def norm(terms, drift=None) -> float:
         sampler = WaveSampler(grid, terms, drift, time_even=G is None)
-        return weighted_spacetime_norm(sampler, weight, grid, quad)
+        return weighted_spacetime_norm(sampler, weight, quad)
 
     n_full, n_sol, n_pot = norm([shear, pressure], drift), norm([shear], drift), norm([pressure])
     return DecompositionCheck(

@@ -46,7 +46,7 @@ one cell per permutation orbit of its equally spaced axes, and mirrored.
 
 One weight path: both weights are the power |(x, t)|^{-alpha}, 0 at the
 origin, taken once per distinct |x|^2 (``GridSpec.x_sq_levels``) and filled
-in FFT storage order, the order of ``analysis._time_pass``'s samples (grid
+in FFT storage order, the order of ``WaveSampler.densities``'s samples (grid
 index m at x = dx * m, m taken mod N into [-N/2, N/2)), with the cell
 averages of ``_origin_patch`` laid over the wrapped indices
 ``arange(-r, r + 1) % N`` around the origin.  The spatial weight is the fill
@@ -78,7 +78,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import _time_pass, _weighted_sum
+from .elastic import _weighted_sum
 from .errors import AccuracyError, DomainError
 from .spectral import GridSpec
 
@@ -405,7 +405,6 @@ def _spacetime_pointwise(grid: GridSpec, alpha: float, t: float, out: np.ndarray
 def weighted_spacetime_norm(
     u_sampler,
     weight: WeightSpec,
-    grid: GridSpec,
     quad: QuadratureConfig | None = None,
 ) -> float:
     """Weighted space-time L2 norm of a sampled solution.
@@ -413,16 +412,16 @@ def weighted_spacetime_norm(
     Computes ``( int_{-T}^{T} dx^n sum_x w(x,t) |u(x,t)|^2 dt )^{1/2}`` with
     the trapezoid rule in t and the singular-cell treatment described in the
     module docstring.  |u|^2 is the squared Euclidean length of the component
-    vector.  ``u_sampler`` is an ``elastic.WaveSampler``, sampled once per
-    time node in ascending order, over all nodes, or over the nodes with
-    t >= 0 if it is ``time_even`` (see ``analysis._time_pass``): every
+    vector.  ``u_sampler`` is an ``elastic.WaveSampler``, on whose grid the
+    norm runs, through its time pass (``WaveSampler.densities``): over all
+    nodes, or over the nodes with t >= 0 if it is ``time_even``; every
     weight here is even in t and in x, so each such node then also stands
     for its mirror node.  The sums run in FFT storage order on the block of
     the pass (``grid.block(free)``) against one weight array, filled as the
     module docstring describes: once, at t = 0, for the spatial weight, and
     in place at every node for the space-time weight.
     """
-    quad = quad or QuadratureConfig()
+    quad, grid = quad or QuadratureConfig(), u_sampler.grid
     weight.validate_for(grid)
     measure = grid.dx**grid.dim
     free = u_sampler.free
@@ -437,7 +436,7 @@ def weighted_spacetime_norm(
     has_zero_node = not spacetime or abs(tnodes[i0]) < 1e-12 * (tnodes[1] - tnodes[0])
     w, filled = np.empty(grid.block_shape(free)), None
     total = 0.0
-    for i, t, tw, density in _time_pass(u_sampler, grid):
+    for i, t, tw, density in u_sampler.densities():
         if not spacetime:  # every node takes the weight at t = 0, filled once
             i, t = i0, 0.0
         if t != filled:

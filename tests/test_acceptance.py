@@ -219,7 +219,7 @@ def test_criterion_6_norm_oracles():
     for refinement in (8, 16):
         quad_cfg = QuadratureConfig(singular_cell_refinement=refinement)
         norms[refinement] = weighted_spacetime_norm(
-            constant_sampler(profile, g2), WeightSpec(SPATIAL_POWER, 1.5), g2, quad_cfg
+            constant_sampler(profile, g2), WeightSpec(SPATIAL_POWER, 1.5), quad_cfg
         )
     stability = abs(norms[16] - norms[8]) / norms[16]
 

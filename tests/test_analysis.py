@@ -152,7 +152,7 @@ class TestLocalSmoothing:
     def test_zero_field(self):
         g = GridSpec(2, 16, 4.0, time_samples=5, time_horizon=1.0)
         zero = np.zeros(g.shape, dtype=complex)
-        assert local_smoothing_functional(constant_sampler(zero, g), g) == 0.0
+        assert local_smoothing_functional(constant_sampler(zero, g)) == 0.0
 
     def test_compact_support_tail_scales_like_inverse_radius(self):
         # static bump inside |x| < r0: the R-functional decays like 1/R beyond,
@@ -167,7 +167,7 @@ class TestLocalSmoothing:
             val = 2 * g.time_horizon * g.dx**2 * np.sum(np.abs(bump[mask]) ** 2)
             totals.append(val / R)
         assert np.argmax(totals) == 0
-        assert local_smoothing_functional(constant_sampler(bump, g), g) == pytest.approx(
+        assert local_smoothing_functional(constant_sampler(bump, g)) == pytest.approx(
             totals[0], rel=1e-12
         )
 
@@ -177,5 +177,5 @@ class TestLocalSmoothing:
         for N in (32, 64):
             g = GridSpec(3, N, 8.0, time_samples=17, time_horizon=3.0)
             f = np.exp(-(g.x_norm() ** 2)).astype(complex)
-            values[N] = local_smoothing_functional(halfwave_sampler(f, g, 1.0), g)
+            values[N] = local_smoothing_functional(halfwave_sampler(f, g, 1.0))
         assert abs(values[64] - values[32]) / values[64] < 0.05

@@ -10,6 +10,7 @@ from morawetz_lab import (
     EllipticityError,
     GridSpec,
     LameParams,
+    ShapeError,
     VectorField,
     elastic_energy,
     evolve,
@@ -294,6 +295,16 @@ class TestEnergy:
         g = GridSpec(2, 8, 1.0)
         z = VectorField(g, np.zeros((2, 8, 8), dtype=complex))
         assert elastic_energy(z, z, LameParams(1.0, 1.0)) == 0.0
+
+    def test_grids_must_agree(self):
+        # u_t on a box of another size, or another N, is not transformed on
+        # u's grid: a mismatch raises instead of giving a number
+        g = GridSpec(2, 16, 3.0)
+        u = VectorField(g, np.exp(-g.x_norm() ** 2)[None] * np.ones((2, 1, 1)))
+        for other in (GridSpec(2, 16, 4.0), GridSpec(2, 32, 3.0)):
+            u_t = VectorField(other, np.ones((2,) + other.shape))
+            with pytest.raises(ShapeError, match="share one GridSpec"):
+                elastic_energy(u, u_t, LameParams(1.0, 1.0))
 
     def test_single_shear_mode_constant(self):
         g = GridSpec(2, 16, np.pi)

@@ -27,8 +27,7 @@ from morawetz_lab import (
     helmholtz_split,
     scale_covariance_test,
 )
-from morawetz_lab.analysis import _BATCH_BYTES
-from morawetz_lab.elastic import halfwave_sampler
+from morawetz_lab.elastic import _BATCH_BYTES, halfwave_sampler
 from morawetz_lab.harness import worker_count
 from morawetz_lab.spectral import EVEN, FREE, forward_values, inverse_values
 from morawetz_lab.weights import (
@@ -131,27 +130,28 @@ class TestComputeRatio:
         from morawetz_lab.elastic import WaveSampler
 
         stacked = WaveSampler(g, [(params.shear_speed, forward_values(f_vec_S.values, g))])
-        num = weighted_spacetime_norm(stacked, WeightSpec(SPATIAL_POWER, 1.0), g, quadc)
+        num = weighted_spacetime_norm(stacked, WeightSpec(SPATIAL_POWER, 1.0), quadc)
         den = hs_norm(f_vec_S, 0.5) + hs_norm(member_e.g, -0.5)
         # the two-way elastic pass against the one-way scalar one, both in double
         assert rec_e.ratio == pytest.approx(num / den, rel=1e-12)
 
     @staticmethod
     def _count_time_pass(monkeypatch, member, query, propagation, grid, lam=1.0):
-        """compute_ratio's ``spectrum`` calls, n-d inverse FFTs and the fields
-        they transform, 1-d inverse FFTs, and its block transforms, the
-        planes they transform and the points of those planes; every inverse
-        transform of a ratio of data at rest is the time pass's."""
-        from morawetz_lab import analysis, elastic
+        """compute_ratio's node fills (``WaveSampler._fill``), n-d inverse
+        FFTs and the fields they transform, 1-d inverse FFTs, and the time
+        pass's block transforms, the planes they transform and the points of
+        those planes; every inverse transform of a ratio of data at rest is
+        the time pass's."""
+        from morawetz_lab import elastic
 
-        calls = {"spectrum": 0, "ifftn": 0, "fields": 0, "ifft": 0, "block": 0, "planes": 0,
+        calls = {"fills": 0, "ifftn": 0, "fields": 0, "ifft": 0, "block": 0, "planes": 0,
                  "points": 0}
-        spectrum, ifftn, ifft = elastic.WaveSampler.spectrum, np.fft.ifftn, np.fft.ifft
-        block = analysis.block_transform
+        fill, ifftn, ifft = elastic.WaveSampler._fill, np.fft.ifftn, np.fft.ifft
+        block = elastic.block_transform
 
-        def counted_spectrum(self, t, out=None):
-            calls["spectrum"] += 1
-            return spectrum(self, t, out)
+        def counted_fill(self, *args, **kwargs):
+            calls["fills"] += 1
+            return fill(self, *args, **kwargs)
 
         def counted_ifftn(a, *args, **kwargs):
             calls["ifftn"] += 1
@@ -163,50 +163,50 @@ class TestComputeRatio:
             return ifft(a, *args, **kwargs)
 
         def counted_block(planes, matrices, work, g):
-            calls["block"] += 1
-            calls["planes"] += planes.size // math.prod(planes.shape[-g.dim:])
-            calls["points"] += planes.size
+            if planes.ndim == g.dim + 2:  # a batch of the pass's nodes, not the data's block
+                calls["block"] += 1
+                calls["planes"] += planes.size // math.prod(planes.shape[-g.dim:])
+                calls["points"] += planes.size
             return block(planes, matrices, work, g)
 
-        monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
+        monkeypatch.setattr(elastic.WaveSampler, "_fill", counted_fill)
         monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
         monkeypatch.setattr(np.fft, "ifft", counted_ifft)
-        monkeypatch.setattr(analysis, "block_transform", counted_block)
+        monkeypatch.setattr(elastic, "block_transform", counted_block)
         rec = compute_ratio(member, query, propagation, grid, lam=lam)
         assert rec.numerator > 0
         return calls
 
     def test_scan_ratio_3d_folds_its_time_pass(self, monkeypatch):
         # the key 3-d scan: real Gaussian data is time-even, so the norm loop
-        # takes the spectrum of 27 of the 53 time nodes per lambda; radial
-        # data are even in every axis, so it transforms only the 33^3 points
-        # of the block, its real and imaginary planes, by the block
-        # transform, and the full 64^3 grid never; the data's coefficients
-        # and norm come from the block too, with one evenness check and no
-        # forward FFT
+        # fills 27 of the 53 time nodes per lambda; radial data are even in
+        # every axis, so it transforms only the 33^3 points of the block, its
+        # real and imaginary planes, by the block transform, and the full
+        # 64^3 grid never; the data's coefficients and norm come from the
+        # block too, with one parity check (``_signature``) and no forward FFT
         from morawetz_lab import elastic
 
         grid = GridSpec(3, 64, 16.0, 53, 6.5)
         member = DataFamily(kind="gaussian", width=0.9).member(grid, lam=2.0)
         q = RegionQuery(2.0, 0.5, 3, SPACETIME_POWER)
-        seen = {"fftn": 0, "is_even": 0}
-        fftn, is_even = np.fft.fftn, elastic._is_even
+        seen = {"fftn": 0, "signature": 0}
+        fftn, signature = np.fft.fftn, elastic._signature
 
         def counted_fftn(*args, **kwargs):
             seen["fftn"] += 1
             return fftn(*args, **kwargs)
 
-        def counted_is_even(*args):
-            seen["is_even"] += 1
-            return is_even(*args)
+        def counted_signature(*args):
+            seen["signature"] += 1
+            return signature(*args)
 
         monkeypatch.setattr(np.fft, "fftn", counted_fftn)
-        monkeypatch.setattr(elastic, "_is_even", counted_is_even)
+        monkeypatch.setattr(elastic, "_signature", counted_signature)
         calls = self._count_time_pass(monkeypatch, member, q, 1.0, grid, lam=2.0)
         # one node's planes fill the pass's batch, so each node is one transform
-        assert calls == {"spectrum": 27, "ifftn": 0, "fields": 0, "ifft": 0,
+        assert calls == {"fills": 27, "ifftn": 0, "fields": 0, "ifft": 0,
                          "block": 27, "planes": 54, "points": 54 * 33**3}
-        assert seen == {"fftn": 0, "is_even": 1}
+        assert seen == {"fftn": 0, "signature": 1}
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_elastic_2d_takes_the_block_pass(self, monkeypatch, lam):
@@ -218,12 +218,12 @@ class TestComputeRatio:
         member = DataFamily(kind="gaussian", width=0.75, scalar=False).member(grid, lam)
         prop = ElasticPropagator(ElasticState(member.f, member.g), LameParams(1.0, 1.0))
         assert prop.signature.tolist() == [[False, False], [True, True]]
-        assert prop.out_shape == (2, 65, 65)
+        assert prop._planes == (1, 2, 65, 65)  # one real plane per component
         q = RegionQuery(1.6, 0.3, 2, SPATIAL_POWER)
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid, lam)
         # the pass transforms as many nodes at once as its batch holds
         transforms = math.ceil(49 / (_BATCH_BYTES // (8 * 2 * 65**2)))
-        assert calls == {"spectrum": 49, "ifftn": 0, "fields": 0, "ifft": 0,
+        assert calls == {"fills": 49, "ifftn": 0, "fields": 0, "ifft": 0,
                          "block": transforms, "planes": 98, "points": 98 * 65**2}
 
     @pytest.mark.parametrize(
@@ -253,7 +253,7 @@ class TestComputeRatio:
         calls = self._count_time_pass(monkeypatch, member, q, LameParams(1.0, 1.0), grid)
         points = math.prod(32 if i in free else 17 for i in range(dim))
         transforms = math.ceil(9 / min(9, max(1, _BATCH_BYTES // (8 * planes * points))))
-        assert calls == {"spectrum": 9, "ifftn": 0, "fields": 0,
+        assert calls == {"fills": 9, "ifftn": 0, "fields": 0,
                          "ifft": transforms * len(free), "block": transforms,
                          "planes": 9 * planes, "points": 9 * planes * points}
 
@@ -352,17 +352,23 @@ class TestFrequencyScan:
 
     def test_each_probe_folds_its_time_pass(self, monkeypatch):
         # the probes' coefficients are real to rounding, so each of the six
-        # (level, probe) passes on the freq_scan_2t grid takes the spectrum
-        # at the 33 nodes with t >= 0 of its 65, on the block of its parities
+        # (level, probe) passes on the freq_scan_2t grid fills the 33 nodes
+        # with t >= 0 of its 65, on the block of its parities, and no
+        # spectrum is taken outside the pass
         from morawetz_lab import elastic
 
-        seen, other, spectrum = [], [], elastic.WaveSampler.spectrum
+        seen, other = [], []
+        fill, spectrum = elastic.WaveSampler._fill, elastic.WaveSampler.spectrum
 
-        def counted_spectrum(self, t, out=None):
-            # keeps each sampler, so its id stays its own
-            (seen if out is not None else other).append((self, t))
-            return spectrum(self, t, out)
+        def counted_fill(self, t, *args, **kwargs):
+            seen.append((self, t))  # keeps each sampler, so its id stays its own
+            return fill(self, t, *args, **kwargs)
 
+        def counted_spectrum(self, t):
+            other.append((self, t))
+            return spectrum(self, t)
+
+        monkeypatch.setattr(elastic.WaveSampler, "_fill", counted_fill)
         monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted_spectrum)
         g = GridSpec(2, 128, 20.0, 65, 8.0)
         res = frequency_constant_scan((0, 1, 2), RegionQuery(2.25, 0.625, 2, SPACETIME_POWER), g)
@@ -371,7 +377,7 @@ class TestFrequencyScan:
         counts = collections.Counter(id(sampler) for sampler, _ in seen)
         assert len(seen) == 198 and sorted(counts.values()) == [33] * 6 and not other
         # even in the second axis, free in the carrier's: a 128 x 65 block
-        assert all(s.signature.tolist() == [[FREE, EVEN]] and s.out_shape == (2, 128, 65)
+        assert all(s.signature.tolist() == [[FREE, EVEN]] and s._planes == (2, 128, 65)
                    for s, _ in seen)
 
     @pytest.mark.parametrize("grid, levels, alpha, constants", [
@@ -423,7 +429,7 @@ class TestDecomposition:
         gv = VectorField(g, gv.values - gv.values.reshape(2, -1).mean(axis=1).reshape(2, 1, 1))
         state = ElasticState(f, gv)
         q = RegionQuery(1.0, 0.5, 2, SPATIAL_POWER)
-        check = decomposition_check(state, params, q, g)
+        check = decomposition_check(state, params, q)
         assert check.hs_pythagoras_gap < 1e-12
         assert check.triangle_slack >= -1e-12
         assert check.ratio_solenoidal > 0 and check.ratio_potential > 0
@@ -454,13 +460,13 @@ class TestDecomposition:
                     return fn(values, grid)
 
                 monkeypatch.setattr(module, name, counted)
-        check = decomposition_check(state, params, q, g)
+        check = decomposition_check(state, params, q)
         assert calls == {"forward_values": 1 if at_rest else 2}
         monkeypatch.undo()
 
         quad, weight = QuadratureConfig(), WeightSpec(q.weight_kind, q.alpha)
         (f_P, f_S), (g_P, g_S) = helmholtz_split(f), helmholtz_split(gv)
-        full, sol, pot = (weighted_spacetime_norm(ElasticPropagator(st, params), weight, g, quad)
+        full, sol, pot = (weighted_spacetime_norm(ElasticPropagator(st, params), weight, quad)
                           for st in (state, ElasticState(f_S, g_S), ElasticState(f_P, g_P)))
         den = hs_norm(f, q.s) + hs_norm(gv, q.s - 1.0)
         assert check.ratio_solenoidal == pytest.approx(sol / den, rel=1e-12, abs=0)
@@ -524,7 +530,7 @@ class TestInfrastructure:
             g = GridSpec(2, 32, 12.0, samples, 3.0)
             prof = np.exp(-(g.x_norm() ** 2)).astype(complex)
             norms.append(weighted_spacetime_norm(halfwave_sampler(prof, g, 1.0),
-                                                 WeightSpec(SPATIAL_POWER, 1.0), g))
+                                                 WeightSpec(SPATIAL_POWER, 1.0)))
         assert abs(norms[0] - norms[1]) / norms[0] < 5e-3
 
     def test_family_validation(self):

@@ -23,7 +23,6 @@ from morawetz_lab.elastic import (
     elastic_energy,
     halfwave_sampler,
 )
-from morawetz_lab.errors import ShapeError
 from morawetz_lab.spectral import EVEN, FREE, ODD, forward_values, inverse_values
 from morawetz_lab.weights import (
     SPACETIME_POWER,
@@ -171,19 +170,14 @@ def test_elastic_energy_conserved_over_a_pass(grid, ratio, mu, seed):
         assert abs(elastic_energy(*prop.pair(t), params) - e0) <= REL * e0
 
 
-def _lattice_spectrum(buf: np.ndarray, components: int) -> np.ndarray:
-    """The complex spectrum held in the planes of a sampler whose every axis
-    is free: real parts, then imaginary parts."""
-    return buf[:components] + 1j * buf[components:]
-
-
 @settings(max_examples=20, deadline=None)
 @given(_grids(), st.floats(-1.9, 4.0), st.floats(0.1, 3.0), st.booleans(), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_spectrum_planes_match_double(grid, ratio, mu, at_rest, real, seed):
-    # data with no parity: every axis free, the planes of the whole lattice,
-    # filled in double precision; without ``out`` the spectrum is those
-    # planes combined, on a second sampler of the same pass
+    # data with no parity: every axis free, the real and then the imaginary
+    # planes of the whole lattice per component, filled in double precision
+    # as the time pass fills them; the spectrum is those planes combined, on
+    # a second sampler of the same pass
     params = _lame(ratio, mu)
     rng = np.random.default_rng(seed)
     state = _random_state(grid, rng, at_rest) if real else _elastic_state(grid, rng)
@@ -191,28 +185,14 @@ def test_spectrum_planes_match_double(grid, ratio, mu, at_rest, real, seed):
         state = ElasticState(state.f, VectorField(grid, np.zeros_like(state.g.values)))
     planes, double = ElasticPropagator(state, params), ElasticPropagator(state, params)
     assert np.all(planes.signature == FREE)
-    assert planes.out_shape == (2 * grid.dim,) + grid.shape
-    buf = np.empty(planes.out_shape)
+    assert planes._planes == (2, grid.dim) + grid.shape
+    buf = np.empty(planes._planes)
     for t in grid.time_nodes():
-        got = _lattice_spectrum(planes.spectrum(t, out=buf), grid.dim)
+        planes._fill(t, buf)
+        got = buf[0] + 1j * buf[1]
         np.testing.assert_array_equal(double.spectrum(t), got)
         u_direct, _ = _elastic_direct(state, params, t)
         assert _close(inverse_values(got, grid), u_direct), t
-
-
-def test_spectrum_rejects_a_buffer_of_the_wrong_shape():
-    # real data without a parity take the real and imaginary planes of the
-    # whole lattice per component; a signed sampler takes planes of the
-    # block, not the full lattice
-    grid = GridSpec(2, 16, 6.0, 9, 2.0)
-    prop = ElasticPropagator(_random_state(grid, np.random.default_rng(2), False), _lame(1.0, 1.0))
-    assert np.all(prop.signature == FREE) and prop.out_shape == (4,) + grid.shape
-    with pytest.raises(ShapeError):
-        prop.spectrum(0.5, out=np.empty((2,) + grid.shape))
-    signed = halfwave_sampler(np.exp(-grid.x_norm() ** 2 / 2), grid, 1.0)
-    assert signed.out_shape == (2,) + grid.even_shape  # real and imaginary planes
-    with pytest.raises(ShapeError):
-        signed.spectrum(0.5, out=np.empty(signed.shape))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -228,8 +208,8 @@ def test_real_data_with_nyquist_content_matches_the_oracle(dim):
         prop = ElasticPropagator(state, _lame(1.0, 1.0))
         u = prop(0.7).values
         assert np.linalg.norm(u.imag) > 1e-2 * np.linalg.norm(u)
-        assert np.all(prop.signature == FREE) and prop.out_shape == (2 * dim,) + grid.shape
-        got = weighted_spacetime_norm(prop, weight, grid)
+        assert np.all(prop.signature == FREE) and prop._planes == (2, dim) + grid.shape
+        got = weighted_spacetime_norm(prop, weight)
         want = weighted_norm_oracle(ElasticPropagator(state, _lame(1.0, 1.0)), weight, grid)
         assert abs(got - want) <= 1e-13 * want, (got, want)
 
@@ -237,25 +217,25 @@ def test_real_data_with_nyquist_content_matches_the_oracle(dim):
 @pytest.mark.parametrize("grid", [GridSpec(2, 128, 20.0, 33, 6.0), GridSpec(3, 32, 8.0, 17, 4.0)],
                          ids=["2d", "3d"])
 def test_free_spectrum_allocates_no_field(grid):
-    """A two-way pass with every axis free writes into its buffers, for real
-    data and complex ones: after the first call, the traced peak stays below
-    one ``complex128`` field."""
+    """A two-way pass with every axis free fills its buffers in place, for
+    real data and complex ones: after the first fill, the traced peak stays
+    below one ``complex128`` field."""
     import tracemalloc
 
     rng = np.random.default_rng(5)
     for real, state in ((False, _elastic_state(grid, rng)),
                         (True, _random_state(grid, rng, False))):
         sampler = ElasticPropagator(state, _lame(1.0, 1.0))
-        assert sampler.out_shape == (2 * grid.dim,) + grid.shape
-        buf = np.empty(sampler.out_shape)
+        assert sampler._planes == (2, grid.dim) + grid.shape
+        buf = np.empty(sampler._planes)
         nodes = grid.time_nodes()
-        sampler.spectrum(nodes[0], out=buf)  # evaluates exp, builds the planes of the parts
-        sampler.spectrum(nodes[1], out=buf)  # builds the recurrence steps
+        sampler._fill(nodes[0], buf)  # evaluates exp, builds the product field
+        sampler._fill(nodes[1], buf)  # builds the recurrence steps
         field = np.empty(sampler.shape, np.complex128).nbytes
         tracemalloc.start()
         try:
             for t in nodes[2:]:
-                sampler.spectrum(t, out=buf)
+                sampler._fill(t, buf)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -333,18 +313,21 @@ def test_sampler_leaves_grid_memos_untouched(grid, seed):
 
 
 class _Counted:
-    """A sampler whose ``spectrum`` calls are counted; every other attribute
-    is the sampler's."""
+    """A sampler whose node fills (``_fill``, which its time pass calls once
+    per node) are counted; every other attribute is the sampler's."""
 
     def __init__(self, sampler):
         self.sampler, self.calls = sampler, 0
+        fill = sampler._fill
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fill(*args, **kwargs)
+
+        sampler._fill = counted
 
     def __getattr__(self, name):
         return getattr(self.sampler, name)
-
-    def spectrum(self, t, out=None):
-        self.calls += 1
-        return self.sampler.spectrum(t, out)
 
 
 ACCUMULATORS = (SPATIAL_POWER, SPACETIME_POWER, "local_smoothing")
@@ -354,12 +337,12 @@ def _accumulator(kind: str, u: float, grid: GridSpec):
     """One of the two weighted norms, exponent drawn from ``u`` in (0, 1), or
     the local-smoothing functional."""
     if kind == "local_smoothing":
-        return lambda v: local_smoothing_functional(v, grid)
+        return lambda v: local_smoothing_functional(v)
     weight = {
         SPATIAL_POWER: WeightSpec(SPATIAL_POWER, u * grid.dim),
         SPACETIME_POWER: WeightSpec(SPACETIME_POWER, u * (grid.dim + 1)),
     }[kind]
-    return lambda v: weighted_spacetime_norm(v, weight, grid)
+    return lambda v: weighted_spacetime_norm(v, weight)
 
 
 def _fold_cases(kind: str, u: float, grid: GridSpec, make_sampler, even: bool) -> None:
@@ -478,7 +461,7 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
     radii = [4.0, 8.0] if edge else [1.0, 2.0, 4.0, 8.0]
     if kind == "local_smoothing":
         def accumulate(v):
-            return local_smoothing_functional(v, grid, radii)
+            return local_smoothing_functional(v, radii)
 
         def oracle(v):
             return local_smoothing_oracle(v, grid, radii)
@@ -486,7 +469,7 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         weight = WeightSpec(kind, u * (grid.dim if kind == SPATIAL_POWER else grid.dim + 1))
 
         def accumulate(v):
-            return weighted_spacetime_norm(v, weight, grid)
+            return weighted_spacetime_norm(v, weight)
 
         def oracle(v):
             return weighted_norm_oracle(v, weight, grid)
@@ -496,7 +479,7 @@ def test_time_pass_matches_physical_order_oracle(kind, dim, edge, odd, u, c, eve
         sampler = make()
         assert sampler.time_even is even
         assert np.all(sampler.signature == FREE)
-        assert sampler.out_shape[1:] == grid.shape and len(sampler.out_shape) == dim + 1
+        assert sampler._planes[-dim:] == grid.shape
         got = accumulate(sampler)
         assert abs(got - want) <= 1e-13 * want, (got, want)
         sampler = make()
@@ -553,13 +536,13 @@ def test_even_fact_tells_even_data_apart():
         assert sampler.even is even, label
         assert tuple((sampler.signature == FREE).any(axis=0)) == free, label
         assert np.all((sampler.signature == FREE) == np.array(free)), label
-        assert sampler.out_shape[-grid.dim:] == grid.block_shape(free), label
+        assert sampler._planes[-grid.dim:] == grid.block_shape(free), label
     cases = dict((label, sampler) for label, sampler, _, _ in _even_cases())
     assert cases["elastic"].signature.tolist() == [[EVEN, EVEN, EVEN], [ODD, ODD, EVEN],
                                                    [ODD, EVEN, ODD]]
-    assert cases["elastic"].out_shape == (3, 17, 17, 17)  # real parts: one plane per component
+    assert cases["elastic"]._planes == (1, 3, 17, 17, 17)  # real parts: one plane per component
     assert cases["modulated"].signature.tolist() == [[FREE, EVEN, EVEN]]
-    assert cases["modulated"].out_shape == (2, 32, 17, 17)  # real and imaginary planes
+    assert cases["modulated"]._planes == (2, 32, 17, 17)  # real and imaginary planes
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squared norms overflow
@@ -597,11 +580,11 @@ def test_even_pass_matches_complex128_oracle(kind, dim, n, odd_m, u, c, real, od
         f = f.real.astype(np.complex128)
     radii = [1.0, 2.0, 4.0, 8.0]
     if kind == "local_smoothing":
-        got = local_smoothing_functional(sampler := halfwave_sampler(f, grid, c), grid, radii)
+        got = local_smoothing_functional(sampler := halfwave_sampler(f, grid, c), radii)
         want = local_smoothing_oracle(sampler, grid, radii)
     else:
         weight = WeightSpec(kind, u * (grid.dim if kind == SPATIAL_POWER else grid.dim + 1))
-        got = weighted_spacetime_norm(sampler := halfwave_sampler(f, grid, c), weight, grid)
+        got = weighted_spacetime_norm(sampler := halfwave_sampler(f, grid, c), weight)
         want = weighted_norm_oracle(sampler, weight, grid)
     assert abs(got - want) <= 1e-12 * want, (got, want)
     assert sampler.even is (odd_part == 0.0)
@@ -615,13 +598,13 @@ def test_even_components_take_the_block_pass(kind):
     grid = GridSpec(3, 16, 8.0, 9, 2.0)
     radii = [1.0, 2.0, 4.0]
     if kind == "local_smoothing":
-        got = local_smoothing_functional(sampler := _constant_elastic(grid), grid, radii)
+        got = local_smoothing_functional(sampler := _constant_elastic(grid), radii)
         want = local_smoothing_oracle(sampler, grid, radii)
     else:
         weight = WeightSpec(kind, 1.2)
-        got = weighted_spacetime_norm(sampler := _constant_elastic(grid), weight, grid)
+        got = weighted_spacetime_norm(sampler := _constant_elastic(grid), weight)
         want = weighted_norm_oracle(sampler, weight, grid)
-    assert sampler.even and sampler.out_shape == (6,) + grid.even_shape
+    assert sampler.even and sampler._planes == (2, 3) + grid.even_shape
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
@@ -701,15 +684,14 @@ def test_signed_pass_matches_physical_order_oracle(kind, dim, data, n, u, real, 
                                        at_rest)
     assert np.array_equal(sampler.signature, signature)
     assert sampler.even is (not signature.any())
-    planes = len(signature) * (1 if real else 2)
-    assert sampler.out_shape == (planes,) + grid.even_shape
+    assert sampler._planes == (1 if real else 2, len(signature)) + grid.even_shape
     if kind == "local_smoothing":
         radii = [1.0, 2.0, 4.0, 8.0]
-        got = local_smoothing_functional(sampler, grid, radii)
+        got = local_smoothing_functional(sampler, radii)
         want = local_smoothing_oracle(make(), grid, radii)
     else:
         weight = WeightSpec(kind, u * (grid.dim if kind == SPATIAL_POWER else grid.dim + 1))
-        got = weighted_spacetime_norm(sampler, weight, grid)
+        got = weighted_spacetime_norm(sampler, weight)
         want = weighted_norm_oracle(make(), weight, grid)
     assert abs(got - want) <= 1e-12 * want, (got, want)
 

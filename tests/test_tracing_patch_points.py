@@ -33,8 +33,8 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
 
 def test_traced_runs_equal_untraced_ones_and_fold(monkeypatch):
     # a traced run is the measured program: the same bits from the same
-    # passes of ``WaveSampler.spectrum``, folded to (M + 1) / 2 nodes for
-    # radial data
+    # passes of ``WaveSampler.densities``, whose node fills are folded to
+    # (M + 1) / 2 nodes for radial data
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -44,13 +44,13 @@ def test_traced_runs_equal_untraced_ones_and_fold(monkeypatch):
     scan_grid = GridSpec(2, 64, 14.0, 33, 5.0)
     scan_query = RegionQuery(2.0, 0.5, 2, SPACETIME_POWER)
     calls = []
-    spectrum = elastic.WaveSampler.spectrum
+    fill = elastic.WaveSampler._fill
 
-    def counted(self, t, out=None):
+    def counted(self, *args, **kwargs):
         calls[-1] += 1
-        return spectrum(self, t, out)
+        return fill(self, *args, **kwargs)
 
-    monkeypatch.setattr(elastic.WaveSampler, "spectrum", counted)
+    monkeypatch.setattr(elastic.WaveSampler, "_fill", counted)
 
     def run():
         calls.append(0)

@@ -62,7 +62,7 @@ class TestWeightedNorm:
     def test_alpha_zero_is_plain_l2(self):
         g = GridSpec(2, 32, 6.0, time_samples=9, time_horizon=2.0)
         sampler = static_gaussian_sampler(g)
-        val = weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 0.0), g)
+        val = weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 0.0))
         profile = sampler(0.0)
         closed = np.sqrt(2 * g.time_horizon * g.dx**2 * np.sum(np.abs(profile) ** 2))
         assert val == pytest.approx(closed, rel=1e-10)
@@ -71,7 +71,7 @@ class TestWeightedNorm:
         g = GridSpec(2, 16, 2.0, time_samples=5)
         zero = np.zeros(g.shape, dtype=complex)
         for spec in (WeightSpec(SPATIAL_POWER, 1.0), WeightSpec(SPACETIME_POWER, 1.5)):
-            assert weighted_spacetime_norm(constant_sampler(zero, g), spec, g) == 0.0
+            assert weighted_spacetime_norm(constant_sampler(zero, g), spec) == 0.0
 
     def test_smoothed_indicator_against_refined_grid_oracle(self):
         # static smoothed box indicator; the double-resolution grid is the oracle
@@ -82,7 +82,7 @@ class TestWeightedNorm:
             for i in range(2):
                 smooth = smooth * 0.5 * (np.tanh(2 * (X[i] + 1)) - np.tanh(2 * (X[i] - 1)))
             sampler = constant_sampler(smooth, g)
-            return weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 1.0), g)
+            return weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 1.0))
 
         coarse, oracle = norm_at(256), norm_at(512)
         assert abs(coarse - oracle) / oracle < 1e-4
@@ -95,10 +95,10 @@ class TestWeightedNorm:
         n, N, L, T, M, width = 2, 64, 8.0, 2.0, 17, 1.0
         g1 = GridSpec(n, N, L, M, T)
         v = np.exp(-((lam * g1.x_norm()) ** 2) / (2 * width**2)).astype(complex)
-        norm_v = weighted_spacetime_norm(constant_sampler(v, g1), WeightSpec(kind, alpha), g1)
+        norm_v = weighted_spacetime_norm(constant_sampler(v, g1), WeightSpec(kind, alpha))
         g2 = GridSpec(n, N, lam * L, M, lam * T)
         u = np.exp(-(g2.x_norm() ** 2) / (2 * width**2)).astype(complex)
-        norm_u = weighted_spacetime_norm(constant_sampler(u, g2), WeightSpec(kind, alpha), g2)
+        norm_u = weighted_spacetime_norm(constant_sampler(u, g2), WeightSpec(kind, alpha))
         assert norm_v == pytest.approx(lam ** ((alpha - n - 1) / 2.0) * norm_u, rel=0.01)
 
     def test_refinement_doubling_stability(self):
@@ -109,7 +109,7 @@ class TestWeightedNorm:
         for refinement in (8, 16):
             quad = QuadratureConfig(singular_cell_refinement=refinement)
             vals[refinement] = weighted_spacetime_norm(
-                sampler, WeightSpec(SPATIAL_POWER, 1.5), g, quad
+                sampler, WeightSpec(SPATIAL_POWER, 1.5), quad
             )
         assert abs(vals[16] - vals[8]) < 2 * tol * vals[16]
 
@@ -139,7 +139,7 @@ class TestWeightedNorm:
         g = GridSpec(2, 16, 2.0, time_samples=3)
         sampler = static_gaussian_sampler(g)
         with pytest.raises(DomainError):
-            weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 2.5), g)
+            weighted_spacetime_norm(sampler, WeightSpec(SPATIAL_POWER, 2.5))
 
 
 class TestA2Product:
@@ -253,8 +253,8 @@ def test_spacetime_norm_even_time_samples():
     g_odd = GridSpec(2, 32, 6.0, time_samples=9, time_horizon=1.0)
     profile = np.exp(-(g_even.x_norm() ** 2)).astype(complex)
     spec = WeightSpec(SPACETIME_POWER, 2.0)
-    v_even = weighted_spacetime_norm(constant_sampler(profile, g_even), spec, g_even)
-    v_odd = weighted_spacetime_norm(constant_sampler(profile, g_odd), spec, g_odd)
+    v_even = weighted_spacetime_norm(constant_sampler(profile, g_even), spec)
+    v_odd = weighted_spacetime_norm(constant_sampler(profile, g_odd), spec)
     assert np.isfinite(v_even) and v_even > 0
     assert v_even == pytest.approx(v_odd, rel=0.2)  # same quantity, coarser rule
 
