@@ -311,23 +311,18 @@ def test_sampler_leaves_grid_memos_untouched(grid, seed):
         np.testing.assert_array_equal(grid._cache[key], arr)
 
 
-
 class _Counted:
-    """A sampler whose node fills (``_fill``, which its time pass calls once
-    per node) are counted; every other attribute is the sampler's."""
+    """Counts a sampler's node fills (``_fill``, which its time pass calls
+    once per node) from now on."""
 
     def __init__(self, sampler):
-        self.sampler, self.calls = sampler, 0
-        fill = sampler._fill
+        self.calls, fill = 0, sampler._fill
 
         def counted(*args, **kwargs):
             self.calls += 1
             return fill(*args, **kwargs)
 
         sampler._fill = counted
-
-    def __getattr__(self, name):
-        return getattr(self.sampler, name)
 
 
 ACCUMULATORS = (SPATIAL_POWER, SPACETIME_POWER, "local_smoothing")
@@ -337,7 +332,7 @@ def _accumulator(kind: str, u: float, grid: GridSpec):
     """One of the two weighted norms, exponent drawn from ``u`` in (0, 1), or
     the local-smoothing functional."""
     if kind == "local_smoothing":
-        return lambda v: local_smoothing_functional(v)
+        return local_smoothing_functional
     weight = {
         SPATIAL_POWER: WeightSpec(SPATIAL_POWER, u * grid.dim),
         SPACETIME_POWER: WeightSpec(SPACETIME_POWER, u * (grid.dim + 1)),
@@ -351,13 +346,13 @@ def _fold_cases(kind: str, u: float, grid: GridSpec, make_sampler, even: bool) -
     for M in (grid.time_samples, grid.time_samples + 1):
         g = replace(grid, time_samples=M)
         accumulate, sampler = _accumulator(kind, u, g), make_sampler(g)
+        assert sampler.time_even is even
         counted = _Counted(sampler)
-        assert counted.time_even is even
-        value = accumulate(counted)
+        value = accumulate(sampler)
         assert counted.calls == ((M + 1) // 2 if even else M)
         sampler.time_even = False
         counted = _Counted(sampler)
-        full = accumulate(counted)
+        full = accumulate(sampler)
         assert counted.calls == M
         assert abs(value - full) <= 1e-13 * full, (M, value, full)
 
